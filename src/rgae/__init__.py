@@ -2,78 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .graph import (
-    MultiViewNetwork,
-    NormalizedAdjacency,
-    SparseAdjacency,
-    jaccard_consistency,
-    load_dataset,
-    load_edge_lists,
-    normalize,
-    save_dataset,
-    spmm,
-)
-from .autodiff import Tape, Tensor
-from .model import (
-    EmbeddingSet,
-    LayerSpec,
-    RgaeParams,
-    aggregate,
-    consistent_embedding,
-    difference_loss,
-    forward_view,
-    run_model,
-    similarity_loss,
-    total_loss,
-)
-from .trainer import AdamState, TrainConfig, adam_step, train, update_lambda
-from .evaluate import (
-    LinkPredTask,
-    SplitSpec,
-    build_linkpred_task,
-    link_predict,
-    logistic_ovr_train,
-    make_split,
-    micro_macro_f1,
-    sample_negatives,
-)
 from .synth import SynthConfig, generate
+from .trainer import TrainConfig, train
 
-__all__ = [
-    "AdamState",
-    "EmbeddingSet",
-    "LayerSpec",
-    "LinkPredTask",
-    "MultiViewNetwork",
-    "NormalizedAdjacency",
-    "RgaeParams",
-    "SparseAdjacency",
-    "SplitSpec",
-    "SynthConfig",
-    "Tape",
-    "Tensor",
-    "TrainConfig",
-    "adam_step",
-    "aggregate",
-    "build_linkpred_task",
-    "consistent_embedding",
-    "difference_loss",
-    "forward_view",
-    "generate",
-    "jaccard_consistency",
-    "link_predict",
-    "load_dataset",
-    "load_edge_lists",
-    "logistic_ovr_train",
-    "make_split",
-    "micro_macro_f1",
-    "normalize",
-    "run_model",
-    "sample_negatives",
-    "save_dataset",
-    "similarity_loss",
-    "spmm",
-    "total_loss",
-    "train",
-    "update_lambda",
-]
+__all__ = ["SynthConfig", "TrainConfig", "__version__", "generate", "train"]

@@ -78,10 +78,6 @@ class Tape:
                 node._pull(node.grad)
 
 
-def backward(tape: Tape, root: Tensor) -> None:
-    tape.backward(root)
-
-
 def scalar(t: Tensor) -> float:
     if t.shape != (1, 1):
         raise NonScalarRoot(f"expected a 1x1 node, got {t.shape}")

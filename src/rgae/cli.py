@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import platform
 import sys
 from dataclasses import asdict, dataclass
@@ -17,7 +16,14 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, FileError, ParseError, RgaeError
 from .evaluate import classification_report, link_prediction_report
-from .graph import MultiViewNetwork, jaccard_consistency, load_dataset, save_dataset
+from .graph import (
+    MultiViewNetwork,
+    jaccard_consistency,
+    load_dataset,
+    save_dataset,
+    text_lines,
+    write_text_atomic,
+)
 from .synth import SynthConfig, generate
 from .trainer import TrainConfig, train
 
@@ -60,15 +66,16 @@ def _digest_inputs(paths) -> dict:
     return digests
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _write_manifest(directory: Path, manifest: RunManifest) -> None:
-    _atomic_write(Path(directory) / "manifest.json", manifest.to_json())
+def _write_manifest(path: Path, args, cfg: dict, inputs: list, outputs: list) -> None:
+    """Record the resolved config, input digests (the --config file included), outputs and versions."""
+    manifest = RunManifest(
+        command=args.command,
+        config={k: _jsonable(v) for k, v in cfg.items()},
+        inputs=_digest_inputs(inputs + ([args.config] if args.config else [])),
+        outputs=outputs,
+        versions=_versions(),
+    )
+    write_text_atomic(path, manifest.to_json())
 
 
 def save_embeddings(path, names, embeddings, n_views, block_dim) -> None:
@@ -77,7 +84,7 @@ def save_embeddings(path, names, embeddings, n_views, block_dim) -> None:
     lines = [f"{len(names)} {y.shape[1]} {n_views} {block_dim}"]
     for name, row in zip(names, y):
         lines.append(name + " " + " ".join(f"{x:.17g}" for x in row))
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_embeddings(path):
@@ -129,20 +136,13 @@ def _parse_floats(s: str):
 
 
 def _read_config(path) -> dict:
-    """Flat key=value file; '#' starts a comment line."""
+    """Flat key=value file; '#' starts a comment line. Maps each key to (lineno, value)."""
     out = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FileError(f"{path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path):
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        out[key.strip()] = (lineno, value.strip())
     return out
 
 
@@ -158,7 +158,11 @@ def _resolve(args, keys: dict) -> dict:
         if flag is not None:
             resolved[key] = flag
         elif key in file_cfg:
-            resolved[key] = conv(file_cfg[key])
+            lineno, value = file_cfg[key]
+            try:
+                resolved[key] = conv(value)
+            except (ValueError, ConfigError) as exc:
+                raise ConfigError(f"{args.config}:{lineno}: bad value for {key}: {value!r}") from exc
         else:
             resolved[key] = default
     return resolved
@@ -255,9 +259,10 @@ ABLATE_FLAGS = {
 
 
 def _train_config(cfg) -> TrainConfig:
-    if cfg["ablate"] not in ABLATE_FLAGS:
-        raise ConfigError(f"--ablate must be one of {sorted(ABLATE_FLAGS)}, got {cfg['ablate']!r}")
-    use_sim, use_dif = ABLATE_FLAGS[cfg["ablate"]]
+    ablate = cfg.get("ablate", "none")
+    if ablate not in ABLATE_FLAGS:
+        raise ConfigError(f"--ablate must be one of {sorted(ABLATE_FLAGS)}, got {ablate!r}")
+    use_sim, use_dif = ABLATE_FLAGS[ablate]
     return TrainConfig(
         dim=cfg["dim"],
         layer_sizes=tuple(cfg["layers"]),
@@ -291,14 +296,7 @@ def cmd_generate(args) -> int:
     )
     net = generate(synth)
     written = save_dataset(net, out_dir)
-    manifest = RunManifest(
-        command="generate",
-        config={k: _jsonable(v) for k, v in cfg.items()},
-        inputs=_digest_inputs([args.config] if args.config else []),
-        outputs=sorted(p.name for p in written),
-        versions=_versions(),
-    )
-    _write_manifest(out_dir, manifest)
+    _write_manifest(out_dir / "manifest.json", args, cfg, [], sorted(p.name for p in written))
     print(f"wrote {net.n} nodes, {len(net.views)} views to {out_dir}")
     return 0
 
@@ -320,15 +318,8 @@ def cmd_train(args) -> int:
         embeds.consistent.shape[1],
     )
     header = "epoch\trec\tsim\tdif\ttotal\tlambda"
-    _atomic_write(out_dir / "history.tsv", "\n".join([header] + [h.line() for h in history]) + "\n")
-    manifest = RunManifest(
-        command="train",
-        config={k: _jsonable(v) for k, v in cfg.items()},
-        inputs=_digest_inputs([data_dir] + ([args.config] if args.config else [])),
-        outputs=["embeddings.txt", "history.tsv"],
-        versions=_versions(),
-    )
-    _write_manifest(out_dir, manifest)
+    write_text_atomic(out_dir / "history.tsv", "\n".join([header] + [h.line() for h in history]) + "\n")
+    _write_manifest(out_dir / "manifest.json", args, cfg, [data_dir], ["embeddings.txt", "history.tsv"])
     final = history[-1].total if history else float("nan")
     print(f"trained {len(history)} epochs (final loss {final:.6g}); embeddings in {out_dir}")
     return 0
@@ -366,15 +357,9 @@ def cmd_eval(args) -> int:
     if cfg["out"]:
         out_path = Path(cfg["out"])
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out_path, text)
-        manifest = RunManifest(
-            command="eval",
-            config={k: _jsonable(v) for k, v in cfg.items()},
-            inputs=_digest_inputs([emb_path, data_dir] + ([args.config] if args.config else [])),
-            outputs=[out_path.name],
-            versions=_versions(),
-        )
-        _atomic_write(out_path.with_name(out_path.stem + ".manifest.json"), manifest.to_json())
+        write_text_atomic(out_path, text)
+        manifest_path = out_path.with_name(out_path.stem + ".manifest.json")
+        _write_manifest(manifest_path, args, cfg, [emb_path, data_dir], [out_path.name])
     else:
         sys.stdout.write(text)
     return 0
@@ -391,7 +376,7 @@ def cmd_analyze(args) -> int:
         lines.append(f"view_{i}\t" + "\t".join(f"{x:.10g}" for x in row))
     text = "\n".join(lines) + "\n"
     if cfg["out"]:
-        _atomic_write(Path(cfg["out"]), text)
+        write_text_atomic(cfg["out"], text)
     else:
         sys.stdout.write(text)
     return 0
@@ -410,19 +395,7 @@ def cmd_sweep(args) -> int:
     dims = cfg["dims"] or (cfg["dim"],)
     rows = []
     for alpha, beta, gamma, dim in product(alphas, betas, gammas, dims):
-        tc = TrainConfig(
-            dim=dim,
-            layer_sizes=tuple(cfg["layers"]),
-            alpha=alpha,
-            beta=beta,
-            gamma=gamma,
-            lr=cfg["lr"],
-            max_epochs=cfg["epochs"],
-            patience=cfg["patience"],
-            tol=cfg["tol"],
-            seed=cfg["seed"],
-            lambda_update_every=cfg["lambda_every"],
-        )
+        tc = _train_config({**cfg, "alpha": alpha, "beta": beta, "gamma": gamma, "dim": dim})
         params, embeds, _ = train(net, tc)
         report = classification_report(
             embeds.final, net.labels, ratios=(cfg["train_ratio"],), seeds=cfg["seeds"]
@@ -438,15 +411,9 @@ def cmd_sweep(args) -> int:
         "\t".join(f"{x:.10g}" for x in row) for row in rows
     ) + "\n"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_path, text)
-    manifest = RunManifest(
-        command="sweep",
-        config={k: _jsonable(v) for k, v in cfg.items()},
-        inputs=_digest_inputs([data_dir] + ([args.config] if args.config else [])),
-        outputs=[out_path.name],
-        versions=_versions(),
-    )
-    _atomic_write(out_path.with_name(out_path.stem + ".manifest.json"), manifest.to_json())
+    write_text_atomic(out_path, text)
+    manifest_path = out_path.with_name(out_path.stem + ".manifest.json")
+    _write_manifest(manifest_path, args, cfg, [data_dir], [out_path.name])
     print(f"swept {len(rows)} configurations; table in {out_path}")
     return 0
 
@@ -458,8 +425,6 @@ def _add_common(sub, keys):
         conv, _ = keys[key]
         if conv is _parse_bool:
             sub.add_argument(flag, dest=key, action="store_const", const=True, default=None)
-        elif conv in (_parse_ints, _parse_floats):
-            sub.add_argument(flag, dest=key, type=conv, default=None)
         else:
             sub.add_argument(flag, dest=key, type=conv, default=None)
 

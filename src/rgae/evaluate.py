@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import _sigmoid_values
 from .errors import ConfigError, DegenerateClass, InsufficientNodes, LengthMismatch, ZeroVector
 from .graph import MultiViewNetwork, SparseAdjacency, edge_pair_codes
 
@@ -117,15 +118,6 @@ def cosine_features(embeddings, pairs) -> np.ndarray:
     return out
 
 
-def _sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _fit_binary_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Full-batch gradient descent with a curvature-bounded step; intercept unpenalized."""
     n, d = x.shape
@@ -136,7 +128,7 @@ def _fit_binary_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     penalty = np.ones(d + 1)
     penalty[-1] = 0.0
     for _ in range(FIT_ITERATIONS):
-        p = _sigmoid(xb @ w)
+        p = _sigmoid_values(xb @ w)
         grad = xb.T @ (p - y) / n + L2_PENALTY * penalty * w
         w = w - step * grad
     return w
@@ -295,7 +287,7 @@ def link_predict(embeddings, task: LinkPredTask, split: SplitSpec):
     train_idx, test_idx = make_split(len(y), split, labels=strat)
     w = _fit_binary_logistic(feats[train_idx], y[train_idx])
     xb = np.hstack([feats[test_idx], np.ones((test_idx.size, 1))])
-    scores = _sigmoid(xb @ w)
+    scores = _sigmoid_values(xb @ w)
     return roc_auc(scores, y[test_idx]), average_precision(scores, y[test_idx])
 
 

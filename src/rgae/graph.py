@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,67 +32,75 @@ def _expand_rows(row_offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(n, dtype=np.int64), np.diff(row_offsets))
 
 
-def _check_csr(n, offsets, cols, values, allow_diagonal):
-    if n < 1:
-        raise IndexOutOfRange("node count must be at least 1")
-    if offsets.shape != (n + 1,) or offsets[0] != 0:
-        raise IndexOutOfRange("row offsets must have length n+1 and start at 0")
-    if np.any(np.diff(offsets) < 0) or offsets[-1] != cols.size:
-        raise IndexOutOfRange("row offsets must be nondecreasing and end at nnz")
-    if values.shape != cols.shape:
-        raise IndexOutOfRange("values and column indices must align")
-    if cols.size == 0:
-        return
-    if cols.min() < 0 or cols.max() >= n:
-        raise IndexOutOfRange("column index out of range")
-    rows = _expand_rows(offsets)
-    if not allow_diagonal and np.any(rows == cols):
-        raise IndexOutOfRange("self-loops must not be stored")
-    same_row = rows[1:] == rows[:-1]
-    if np.any(same_row & (np.diff(cols) <= 0)):
-        raise IndexOutOfRange("column indices must increase strictly within each row")
-    if not np.all(np.isfinite(values)) or np.any(values <= 0):
-        raise ConfigError("edge weights must be finite and positive")
-
-
-def _check_symmetric(offsets, cols, values):
-    rows = _expand_rows(offsets)
-    order = np.lexsort((rows, cols))
-    if not (
-        np.array_equal(cols[order], rows)
-        and np.array_equal(rows[order], cols)
-        and np.array_equal(values[order], values)
-    ):
-        raise NonSymmetric("a stored edge lacks a mirror entry with equal weight")
-
-
 @dataclass(eq=False)
-class SparseAdjacency:
-    """CSR adjacency of one view: symmetric storage, no self-loops.
+class _Csr:
+    """Frozen CSR storage of a symmetric n-by-n matrix with finite positive values.
 
-    Immutable after construction; the normalized form and the dense
-    reconstruction target are cached on first use.
+    Each subclass states its own rule for diagonal entries in _check_diagonal.
     """
 
     n: int
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
-    is_symmetric: bool = True
 
     def __post_init__(self):
-        self.row_offsets = _frozen(self.row_offsets, np.int64)
-        self.col_indices = _frozen(self.col_indices, np.int64)
-        self.values = _frozen(self.values, np.float64)
-        _check_csr(self.n, self.row_offsets, self.col_indices, self.values, allow_diagonal=False)
-        if self.is_symmetric:
-            _check_symmetric(self.row_offsets, self.col_indices, self.values)
-        self._normalized = None
-        self._target = None
+        self.row_offsets = offsets = _frozen(self.row_offsets, np.int64)
+        self.col_indices = cols = _frozen(self.col_indices, np.int64)
+        self.values = values = _frozen(self.values, np.float64)
+        n = self.n
+        if n < 1:
+            raise IndexOutOfRange("node count must be at least 1")
+        if offsets.shape != (n + 1,) or offsets[0] != 0:
+            raise IndexOutOfRange("row offsets must have length n+1 and start at 0")
+        if np.any(np.diff(offsets) < 0) or offsets[-1] != cols.size:
+            raise IndexOutOfRange("row offsets must be nondecreasing and end at nnz")
+        if values.shape != cols.shape:
+            raise IndexOutOfRange("values and column indices must align")
+        if cols.size and (cols.min() < 0 or cols.max() >= n):
+            raise IndexOutOfRange("column index out of range")
+        rows = _expand_rows(offsets)
+        if np.any((rows[1:] == rows[:-1]) & (np.diff(cols) <= 0)):
+            raise IndexOutOfRange("column indices must increase strictly within each row")
+        if not np.all(np.isfinite(values)) or np.any(values <= 0):
+            raise ConfigError("edge weights must be finite and positive")
+        self._check_diagonal(rows)
+        order = np.lexsort((rows, cols))
+        if not (
+            np.array_equal(cols[order], rows)
+            and np.array_equal(rows[order], cols)
+            and np.array_equal(values[order], values)
+        ):
+            raise NonSymmetric("a stored edge lacks a mirror entry with equal weight")
+
+    def _check_diagonal(self, rows: np.ndarray) -> None:
+        raise NotImplementedError
 
     @property
     def nnz(self) -> int:
         return int(self.col_indices.size)
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros((self.n, self.n))
+        out[_expand_rows(self.row_offsets), self.col_indices] = self.values
+        return out
+
+
+class SparseAdjacency(_Csr):
+    """CSR adjacency of one view: symmetric storage, no self-loops.
+
+    Immutable after construction; the normalized form and the dense
+    reconstruction target are cached on first use.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._normalized = None
+        self._target = None
+
+    def _check_diagonal(self, rows):
+        if np.any(rows == self.col_indices):
+            raise IndexOutOfRange("self-loops must not be stored")
 
     @property
     def num_edges(self) -> int:
@@ -127,11 +136,6 @@ class SparseAdjacency:
         np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
         return cls(n=n, row_offsets=offsets, col_indices=dst, values=vals)
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        out[_expand_rows(self.row_offsets), self.col_indices] = self.values
-        return out
-
     def normalized(self) -> "NormalizedAdjacency":
         if self._normalized is None:
             self._normalized = normalize(self)
@@ -144,42 +148,22 @@ class SparseAdjacency:
         return self._target
 
 
-@dataclass(eq=False)
-class NormalizedAdjacency:
+class NormalizedAdjacency(_Csr):
     """Symmetrically normalized adjacency with self-loops folded in; every row holds its diagonal."""
 
-    n: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-
     def __post_init__(self):
-        self.row_offsets = _frozen(self.row_offsets, np.int64)
-        self.col_indices = _frozen(self.col_indices, np.int64)
-        self.values = _frozen(self.values, np.float64)
-        _check_csr(self.n, self.row_offsets, self.col_indices, self.values, allow_diagonal=True)
-        rows = _expand_rows(self.row_offsets)
-        diag_per_row = np.bincount(rows[rows == self.col_indices], minlength=self.n)
-        if np.any(diag_per_row != 1):
-            raise IndexOutOfRange("every row needs exactly one diagonal entry")
-        _check_symmetric(self.row_offsets, self.col_indices, self.values)
+        super().__post_init__()
         if np.any(self.values > 1.0):
             raise ConfigError("normalized values must lie in (0, 1]")
 
-    @property
-    def nnz(self) -> int:
-        return int(self.col_indices.size)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        out[_expand_rows(self.row_offsets), self.col_indices] = self.values
-        return out
+    def _check_diagonal(self, rows):
+        diag_per_row = np.bincount(rows[rows == self.col_indices], minlength=self.n)
+        if np.any(diag_per_row != 1):
+            raise IndexOutOfRange("every row needs exactly one diagonal entry")
 
 
 def normalize(adj: SparseAdjacency) -> NormalizedAdjacency:
     """Two-sided degree normalization of the adjacency with one self-loop added per node."""
-    if not adj.is_symmetric:
-        raise NonSymmetric("normalization requires a symmetric adjacency")
     n = adj.n
     rows = _expand_rows(adj.row_offsets)
     deg = np.bincount(rows, weights=adj.values, minlength=n) + 1.0
@@ -283,6 +267,24 @@ def jaccard_consistency(net: MultiViewNetwork) -> np.ndarray:
     return out
 
 
+def text_lines(path) -> list:
+    """(lineno, stripped line) for each non-blank line of a UTF-8 file that does not start with '#'."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FileError(f"{path}: {exc}") from exc
+    lines = enumerate(map(str.strip, text.splitlines()), 1)
+    return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write through a sibling .tmp file and rename it, so readers never see a partial file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    tmp.replace(path)
+
+
 def load_edge_lists(paths, n_hint=None, node_names=None) -> MultiViewNetwork:
     """Read one whitespace-separated edge list per view.
 
@@ -303,16 +305,9 @@ def load_edge_lists(paths, n_hint=None, node_names=None) -> MultiViewNetwork:
             names.append(name)
     views_edges = []
     for path in paths:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise FileError(f"{path}: {exc}") from exc
         edges = []
         weights = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in text_lines(path):
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise ParseError(f"{path}:{lineno}: expected 'src dst [weight]'")
@@ -362,14 +357,7 @@ def load_label_file(path, node_names) -> list:
     """Read "node label" pairs; a node may appear on several lines in multi-label data."""
     index = {name: i for i, name in enumerate(node_names)}
     labels: list[set] = [set() for _ in node_names]
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FileError(f"{path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"{path}:{lineno}: expected 'node label'")
@@ -388,9 +376,7 @@ def save_dataset(net: MultiViewNetwork, directory) -> list:
 
     def put(name, text):
         path = directory / name
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        tmp.replace(path)
+        write_text_atomic(path, text)
         written.append(path)
 
     put("nodes.txt", "\n".join(net.node_names) + "\n")
@@ -411,17 +397,33 @@ def save_dataset(net: MultiViewNetwork, directory) -> list:
     return written
 
 
+def _view_paths(directory: Path) -> list:
+    """The view_<i>.txt files of a dataset directory in view order; indices must run 0..k-1."""
+    by_index = {}
+    for path in sorted(directory.glob("view_*.txt")):
+        match = re.fullmatch(r"view_([0-9]+)\.txt", path.name)
+        if match is None:
+            raise FileError(f"{path}: view files must be named view_<int>.txt")
+        i = int(match.group(1))
+        if i in by_index:
+            raise FileError(f"{path}: view {i} is already given by {by_index[i].name}")
+        by_index[i] = path
+    if not by_index:
+        raise FileError(f"{directory}: no view_<i>.txt files")
+    last = max(by_index)
+    if last >= len(by_index):
+        raise FileError(f"{by_index[last]}: view indices must run 0..{len(by_index) - 1} without gaps")
+    return [by_index[i] for i in range(len(by_index))]
+
+
 def load_dataset(directory) -> MultiViewNetwork:
     """Read a dataset directory written by save_dataset."""
     directory = Path(directory)
     nodes_path = directory / "nodes.txt"
     if not nodes_path.is_file():
         raise FileError(f"{nodes_path}: missing node list")
-    names = nodes_path.read_text(encoding="utf-8").splitlines()
-    view_paths = sorted(directory.glob("view_*.txt"), key=lambda p: int(p.stem.split("_")[1]))
-    if not view_paths:
-        raise FileError(f"{directory}: no view_<i>.txt files")
-    net = load_edge_lists(view_paths, node_names=names)
+    names = [line for _, line in text_lines(nodes_path)]
+    net = load_edge_lists(_view_paths(directory), node_names=names)
     if net.n != len(names):
         raise ParseError(f"{directory}: edge files mention nodes absent from nodes.txt")
     labels_path = directory / "labels.txt"

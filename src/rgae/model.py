@@ -56,7 +56,10 @@ def _glorot_stack(rng, n, layers: LayerSpec) -> list:
 
 @dataclass(eq=False)
 class RgaeParams:
-    """Trainable state: one private weight stack per view, one stack shared by all views, view weights."""
+    """Trainable state: one private weight stack per view, one stack shared by all views, view weights.
+
+    The weights are arrays, or tape leaves once bind_params has recorded them for a forward pass.
+    """
 
     private: list
     shared: list
@@ -82,50 +85,16 @@ class RgaeParams:
             flat.extend(stack)
         return flat
 
-    def replace_weights(self, arrays) -> "RgaeParams":
-        """Rebuild the same structure from a flat list in weights() order."""
-        arrays = list(arrays)
-        if len(arrays) != len(self.shared) + sum(len(s) for s in self.private):
-            raise ShapeMismatch("wrong number of weight arrays")
-        depth = len(self.shared)
-        shared = arrays[:depth]
-        private = []
-        at = depth
-        for stack in self.private:
-            private.append(arrays[at : at + len(stack)])
-            at += len(stack)
-        return RgaeParams(private=private, shared=shared, lam=self.lam.copy())
-
-    def copy(self) -> "RgaeParams":
-        return RgaeParams(
-            private=[[w.copy() for w in stack] for stack in self.private],
-            shared=[w.copy() for w in self.shared],
-            lam=self.lam.copy(),
-        )
-
-
-@dataclass(eq=False)
-class BoundParams:
-    """Tape leaves for one forward pass, mirroring RgaeParams."""
-
-    shared: list
-    private: list
-    lam: np.ndarray
-
-    def weight_nodes(self) -> list:
-        flat = list(self.shared)
-        for stack in self.private:
-            flat.extend(stack)
-        return flat
-
     def gradients(self) -> list:
-        return [node.grad for node in self.weight_nodes()]
+        """Gradients of bound weights after backward(), in weights() order."""
+        return [node.grad for node in self.weights()]
 
 
-def bind_params(tape: Tape, params: RgaeParams) -> BoundParams:
+def bind_params(tape: Tape, params: RgaeParams) -> RgaeParams:
+    """The same structure with every weight recorded as a tape leaf, shared stack first."""
     shared = [tape.leaf(w) for w in params.shared]
     private = [[tape.leaf(w) for w in stack] for stack in params.private]
-    return BoundParams(shared=shared, private=private, lam=params.lam.copy())
+    return RgaeParams(private=private, shared=shared, lam=params.lam.copy())
 
 
 def encode(norm: NormalizedAdjacency, weights: list) -> Tensor:
@@ -136,7 +105,7 @@ def encode(norm: NormalizedAdjacency, weights: list) -> Tensor:
     return h
 
 
-def forward_view(norm: NormalizedAdjacency, params: BoundParams, view: int):
+def forward_view(norm: NormalizedAdjacency, params: RgaeParams, view: int):
     """Both encoder stacks for one view plus the decoded reconstruction probabilities."""
     ys = encode(norm, params.shared)
     yp = encode(norm, params.private[view])
@@ -196,7 +165,7 @@ class ModelOutput:
     private: list
     consistent: Tensor
     a_hat: list
-    params: BoundParams
+    params: RgaeParams
 
 
 def run_model(
@@ -250,10 +219,6 @@ def run_model(
         a_hat=a_hats,
         params=bound,
     )
-
-
-def total_loss(net, params, alpha, beta, gamma, tape, use_sim=True, use_dif=True) -> Tensor:
-    return run_model(net, params, alpha, beta, gamma, tape, use_sim=use_sim, use_dif=use_dif).loss
 
 
 @dataclass(eq=False)

@@ -85,8 +85,8 @@ class AdamState:
         return cls(m=[np.zeros_like(a) for a in arrays], v=[np.zeros_like(a) for a in arrays])
 
 
-def adam_step(params: list, grads: list, state: AdamState, lr: float) -> list:
-    """One bias-corrected Adam update; returns new arrays and advances the state in place."""
+def adam_step(params: list, grads: list, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of the arrays in place; advances the state."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatch("parameter, gradient, and state lists must align")
     for p, g in zip(params, grads):
@@ -96,14 +96,12 @@ def adam_step(params: list, grads: list, state: AdamState, lr: float) -> list:
     t = state.step
     correct1 = 1.0 - state.beta1**t
     correct2 = 1.0 - state.beta2**t
-    out = []
     for i, (p, g) in enumerate(zip(params, grads)):
         state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
         state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
         m_hat = state.m[i] / correct1
         v_hat = state.v[i] / correct2
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + state.eps))
-    return out
+        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 def update_lambda(b, gamma: float) -> np.ndarray:
@@ -174,8 +172,7 @@ def train(net: MultiViewNetwork, cfg: TrainConfig):
                 use_sim=cfg.use_sim, use_dif=cfg.use_dif,
             )
             tape.backward(out.loss)
-            new_weights = adam_step(params.weights(), out.params.gradients(), state, cfg.lr)
-            params = params.replace_weights(new_weights)
+            adam_step(params.weights(), out.params.gradients(), state, cfg.lr)
             if (epoch + 1) % cfg.lambda_update_every == 0:
                 params.lam = _refresh_lambda(net, params, cfg.gamma)
         except NumericalOverflow as exc:

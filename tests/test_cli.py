@@ -201,6 +201,17 @@ class TestErrorReporting:
         assert code == 1
         assert capsys.readouterr().err.startswith("ConfigError:")
 
+    @pytest.mark.parametrize("line", ["epochs=abc", "layers=8,x", "verbose=maybe"])
+    def test_bad_config_value(self, dataset, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# run settings\n\nseed=1\n" + line + "\n")
+        code = run("train", "--config", str(cfg), "--data", str(dataset),
+                   "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        key = line.split("=")[0]
+        assert err.startswith(f"ConfigError: {cfg}:4: bad value for {key}")
+
     def test_missing_required_flag(self, capsys):
         code = run("train", "--out", "somewhere")
         assert code == 1

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -87,14 +89,6 @@ class TestNormalize:
         before = adj.values.copy()
         normalize(adj)
         assert np.array_equal(adj.values, before)
-
-    def test_rejects_asymmetric_flag(self):
-        adj = SparseAdjacency(
-            2, np.array([0, 1, 1]), np.array([1], dtype=np.int64), np.array([1.0]),
-            is_symmetric=False,
-        )
-        with pytest.raises(NonSymmetric):
-            normalize(adj)
 
     def test_cycle_rows_sum_to_one(self):
         # every node of a cycle has degree 2, so each normalized row sums to 1
@@ -300,6 +294,15 @@ class TestDatasetRoundTrip:
         save_dataset(net, tmp_path / "ds")
         again = load_dataset(tmp_path / "ds")
         assert again.labels == labels
+
+    @pytest.mark.parametrize("stray", ["view_x.txt", "view_1_old.txt", "view_3.txt", "view_01.txt"])
+    def test_stray_view_file_rejected(self, tmp_path, stray):
+        # a non-integer suffix, a gap in the indices and a second file for view 1
+        v = SparseAdjacency.from_edges(3, [(0, 1), (1, 2)])
+        save_dataset(MultiViewNetwork(3, [v, v]), tmp_path)
+        (tmp_path / stray).write_text("0 1\n")
+        with pytest.raises(FileError, match=re.escape(stray)):
+            load_dataset(tmp_path)
 
 
 class TestMultiViewNetwork:

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from rgae.model import (
     forward_view,
     run_model,
     similarity_loss,
-    total_loss,
 )
 
 
@@ -143,12 +144,12 @@ class TestForwardView:
 
         base_shared = shared_outputs(params)
         base_private = private_outputs(params)
-        bumped = params.copy()
+        bumped = copy.deepcopy(params)
         bumped.shared[0] = bumped.shared[0] + 0.5
         new_shared = shared_outputs(bumped)
         assert all(not np.allclose(a, b) for a, b in zip(base_shared, new_shared))
 
-        bumped = params.copy()
+        bumped = copy.deepcopy(params)
         bumped.private[1][0] = bumped.private[1][0] + 0.5
         new_private = private_outputs(bumped)
         assert np.array_equal(new_private[0], base_private[0])
@@ -294,7 +295,7 @@ class TestTotalLoss:
         params = RgaeParams.init(8, LayerSpec((5, 3)), 2, seed=10)
         params.lam = np.array([0.35, 0.65])
         tape = Tape()
-        loss = total_loss(net, params, 0.7, 0.4, 2.0, tape)
+        loss = run_model(net, params, 0.7, 0.4, 2.0, tape).loss
         expected = oracle_total(net, params, 0.7, 0.4, 2.0)
         assert abs(scalar(loss) - expected) < 1e-10
 
@@ -335,7 +336,7 @@ class TestTotalLoss:
         net = random_net(4, 1, seed=13)
         params = RgaeParams.init(4, LayerSpec((2,)), 1, seed=0)
         with pytest.raises(ConfigError):
-            total_loss(net, params, -0.1, 0.0, 2.0, Tape())
+            run_model(net, params, -0.1, 0.0, 2.0, Tape())
 
 
 class TestAggregate:

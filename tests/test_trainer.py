@@ -51,9 +51,10 @@ class TestUpdateLambda:
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         p = [np.array([[1.0, -2.0]])]
+        before = p[0].copy()
         state = AdamState.for_params(p)
-        out = adam_step(p, [np.zeros((1, 2))], state, lr=0.1)
-        assert np.array_equal(out[0], p[0])
+        adam_step(p, [np.zeros((1, 2))], state, lr=0.1)
+        assert np.array_equal(p[0], before)
 
     def test_first_step_matches_scalar_reference(self):
         # hand-rolled scalar Adam, independently coded
@@ -66,9 +67,10 @@ class TestAdam:
 
         theta = 0.7
         g = -1.3
-        state = AdamState.for_params([np.array([[theta]])])
-        out = adam_step([np.array([[theta]])], [np.array([[g]])], state, lr=0.05)
-        assert out[0][0, 0] == pytest.approx(reference(theta, g, 0.05), rel=1e-12)
+        p = [np.array([[theta]])]
+        state = AdamState.for_params(p)
+        adam_step(p, [np.array([[g]])], state, lr=0.05)
+        assert p[0][0, 0] == pytest.approx(reference(theta, g, 0.05), rel=1e-12)
 
     def test_two_runs_bit_identical(self):
         rng = np.random.default_rng(5)
@@ -79,10 +81,12 @@ class TestAdam:
             p = [p0.copy()]
             state = AdamState.for_params(p)
             for g in grads:
-                p = adam_step(p, [g], state, lr=0.01)
+                adam_step(p, [g], state, lr=0.01)
             return p[0]
 
-        assert np.array_equal(run(), run())
+        first = run()
+        assert not np.array_equal(first, p0)
+        assert np.array_equal(first, run())
 
     def test_shape_mismatch(self):
         p = [np.zeros((2, 2))]
