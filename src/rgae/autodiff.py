@@ -227,24 +227,33 @@ def scale(a: Tensor, c: float) -> Tensor:
     return a.tape._record(value, pull)
 
 
-def balanced_bce(probs: Tensor, target: SparseAdjacency, pos_weight: float) -> Tensor:
-    """Entrywise log-loss against the binarized adjacency, nonzero entries weighted by pos_weight.
+def balanced_bce(probs: Tensor, adj: SparseAdjacency) -> Tensor:
+    """Entrywise log-loss against the binarized adjacency with a unit diagonal.
 
-    The target has a unit diagonal. Probabilities are clamped to
-    [CLAMP_EPS, 1 - CLAMP_EPS] before the logs; where the clamp is active
-    the gradient is zero.
+    The target positions T are the stored entries plus the diagonal; they are
+    weighted by (n^2 - |T|) / |T|, the ratio of zero to nonzero target entries.
+    Probabilities are clamped to [CLAMP_EPS, 1 - CLAMP_EPS] before the logs;
+    where the clamp is active the gradient is zero.
     """
-    n = target.n
+    n = adj.n
     if probs.shape != (n, n):
         raise ShapeMismatch(f"reconstruction must be ({n}, {n}), got {probs.shape}")
-    pos_weight = float(pos_weight)
-    t = target.reconstruction_target()
+    diag = np.arange(n, dtype=np.int64)
+    t_idx = (
+        np.concatenate([_graph._expand_rows(adj.row_offsets), diag]),
+        np.concatenate([adj.col_indices, diag]),
+    )
+    positives = adj.nnz + n
+    pos_weight = (n * n - positives) / positives
     p = np.clip(probs.value, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    total = -(pos_weight * np.sum(t * np.log(p)) + np.sum((1.0 - t) * np.log1p(-p)))
+    p_t = p[t_idx]
+    log1m = np.log1p(-p)
+    total = -(pos_weight * np.sum(np.log(p_t)) + np.sum(log1m) - np.sum(log1m[t_idx]))
     inside = (probs.value > CLAMP_EPS) & (probs.value < 1.0 - CLAMP_EPS)
 
     def pull(g):
-        dp = (1.0 - t) / (1.0 - p) - (pos_weight * t) / p
+        dp = 1.0 / (1.0 - p)
+        dp[t_idx] = -pos_weight / p_t
         probs.grad += g[0, 0] * dp * inside
 
     return probs.tape._record(np.array([[total]]), pull)

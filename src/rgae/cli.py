@@ -78,6 +78,18 @@ def _write_manifest(path: Path, args, cfg: dict, inputs: list, outputs: list) ->
     write_text_atomic(path, manifest.to_json())
 
 
+def _write_table(args, cfg: dict, text: str, inputs: list) -> None:
+    """Write a table to --out with <stem>.manifest.json beside it, or to stdout when --out is unset."""
+    if not cfg["out"]:
+        sys.stdout.write(text)
+        return
+    out_path = Path(cfg["out"])
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    write_text_atomic(out_path, text)
+    manifest_path = out_path.with_name(out_path.stem + ".manifest.json")
+    _write_manifest(manifest_path, args, cfg, inputs, [out_path.name])
+
+
 def save_embeddings(path, names, embeddings, n_views, block_dim) -> None:
     """Text format: header "n d_total n_views d", then one node per line at full float precision."""
     y = np.asarray(embeddings, dtype=np.float64)
@@ -354,14 +366,7 @@ def cmd_eval(args) -> int:
     text = "task\ttrain_ratio\tseed\tmetric\tvalue\n" + "\n".join(
         f"{t}\t{r:g}\t{s}\t{m}\t{v:.10g}" for t, r, s, m, v in rows
     ) + "\n"
-    if cfg["out"]:
-        out_path = Path(cfg["out"])
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        write_text_atomic(out_path, text)
-        manifest_path = out_path.with_name(out_path.stem + ".manifest.json")
-        _write_manifest(manifest_path, args, cfg, [emb_path, data_dir], [out_path.name])
-    else:
-        sys.stdout.write(text)
+    _write_table(args, cfg, text, [emb_path, data_dir])
     return 0
 
 
@@ -375,10 +380,7 @@ def cmd_analyze(args) -> int:
     for i, row in enumerate(j):
         lines.append(f"view_{i}\t" + "\t".join(f"{x:.10g}" for x in row))
     text = "\n".join(lines) + "\n"
-    if cfg["out"]:
-        write_text_atomic(cfg["out"], text)
-    else:
-        sys.stdout.write(text)
+    _write_table(args, cfg, text, [data_dir])
     return 0
 
 
@@ -410,10 +412,7 @@ def cmd_sweep(args) -> int:
     text = header + "\n" + "\n".join(
         "\t".join(f"{x:.10g}" for x in row) for row in rows
     ) + "\n"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(out_path, text)
-    manifest_path = out_path.with_name(out_path.stem + ".manifest.json")
-    _write_manifest(manifest_path, args, cfg, [data_dir], [out_path.name])
+    _write_table(args, cfg, text, [data_dir])
     print(f"swept {len(rows)} configurations; table in {out_path}")
     return 0
 

@@ -291,8 +291,14 @@ def link_predict(embeddings, task: LinkPredTask, split: SplitSpec):
     return roc_auc(scores, y[test_idx]), average_precision(scores, y[test_idx])
 
 
+def _require_seeds(seeds) -> None:
+    if len(seeds) == 0:
+        raise ConfigError("need at least one split seed")
+
+
 def classification_report(features, labels, ratios=(0.1, 0.3, 0.5), seeds=tuple(range(10)), stratified=True):
     """Micro and macro F1 per ratio and seed plus their means, as (task, ratio, seed, metric, value) rows."""
+    _require_seeds(seeds)
     x = np.asarray(features, dtype=np.float64)
     sets = as_label_sets(labels)
     multilabel = is_multilabel(sets)
@@ -318,6 +324,7 @@ def classification_report(features, labels, ratios=(0.1, 0.3, 0.5), seeds=tuple(
 
 def link_prediction_report(net, embeddings, target_view, ratio=0.5, seeds=tuple(range(10))):
     """ROC-AUC and average precision per seed plus their means, same row layout as classification."""
+    _require_seeds(seeds)
     rows = []
     aucs, aps = [], []
     for seed in seeds:

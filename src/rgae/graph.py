@@ -89,14 +89,12 @@ class _Csr:
 class SparseAdjacency(_Csr):
     """CSR adjacency of one view: symmetric storage, no self-loops.
 
-    Immutable after construction; the normalized form and the dense
-    reconstruction target are cached on first use.
+    Immutable after construction; the normalized form is cached on first use.
     """
 
     def __post_init__(self):
         super().__post_init__()
         self._normalized = None
-        self._target = None
 
     def _check_diagonal(self, rows):
         if np.any(rows == self.col_indices):
@@ -141,12 +139,6 @@ class SparseAdjacency(_Csr):
             self._normalized = normalize(self)
         return self._normalized
 
-    def reconstruction_target(self) -> np.ndarray:
-        if self._target is None:
-            self._target = dense_reconstruction_target(self)
-            self._target.setflags(write=False)
-        return self._target
-
 
 class NormalizedAdjacency(_Csr):
     """Symmetrically normalized adjacency with self-loops folded in; every row holds its diagonal."""
@@ -190,20 +182,6 @@ def spmm(norm: NormalizedAdjacency, dense: np.ndarray) -> np.ndarray:
     return np.add.reduceat(gathered, norm.row_offsets[:-1], axis=0)
 
 
-def dense_reconstruction_target(adj: SparseAdjacency) -> np.ndarray:
-    """Binary reconstruction target: stored edges become 1 and the diagonal is fixed at 1."""
-    t = np.zeros((adj.n, adj.n))
-    t[_expand_rows(adj.row_offsets), adj.col_indices] = 1.0
-    np.fill_diagonal(t, 1.0)
-    return t
-
-
-def balance_weight(adj: SparseAdjacency) -> float:
-    """Zero-to-nonzero entry ratio of the reconstruction target (diagonal counted as nonzero)."""
-    nnz = adj.nnz + adj.n
-    return (adj.n * adj.n - nnz) / nnz
-
-
 def edge_pair_codes(adj: SparseAdjacency) -> np.ndarray:
     """Sorted codes u * n + v of the stored unordered pairs with u < v."""
     rows = _expand_rows(adj.row_offsets)
@@ -238,10 +216,6 @@ class MultiViewNetwork:
             if len(self.labels) != self.n:
                 raise LengthMismatch("one label set per node required")
             self.labels = [set(s) for s in self.labels]
-
-    @property
-    def num_views(self) -> int:
-        return len(self.views)
 
     def without_view(self, k: int) -> "MultiViewNetwork":
         if not 0 <= k < len(self.views):

@@ -9,7 +9,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import ConfigError, DegenerateWeights, InvalidGamma, ShapeMismatch
-from .graph import MultiViewNetwork, NormalizedAdjacency, balance_weight
+from .graph import MultiViewNetwork, NormalizedAdjacency
 
 
 def check_gamma(gamma: float) -> None:
@@ -34,14 +34,6 @@ class LayerSpec:
     def __post_init__(self):
         if len(self.sizes) < 1 or any(int(s) < 1 for s in self.sizes):
             raise ConfigError(f"layer sizes must be positive, got {self.sizes}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def out_dim(self) -> int:
-        return int(self.sizes[-1])
 
 
 def _glorot_stack(rng, n, layers: LayerSpec) -> list:
@@ -164,7 +156,6 @@ class ModelOutput:
     shared: list
     private: list
     consistent: Tensor
-    a_hat: list
     params: RgaeParams
 
 
@@ -188,13 +179,12 @@ def run_model(
     if params.n_views != len(net.views):
         raise ShapeMismatch(f"{params.n_views} private stacks for {len(net.views)} views")
     bound = bind_params(tape, params)
-    shared_out, private_out, a_hats, rec = [], [], [], []
+    shared_out, private_out, rec = [], [], []
     for i, view in enumerate(net.views):
         ys, yp, a_hat = forward_view(view.normalized(), bound, i)
         shared_out.append(ys)
         private_out.append(yp)
-        a_hats.append(a_hat)
-        rec.append(ad.balanced_bce(a_hat, view, balance_weight(view)))
+        rec.append(ad.balanced_bce(a_hat, view))
     y_con = consistent_embedding(shared_out, params.lam, gamma)
     sim = similarity_loss(shared_out, y_con, params.lam, gamma)
     dif = [difference_loss(ys, yp) for ys, yp in zip(shared_out, private_out)]
@@ -216,7 +206,6 @@ def run_model(
         shared=shared_out,
         private=private_out,
         consistent=y_con,
-        a_hat=a_hats,
         params=bound,
     )
 

@@ -4,7 +4,7 @@ import pytest
 import rgae.autodiff as ad
 from rgae.autodiff import Tape
 from rgae.errors import NonScalarRoot, NumericalOverflow, ShapeMismatch
-from rgae.graph import SparseAdjacency, balance_weight, normalize
+from rgae.graph import SparseAdjacency, normalize
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -179,33 +179,46 @@ class TestFiniteDifferences:
     def test_balanced_bce(self):
         adj = SparseAdjacency.from_edges(4, [(0, 1), (2, 3)])
         p0 = self.rng.uniform(0.1, 0.9, size=(4, 4))
-        weight = balance_weight(adj)
         tape = Tape()
         p = tape.leaf(p0)
-        tape.backward(ad.balanced_bce(p, adj, weight))
+        tape.backward(ad.balanced_bce(p, adj))
 
         def f(x):
             t = Tape()
-            return float(ad.balanced_bce(t.leaf(x), adj, weight).value[0, 0])
+            return float(ad.balanced_bce(t.leaf(x), adj).value[0, 0])
 
         assert_close_grad(p.grad, numeric_grad(f, p0.copy()))
+
+
+def dense_bce_reference(probs, adj):
+    """The dense composition balanced_bce replaces: n-by-n target, weight from entry counts."""
+    t = adj.to_dense()
+    t[t > 0] = 1.0
+    np.fill_diagonal(t, 1.0)
+    weight = (t.size - t.sum()) / t.sum()
+    p = np.clip(probs, ad.CLAMP_EPS, 1.0 - ad.CLAMP_EPS)
+    loss = -(weight * np.sum(t * np.log(p)) + np.sum((1.0 - t) * np.log1p(-p)))
+    inside = (probs > ad.CLAMP_EPS) & (probs < 1.0 - ad.CLAMP_EPS)
+    dp = (1.0 - t) / (1.0 - p) - (weight * t) / p
+    # the tape seeds the root with gradient 1.0 and the op scales by it before masking
+    return loss, 1.0 * dp * inside
 
 
 class TestBalancedBce:
     def test_half_probability_identity(self):
         adj = SparseAdjacency.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-        weight = balance_weight(adj)
         tape = Tape()
-        loss = ad.balanced_bce(tape.leaf(np.full((5, 5), 0.5)), adj, weight)
+        loss = ad.balanced_bce(tape.leaf(np.full((5, 5), 0.5)), adj)
         nnz = adj.nnz + adj.n
         nz = 25 - nnz
+        weight = nz / nnz
         assert loss.value[0, 0] == pytest.approx((nnz * weight + nz) * np.log(2.0), abs=1e-9)
 
     def test_perfect_reconstruction_near_zero(self):
         adj = SparseAdjacency.from_edges(3, [(0, 1)])
-        target = adj.reconstruction_target()
+        target = adj.to_dense() + np.eye(3)
         tape = Tape()
-        loss = ad.balanced_bce(tape.leaf(np.where(target > 0, 1.0, 0.0)), adj, balance_weight(adj))
+        loss = ad.balanced_bce(tape.leaf(np.where(target > 0, 1.0, 0.0)), adj)
         assert loss.value[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_clamped_entries_get_zero_gradient(self):
@@ -215,9 +228,46 @@ class TestBalancedBce:
         probs[0, 0] = 1.0
         probs[2, 2] = 0.0
         p = tape.leaf(probs)
-        tape.backward(ad.balanced_bce(p, adj, balance_weight(adj)))
+        tape.backward(ad.balanced_bce(p, adj))
         assert p.grad[0, 0] == 0.0 and p.grad[2, 2] == 0.0
         assert p.grad[0, 1] != 0.0 and p.grad[0, 2] != 0.0
+
+    def test_target_and_balance(self):
+        # stored pair (0, 1) plus the diagonal: 5 target entries, 4 zeros, weight 4/5
+        adj = SparseAdjacency.from_edges(3, [(0, 1)])
+        tape = Tape()
+        p = tape.leaf(np.full((3, 3), 0.5))
+        loss = ad.balanced_bce(p, adj)
+        tape.backward(loss)
+        assert loss.value[0, 0] == pytest.approx((5 * (4 / 5) + 4) * np.log(2.0), abs=1e-12)
+        on_target = p.grad < 0
+        assert np.array_equal(on_target, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        # d/dp at p = 1/2: -weight / p on the target, 1 / (1 - p) off it
+        assert np.allclose(p.grad[on_target], -2.0 * (4 / 5))
+        assert np.allclose(p.grad[~on_target], 2.0)
+
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(21)
+        n = 60
+        iu, ju = np.triu_indices(n, k=1)
+        mask = rng.random(iu.size) < 0.1
+        adj = SparseAdjacency.from_edges(n, np.stack([iu[mask], ju[mask]], axis=1))
+        probs = rng.uniform(0.0, 1.0, size=(n, n))
+        dense = adj.to_dense() + np.eye(n)
+        # drive the clamp on both sides, on target and non-target entries alike
+        for on in (dense > 0, dense == 0):
+            rows, cols = np.nonzero(on)
+            pick = rng.choice(rows.size, size=8, replace=False)
+            probs[rows[pick[:4]], cols[pick[:4]]] = 1.0 - 1e-14
+            probs[rows[pick[4:]], cols[pick[4:]]] = 1e-14
+        ref_loss, ref_grad = dense_bce_reference(probs, adj)
+        assert np.count_nonzero(ref_grad == 0.0) == 16
+        tape = Tape()
+        p = tape.leaf(probs)
+        loss = ad.balanced_bce(p, adj)
+        tape.backward(loss)
+        assert np.array_equal(p.grad, ref_grad)
+        assert abs(loss.value[0, 0] - ref_loss) <= 1e-12 * abs(ref_loss)
 
 
 class TestBackwardContract:

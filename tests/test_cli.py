@@ -21,6 +21,15 @@ def dataset(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def embeddings(dataset, tmp_path_factory):
+    """Random embeddings over the dataset's nodes; enough for the argument checks of eval."""
+    names = (dataset / "nodes.txt").read_text().split()
+    path = tmp_path_factory.mktemp("emb") / "embeddings.txt"
+    save_embeddings(path, names, np.random.default_rng(0).normal(size=(len(names), 6)), 2, 2)
+    return path
+
+
 class TestGenerate:
     def test_writes_expected_files(self, dataset):
         names = {p.name for p in dataset.iterdir()}
@@ -134,6 +143,20 @@ class TestAnalyze:
         assert lines[0].startswith("view\t")
         assert len(lines) == 3
 
+    def test_manifest_next_to_table(self, dataset, tmp_path):
+        out = tmp_path / "jaccard.tsv"
+        assert run("analyze", "--data", str(dataset), "--out", str(out)) == 0
+        manifest = json.loads((tmp_path / "jaccard.manifest.json").read_text())
+        assert manifest["command"] == "analyze"
+        assert manifest["outputs"] == ["jaccard.tsv"]
+        assert str(dataset / "view_0.txt") in manifest["inputs"]
+
+    def test_creates_missing_parent_directory(self, dataset, tmp_path):
+        out = tmp_path / "new" / "deeper" / "jaccard.tsv"
+        assert run("analyze", "--data", str(dataset), "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 3
+        assert (out.parent / "jaccard.manifest.json").is_file()
+
 
 class TestSweep:
     def test_gamma_sweep_dispersion_ordering(self, tmp_path):
@@ -211,6 +234,33 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         key = line.split("=")[0]
         assert err.startswith(f"ConfigError: {cfg}:4: bad value for {key}")
+
+    @pytest.mark.parametrize("task", [[], ["--task", "linkpred", "--target-view", "1"]])
+    def test_eval_empty_seed_list(self, dataset, embeddings, tmp_path, capsys, task):
+        out = tmp_path / "metrics.tsv"
+        code = run("eval", "--embeddings", str(embeddings), "--data", str(dataset),
+                   "--seeds", "", "--out", str(out), *task)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ConfigError:")
+        assert not out.exists()
+
+    def test_eval_empty_seed_list_from_config(self, dataset, embeddings, tmp_path, capsys):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("seeds=\n")
+        code = run("eval", "--config", str(cfg), "--embeddings", str(embeddings),
+                   "--data", str(dataset))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ConfigError:")
+        assert captured.out == ""
+
+    def test_sweep_empty_seed_list(self, dataset, tmp_path, capsys):
+        out = tmp_path / "sweep.tsv"
+        code = run("sweep", "--data", str(dataset), "--out", str(out), "--seeds", "",
+                   "--dim", "6", "--layers", "4", "--epochs", "2")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ConfigError:")
+        assert not out.exists()
 
     def test_missing_required_flag(self, capsys):
         code = run("train", "--out", "somewhere")

@@ -15,6 +15,7 @@ from rgae.evaluate import (
     build_linkpred_task,
     classification_report,
     cosine_features,
+    link_prediction_report,
     link_predict,
     logistic_ovr_train,
     make_split,
@@ -22,7 +23,7 @@ from rgae.evaluate import (
     roc_auc,
     sample_negatives,
 )
-from rgae.graph import SparseAdjacency
+from rgae.graph import MultiViewNetwork, SparseAdjacency
 
 
 class TestMakeSplit:
@@ -272,3 +273,16 @@ class TestReports:
         per_seed = [v for _, _, s, m, v in rows if s != "mean" and m == "micro_f1"]
         mean_value = [v for _, _, s, m, v in rows if s == "mean" and m == "micro_f1"][0]
         assert mean_value == pytest.approx(np.mean(per_seed))
+
+    def test_classification_report_needs_a_seed(self):
+        x = np.random.default_rng(0).normal(size=(8, 2))
+        with pytest.raises(ConfigError):
+            classification_report(x, [0, 1] * 4, ratios=(0.5,), seeds=())
+
+    def test_link_prediction_report_needs_a_seed(self):
+        edges = [(i, j) for i in range(6) for j in range(i + 1, 6) if (i + j) % 2]
+        view = SparseAdjacency.from_edges(6, edges)
+        net = MultiViewNetwork(n=6, views=[view, view])
+        y = np.random.default_rng(0).normal(size=(6, 3))
+        with pytest.raises(ConfigError):
+            link_prediction_report(net, y, 1, seeds=())

@@ -16,8 +16,6 @@ from rgae.errors import (
 from rgae.graph import (
     MultiViewNetwork,
     SparseAdjacency,
-    balance_weight,
-    dense_reconstruction_target,
     jaccard_consistency,
     load_dataset,
     load_edge_lists,
@@ -163,15 +161,6 @@ class TestCsrValidation:
         adj = SparseAdjacency.from_edges(2, [(0, 1), (1, 0), (0, 1)], [1.0, 3.0, 2.0])
         assert adj.nnz == 2
         assert np.array_equal(adj.values, [3.0, 3.0])
-
-
-class TestReconstructionTarget:
-    def test_target_and_balance(self):
-        adj = SparseAdjacency.from_edges(3, [(0, 1)])
-        t = dense_reconstruction_target(adj)
-        assert np.array_equal(t, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
-        # 5 nonzero entries (2 stored + 3 diagonal), 4 zeros
-        assert balance_weight(adj) == pytest.approx(4 / 5)
 
 
 class TestJaccard:

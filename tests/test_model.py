@@ -5,7 +5,7 @@ import pytest
 
 from rgae.autodiff import Tape, scalar
 from rgae.errors import ConfigError, DegenerateWeights, InvalidGamma, ShapeMismatch
-from rgae.graph import MultiViewNetwork, SparseAdjacency, balance_weight
+from rgae.graph import MultiViewNetwork, SparseAdjacency
 from rgae.model import (
     EmbeddingSet,
     LayerSpec,
@@ -60,10 +60,11 @@ def oracle_forward_view(view, params, i):
     return ys, yp, 1.0 / (1.0 + np.exp(-logits))
 
 
-def oracle_bce(probs, view, weight):
+def oracle_bce(probs, view):
     t = view.to_dense()
     t[t > 0] = 1.0
     np.fill_diagonal(t, 1.0)
+    weight = (t.size - t.sum()) / t.sum()
     p = np.clip(probs, 1e-12, 1 - 1e-12)
     return -(weight * np.sum(t * np.log(p)) + np.sum((1 - t) * np.log(1 - p)))
 
@@ -76,7 +77,7 @@ def oracle_total(net, params, alpha, beta, gamma):
         ys, yp, a_hat = oracle_forward_view(view, params, i)
         shared.append(ys)
         private.append(yp)
-        recs.append(oracle_bce(a_hat, view, balance_weight(view)))
+        recs.append(oracle_bce(a_hat, view))
     y_con = sum(c * y for c, y in zip(coef, shared))
     sim = sum(wi * np.sum((y_con - ys) ** 2) for wi, ys in zip(w, shared))
     dif = sum(np.sum(np.sum(ys * yp, axis=1) ** 2) for ys, yp in zip(shared, private))
