@@ -8,34 +8,44 @@ deterministic and two identical passes give bit-identical results.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from . import graph as _graph
-from .errors import NonScalarRoot, NumericalOverflow, ShapeMismatch
+from .errors import NonScalarRoot, NumericalOverflow, ReleasedTape, ShapeMismatch
 from .graph import NormalizedAdjacency, SparseAdjacency
 
 CLAMP_EPS = 1e-12
 
 
 class Tensor:
-    """One tape node: a dense matrix value plus a gradient slot filled by backward()."""
+    """One tape node: a dense matrix value, a gradient slot, and a weak reference to its tape.
 
-    __slots__ = ("value", "grad", "tape", "index", "_pull")
+    After backward() the slot holds a gradient on every leaf and None on every interior node.
+    """
+
+    __slots__ = ("value", "grad", "_tape", "index", "_pull")
 
     def __init__(self, value, tape, index, pull):
         self.value = value
         self.grad = None
-        self.tape = tape
+        self._tape = weakref.ref(tape)
         self.index = index
         self._pull = pull
 
     @property
-    def rows(self) -> int:
-        return self.value.shape[0]
+    def tape(self) -> "Tape":
+        """The recording tape; every op and backward() raise ReleasedTape once it is gone."""
+        tape = self._tape()
+        if tape is None:
+            raise ReleasedTape("the tape that recorded this node has been released")
+        return tape
 
-    @property
-    def cols(self) -> int:
-        return self.value.shape[1]
+    def _accumulate(self, g) -> None:
+        if self.grad is None:
+            self.grad = np.zeros_like(self.value)
+        self.grad += g
 
     @property
     def shape(self):
@@ -43,7 +53,7 @@ class Tensor:
 
 
 class Tape:
-    """Append-only operation record; operands always precede their consumers."""
+    """Append-only operation record, sole owner of its nodes; operands precede their consumers."""
 
     def __init__(self):
         self._nodes: list[Tensor] = []
@@ -65,17 +75,21 @@ class Tape:
         return node
 
     def backward(self, root: Tensor) -> None:
-        """Fill every node's gradient with d(root)/d(node); root must be 1x1."""
+        """Fill every leaf's gradient with d(root)/d(leaf); root must be 1x1.
+
+        An interior node's gradient is allocated at its first accumulation, dropped after its pull.
+        """
         if root.tape is not self:
             raise ShapeMismatch("root was recorded on a different tape")
         if root.shape != (1, 1):
             raise NonScalarRoot(f"backward needs a 1x1 root, got {root.shape}")
         for node in self._nodes:
-            node.grad = np.zeros_like(node.value)
-        root.grad[0, 0] = 1.0
+            node.grad = np.zeros_like(node.value) if node._pull is None else None
+        root._accumulate(np.ones((1, 1)))
         for node in reversed(self._nodes[: root.index + 1]):
-            if node._pull is not None:
+            if node._pull is not None and node.grad is not None:
                 node._pull(node.grad)
+                node.grad = None
 
 
 def scalar(t: Tensor) -> float:
@@ -94,26 +108,26 @@ def _same_tape(*tensors) -> Tape:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
-    if a.cols != b.rows:
+    if a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
     value = a.value @ b.value
 
     def pull(g):
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
+        a._accumulate(g @ b.value.T)
+        b._accumulate(a.value.T @ g)
 
     return tape._record(value, pull)
 
 
 def spmm(norm: NormalizedAdjacency, b: Tensor) -> Tensor:
     """Sparse-dense product with the sparse operand held constant."""
-    if b.rows != norm.n:
-        raise ShapeMismatch(f"dense operand must have {norm.n} rows, got {b.rows}")
+    if b.shape[0] != norm.n:
+        raise ShapeMismatch(f"dense operand must have {norm.n} rows, got {b.shape[0]}")
     value = _graph.spmm(norm, b.value)
 
     def pull(g):
         # the normalized matrix is symmetric, so its transpose product reuses spmm
-        b.grad += _graph.spmm(norm, g)
+        b._accumulate(_graph.spmm(norm, g))
 
     return b.tape._record(value, pull)
 
@@ -122,7 +136,7 @@ def relu(a: Tensor) -> Tensor:
     value = np.maximum(a.value, 0.0)
 
     def pull(g):
-        a.grad += g * (a.value > 0.0)
+        a._accumulate(g * (a.value > 0.0))
 
     return a.tape._record(value, pull)
 
@@ -140,21 +154,21 @@ def sigmoid(a: Tensor) -> Tensor:
     value = _sigmoid_values(a.value)
 
     def pull(g):
-        a.grad += g * value * (1.0 - value)
+        a._accumulate(g * value * (1.0 - value))
 
     return a.tape._record(value, pull)
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
-    if a.rows != b.rows:
+    if a.shape[0] != b.shape[0]:
         raise ShapeMismatch(f"cannot concatenate {a.shape} with {b.shape}")
     value = np.concatenate([a.value, b.value], axis=1)
-    split = a.cols
+    split = a.shape[1]
 
     def pull(g):
-        a.grad += g[:, :split]
-        b.grad += g[:, split:]
+        a._accumulate(g[:, :split])
+        b._accumulate(g[:, split:])
 
     return tape._record(value, pull)
 
@@ -163,7 +177,7 @@ def gram(a: Tensor) -> Tensor:
     value = a.value @ a.value.T
 
     def pull(g):
-        a.grad += (g + g.T) @ a.value
+        a._accumulate((g + g.T) @ a.value)
 
     return a.tape._record(value, pull)
 
@@ -176,8 +190,8 @@ def row_dot(a: Tensor, b: Tensor) -> Tensor:
     value = np.sum(a.value * b.value, axis=1, keepdims=True)
 
     def pull(g):
-        a.grad += g * b.value
-        b.grad += g * a.value
+        a._accumulate(g * b.value)
+        b._accumulate(g * a.value)
 
     return tape._record(value, pull)
 
@@ -186,7 +200,7 @@ def sq_frobenius(a: Tensor) -> Tensor:
     value = np.array([[np.sum(a.value * a.value)]])
 
     def pull(g):
-        a.grad += (2.0 * g[0, 0]) * a.value
+        a._accumulate((2.0 * g[0, 0]) * a.value)
 
     return a.tape._record(value, pull)
 
@@ -198,8 +212,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     value = a.value - b.value
 
     def pull(g):
-        a.grad += g
-        b.grad -= g
+        a._accumulate(g)
+        b._accumulate(-g)
 
     return tape._record(value, pull)
 
@@ -211,8 +225,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     value = a.value + b.value
 
     def pull(g):
-        a.grad += g
-        b.grad += g
+        a._accumulate(g)
+        b._accumulate(g)
 
     return tape._record(value, pull)
 
@@ -222,7 +236,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     value = c * a.value
 
     def pull(g):
-        a.grad += c * g
+        a._accumulate(c * g)
 
     return a.tape._record(value, pull)
 
@@ -254,6 +268,6 @@ def balanced_bce(probs: Tensor, adj: SparseAdjacency) -> Tensor:
     def pull(g):
         dp = 1.0 / (1.0 - p)
         dp[t_idx] = -pos_weight / p_t
-        probs.grad += g[0, 0] * dp * inside
+        probs._accumulate(g[0, 0] * dp * inside)
 
     return probs.tape._record(np.array([[total]]), pull)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FileError, ParseError, RgaeError
-from .evaluate import classification_report, link_prediction_report
+from .evaluate import _require_seeds, classification_report, link_prediction_report
 from .graph import (
     MultiViewNetwork,
     jaccard_consistency,
@@ -388,6 +388,7 @@ def cmd_sweep(args) -> int:
     cfg = _resolve(args, SWEEP_KEYS)
     data_dir = Path(_require(cfg, "data", "--data"))
     out_path = Path(_require(cfg, "out", "--out"))
+    _require_seeds(cfg["seeds"])
     net = load_dataset(data_dir)
     if net.labels is None:
         raise ConfigError(f"{data_dir}: sweeps evaluate classification and need labels.txt")

@@ -228,11 +228,15 @@ def aggregate(embeds: EmbeddingSet) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-def embedding_set(out: ModelOutput) -> EmbeddingSet:
-    es = EmbeddingSet(
-        shared=[t.value.copy() for t in out.shared],
-        private=[t.value.copy() for t in out.private],
-        consistent=out.consistent.value.copy(),
-    )
+def embed(net: MultiViewNetwork, params: RgaeParams, gamma: float) -> EmbeddingSet:
+    """The embeddings of run_model's encoder outputs, without running a decoder or a loss."""
+    if params.n_views != len(net.views):
+        raise ShapeMismatch(f"{params.n_views} private stacks for {len(net.views)} views")
+    tape = Tape()  # held here: the leaves refer to it only weakly
+    bound = bind_params(tape, params)
+    shared = [encode(view.normalized(), bound.shared) for view in net.views]
+    private = [encode(view.normalized(), stack) for view, stack in zip(net.views, bound.private)]
+    y_con = consistent_embedding(shared, params.lam, gamma)
+    es = EmbeddingSet([t.value for t in shared], [t.value for t in private], y_con.value)
     es.final = aggregate(es)
     return es

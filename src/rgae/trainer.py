@@ -14,8 +14,8 @@ from .model import (
     RgaeParams,
     check_gamma,
     consistent_embedding,
+    embed,
     embed_dim,
-    embedding_set,
     encode,
     run_model,
 )
@@ -147,12 +147,36 @@ def _refresh_lambda(net: MultiViewNetwork, params: RgaeParams, gamma: float) -> 
     return update_lambda(b, gamma)
 
 
+def _run_epoch(net, params, state: AdamState, cfg: TrainConfig, epoch: int) -> EpochStats:
+    """One epoch's passes, Adam step and scheduled view-weight refresh; its tape dies on return."""
+    tape = Tape()
+    try:
+        out = run_model(
+            net, params, cfg.alpha, cfg.beta, cfg.gamma, tape,
+            use_sim=cfg.use_sim, use_dif=cfg.use_dif,
+        )
+        tape.backward(out.loss)
+        adam_step(params.weights(), out.params.gradients(), state, cfg.lr)
+        if (epoch + 1) % cfg.lambda_update_every == 0:
+            params.lam = _refresh_lambda(net, params, cfg.gamma)
+    except NumericalOverflow as exc:
+        raise NumericalOverflow(f"epoch {epoch}: {exc}") from exc
+    return EpochStats(
+        epoch=epoch,
+        rec=sum(scalar(r) for r in out.rec),
+        sim=scalar(out.sim),
+        dif=sum(scalar(d_) for d_ in out.dif),
+        total=scalar(out.loss),
+        lam=tuple(float(x) for x in params.lam),
+    )
+
+
 def train(net: MultiViewNetwork, cfg: TrainConfig):
     """Optimize the model on one network.
 
     Returns (params, embeddings, history). Each epoch runs a full forward
     and backward pass, one Adam step, and on schedule the view-weight
-    refresh. The returned embeddings come from a final forward pass with the
+    refresh. The returned embeddings come from a final encoder pass with the
     trained parameters.
     """
     cfg.validate()
@@ -165,26 +189,7 @@ def train(net: MultiViewNetwork, cfg: TrainConfig):
     prev_total = None
     streak = 0
     for epoch in range(cfg.max_epochs):
-        tape = Tape()
-        try:
-            out = run_model(
-                net, params, cfg.alpha, cfg.beta, cfg.gamma, tape,
-                use_sim=cfg.use_sim, use_dif=cfg.use_dif,
-            )
-            tape.backward(out.loss)
-            adam_step(params.weights(), out.params.gradients(), state, cfg.lr)
-            if (epoch + 1) % cfg.lambda_update_every == 0:
-                params.lam = _refresh_lambda(net, params, cfg.gamma)
-        except NumericalOverflow as exc:
-            raise NumericalOverflow(f"epoch {epoch}: {exc}") from exc
-        stats = EpochStats(
-            epoch=epoch,
-            rec=sum(scalar(r) for r in out.rec),
-            sim=scalar(out.sim),
-            dif=sum(scalar(d_) for d_ in out.dif),
-            total=scalar(out.loss),
-            lam=tuple(float(x) for x in params.lam),
-        )
+        stats = _run_epoch(net, params, state, cfg, epoch)
         history.append(stats)
         if cfg.verbose:
             print(stats.line())
@@ -194,12 +199,8 @@ def train(net: MultiViewNetwork, cfg: TrainConfig):
         prev_total = stats.total
         if streak >= cfg.patience:
             break
-    final_tape = Tape()
     try:
-        out = run_model(
-            net, params, cfg.alpha, cfg.beta, cfg.gamma, final_tape,
-            use_sim=cfg.use_sim, use_dif=cfg.use_dif,
-        )
+        embeds = embed(net, params, cfg.gamma)
     except NumericalOverflow as exc:
         raise NumericalOverflow(f"final forward: {exc}") from exc
-    return params, embedding_set(out), history
+    return params, embeds, history

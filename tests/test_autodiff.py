@@ -3,7 +3,7 @@ import pytest
 
 import rgae.autodiff as ad
 from rgae.autodiff import Tape
-from rgae.errors import NonScalarRoot, NumericalOverflow, ShapeMismatch
+from rgae.errors import NonScalarRoot, NumericalOverflow, ReleasedTape, RgaeError, ShapeMismatch
 from rgae.graph import SparseAdjacency, normalize
 
 
@@ -346,3 +346,24 @@ class TestBackwardContract:
         b = t2.leaf([[1.0]])
         with pytest.raises(ShapeMismatch):
             ad.add(a, b)
+
+    def test_only_leaves_keep_gradients(self):
+        tape = Tape()
+        x = tape.leaf([[1.0, -2.0]])
+        unused = tape.leaf([[5.0]])
+        hidden = ad.relu(ad.scale(x, 3.0))
+        root = ad.sq_frobenius(hidden)
+        after_root = ad.scale(root, 2.0)
+        tape.backward(root)
+        assert hidden.grad is None and root.grad is None and after_root.grad is None
+        assert np.array_equal(x.grad, [[18.0, 0.0]])
+        assert np.array_equal(unused.grad, [[0.0]])
+
+    def test_released_tape_raises_typed_error(self):
+        x = Tape().leaf([[1.0]])
+        assert issubclass(ReleasedTape, RgaeError)
+        with pytest.raises(ReleasedTape):
+            ad.relu(x)
+        with pytest.raises(ReleasedTape):
+            Tape().backward(x)
+        assert np.array_equal(x.value, [[1.0]])

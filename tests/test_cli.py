@@ -262,6 +262,16 @@ class TestErrorReporting:
         assert capsys.readouterr().err.startswith("ConfigError:")
         assert not out.exists()
 
+    def test_sweep_empty_seed_list_trains_nothing(self, dataset, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("sweep trained before checking its seed list")
+
+        monkeypatch.setattr("rgae.cli.train", no_training)
+        code = run("sweep", "--data", str(dataset), "--out", str(tmp_path / "sweep.tsv"),
+                   "--seeds", "")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ConfigError:")
+
     def test_missing_required_flag(self, capsys):
         code = run("train", "--out", "somewhere")
         assert code == 1

@@ -14,6 +14,7 @@ from rgae.model import (
     bind_params,
     consistent_embedding,
     difference_loss,
+    embed,
     embed_dim,
     forward_view,
     run_model,
@@ -338,6 +339,26 @@ class TestTotalLoss:
         params = RgaeParams.init(4, LayerSpec((2,)), 1, seed=0)
         with pytest.raises(ConfigError):
             run_model(net, params, -0.1, 0.0, 2.0, Tape())
+
+
+class TestEmbed:
+    @pytest.mark.parametrize("use_sim", [True, False])
+    @pytest.mark.parametrize("use_dif", [True, False])
+    def test_matches_run_model_outputs(self, use_sim, use_dif):
+        net = random_net(12, 3, seed=15)
+        params = RgaeParams.init(12, LayerSpec((5, 3)), 3, seed=15)
+        params.lam = np.array([0.2, 0.3, 0.5])
+        out = run_model(net, params, 0.5, 0.5, 3.0, Tape(), use_sim=use_sim, use_dif=use_dif)
+        es = embed(net, params, 3.0)
+        for got, want in zip(es.shared + es.private, out.shared + out.private, strict=True):
+            assert np.array_equal(got, want.value)
+        assert np.array_equal(es.consistent, out.consistent.value)
+        assert np.array_equal(es.final, aggregate(es))
+
+    def test_view_count_mismatch(self):
+        params = RgaeParams.init(6, LayerSpec((2,)), 2, seed=0)
+        with pytest.raises(ShapeMismatch):
+            embed(random_net(6, 3, seed=16), params, 2.0)
 
 
 class TestAggregate:

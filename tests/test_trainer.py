@@ -1,10 +1,15 @@
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from rgae.autodiff import Tape
 from rgae.errors import ConfigError, InvalidGamma, NumericalOverflow, ShapeMismatch
 from rgae.graph import MultiViewNetwork, SparseAdjacency
+from rgae.model import LayerSpec, RgaeParams, run_model
 from rgae.synth import SynthConfig, generate
 from rgae.trainer import AdamState, TrainConfig, adam_step, train, update_lambda
 
@@ -208,3 +213,33 @@ class TestTrain:
         fields = lines[0].split("\t")
         assert len(fields) == 6
         assert fields[0] == "0"
+
+
+class TestMemory:
+    """An epoch's tape and arrays are freed by reference counting when the epoch ends."""
+
+    def test_dead_epochs_are_freed_without_the_cycle_collector(self):
+        net = generate(SynthConfig(n=300, communities=(100, 100, 100), views=3, p_in=0.3,
+                                   p_out=2 / 300, seed=7))
+
+        def train_peak(epochs):
+            cfg = TrainConfig(max_epochs=epochs, patience=math.inf, tol=0.0, seed=1)
+            tracemalloc.start()
+            try:
+                train(net, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        gc.disable()
+        try:
+            two, six = train_peak(2), train_peak(6)
+            assert six <= 1.05 * two
+            tape = Tape()
+            out = run_model(net, RgaeParams.init(300, LayerSpec((32, 8)), 3), 0.5, 0.5, 5.0, tape)
+            tape.backward(out.loss)
+            probe = weakref.ref(out.shared[0].value)
+            del tape, out
+            assert probe() is None
+        finally:
+            gc.enable()
