@@ -142,12 +142,12 @@ def relu(a: Tensor) -> Tensor:
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free logistic: e = exp(-|x|) <= 1, then max(e, x >= 0) / (1 + e), i.e. e/(1+e) where x < 0."""
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    denom = 1.0 + e
+    np.maximum(e, x >= 0, out=e)
+    return np.divide(e, denom, out=e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -259,15 +259,18 @@ def balanced_bce(probs: Tensor, adj: SparseAdjacency) -> Tensor:
     )
     positives = adj.nnz + n
     pos_weight = (n * n - positives) / positives
-    p = np.clip(probs.value, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    p_t = p[t_idx]
-    log1m = np.log1p(-p)
+    log1m = np.clip(probs.value, CLAMP_EPS, 1.0 - CLAMP_EPS)
+    p_t = log1m[t_idx]
+    np.log1p(np.negative(log1m, out=log1m), out=log1m)
     total = -(pos_weight * np.sum(np.log(p_t)) + np.sum(log1m) - np.sum(log1m[t_idx]))
-    inside = (probs.value > CLAMP_EPS) & (probs.value < 1.0 - CLAMP_EPS)
 
+    # the pull redoes the clip and the mask so that no n x n array outlives the forward pass
     def pull(g):
-        dp = 1.0 / (1.0 - p)
+        dp = np.clip(probs.value, CLAMP_EPS, 1.0 - CLAMP_EPS)
+        np.divide(1.0, np.subtract(1.0, dp, out=dp), out=dp)
         dp[t_idx] = -pos_weight / p_t
-        probs._accumulate(g[0, 0] * dp * inside)
+        dp *= g[0, 0]
+        dp *= (probs.value > CLAMP_EPS) & (probs.value < 1.0 - CLAMP_EPS)
+        probs._accumulate(dp)
 
     return probs.tape._record(np.array([[total]]), pull)

@@ -93,9 +93,9 @@ def _write_table(args, cfg: dict, text: str, inputs: list) -> None:
 def save_embeddings(path, names, embeddings, n_views, block_dim) -> None:
     """Text format: header "n d_total n_views d", then one node per line at full float precision."""
     y = np.asarray(embeddings, dtype=np.float64)
+    row_format = " ".join(["%.17g"] * y.shape[1])
     lines = [f"{len(names)} {y.shape[1]} {n_views} {block_dim}"]
-    for name, row in zip(names, y):
-        lines.append(name + " " + " ".join(f"{x:.17g}" for x in row))
+    lines += [name + " " + row_format % tuple(row) for name, row in zip(names, y.tolist())]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -64,19 +64,23 @@ def make_split(n: int, spec: SplitSpec, labels=None):
     return train, test
 
 
-def sample_negatives(view: SparseAdjacency, count: int, seed: int) -> np.ndarray:
-    """Uniformly sample distinct unordered non-adjacent pairs of the view."""
+def non_edge_codes(view: SparseAdjacency) -> np.ndarray:
+    """Sorted codes u * n + v of the unordered non-adjacent pairs u < v of the view."""
+    iu, ju = np.triu_indices(view.n, k=1)
+    codes = iu.astype(np.int64) * view.n + ju
+    return np.setdiff1d(codes, edge_pair_codes(view), assume_unique=True)
+
+
+def sample_negatives(view: SparseAdjacency, count: int, seed: int, non_edges=None) -> np.ndarray:
+    """Uniformly sample distinct non-adjacent pairs u < v; ``non_edges``: the view's ``non_edge_codes``, if built."""
     if count < 1:
         raise ConfigError("need a positive number of negatives")
-    n = view.n
-    iu, ju = np.triu_indices(n, k=1)
-    codes = iu.astype(np.int64) * n + ju
-    non_edges = np.setdiff1d(codes, edge_pair_codes(view), assume_unique=True)
+    non_edges = non_edge_codes(view) if non_edges is None else non_edges
     if non_edges.size < count:
         raise InsufficientNodes(f"only {non_edges.size} non-edges available, need {count}")
     rng = np.random.default_rng(seed)
     chosen = non_edges[np.sort(rng.choice(non_edges.size, size=count, replace=False))]
-    return np.stack([chosen // n, chosen % n], axis=1)
+    return np.stack([chosen // view.n, chosen % view.n], axis=1)
 
 
 @dataclass(eq=False)
@@ -92,13 +96,11 @@ class LinkPredTask:
             raise LengthMismatch("positives and negatives must have equal counts")
 
 
-def build_linkpred_task(net: MultiViewNetwork, target_view: int, seed: int) -> LinkPredTask:
-    if not 0 <= target_view < len(net.views):
-        raise ConfigError(f"no view {target_view} in a network with {len(net.views)} views")
-    view = net.views[target_view]
+def build_linkpred_task(net: MultiViewNetwork, target_view: int, seed: int, non_edges=None) -> LinkPredTask:
+    view = net.view(target_view)
     codes = edge_pair_codes(view)
     positives = np.stack([codes // net.n, codes % net.n], axis=1)
-    negatives = sample_negatives(view, positives.shape[0], seed)
+    negatives = sample_negatives(view, positives.shape[0], seed, non_edges)
     return LinkPredTask(target_view=target_view, positives=positives, negatives=negatives)
 
 
@@ -119,17 +121,17 @@ def cosine_features(embeddings, pairs) -> np.ndarray:
 
 
 def _fit_binary_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Full-batch gradient descent with a curvature-bounded step; intercept unpenalized."""
+    """Full-batch gradient descent, curvature-bounded step, unpenalized intercept; a 2-D y is one fit per column."""
     n, d = x.shape
     xb = np.hstack([x, np.ones((n, 1))])
-    w = np.zeros(d + 1)
+    w = np.zeros((d + 1,) + y.shape[1:])
     lipschitz = np.linalg.norm(xb, 2) ** 2 / (4.0 * n) + L2_PENALTY
     step = 1.0 / lipschitz
-    penalty = np.ones(d + 1)
-    penalty[-1] = 0.0
+    decay = np.full_like(w, L2_PENALTY)
+    decay[d] = 0.0
     for _ in range(FIT_ITERATIONS):
         p = _sigmoid_values(xb @ w)
-        grad = xb.T @ (p - y) / n + L2_PENALTY * penalty * w
+        grad = xb.T @ (p - y) / n + decay * w
         w = w - step * grad
     return w
 
@@ -193,16 +195,12 @@ def logistic_ovr_train(features, labels, split: SplitSpec) -> OvrClassifier:
     strat = [next(iter(s)) for s in sets] if split.stratified else None
     train_idx, _ = make_split(x.shape[0], split, labels=strat)
     classes = sorted({c for s in sets for c in s})
+    y = np.array([[cls in sets[i] for cls in classes] for i in train_idx], dtype=np.float64)
+    trained = y.any(axis=0)
+    for ci in np.flatnonzero(~trained):
+        warnings.warn(f"class {classes[ci]!r} has no training examples; skipped", DegenerateClass)
     weights = np.zeros((len(classes), x.shape[1] + 1))
-    trained = np.zeros(len(classes), dtype=bool)
-    x_train = x[train_idx]
-    for ci, cls in enumerate(classes):
-        y = np.array([1.0 if cls in sets[i] else 0.0 for i in train_idx])
-        if y.sum() == 0:
-            warnings.warn(f"class {cls!r} has no training examples; skipped", DegenerateClass)
-            continue
-        weights[ci] = _fit_binary_logistic(x_train, y)
-        trained[ci] = True
+    weights[trained] = _fit_binary_logistic(x[train_idx], y[:, trained]).T
     return OvrClassifier(classes=classes, weights=weights, trained=trained, multilabel=multilabel)
 
 
@@ -227,9 +225,8 @@ def micro_macro_f1(pred, truth):
             fp[c] += 1
         for c in ts - ps:
             fn[c] += 1
-    all_classes = set(tp) | set(fp) | set(fn)
-    tp_sum = sum(tp[c] for c in all_classes)
-    denom = 2 * tp_sum + sum(fp[c] for c in all_classes) + sum(fn[c] for c in all_classes)
+    tp_sum = sum(tp.values())
+    denom = 2 * tp_sum + sum(fp.values()) + sum(fn.values())
     micro = 2.0 * tp_sum / denom if denom else 1.0
     truth_classes = sorted({c for s in t for c in s})
     if not truth_classes:
@@ -291,6 +288,14 @@ def link_predict(embeddings, task: LinkPredTask, split: SplitSpec):
     return roc_auc(scores, y[test_idx]), average_precision(scores, y[test_idx])
 
 
+def _report_rows(task, ratio, seeds, results, metrics) -> list:
+    """(task, ratio, seed, metric, value) rows: each seed's results in metric order, then each metric's mean."""
+    rows = [(task, ratio, str(s), m, v) for s, vals in zip(seeds, results) for m, v in zip(metrics, vals)]
+    for k, m in enumerate(metrics):
+        rows.append((task, ratio, "mean", m, float(np.mean([vals[k] for vals in results]))))
+    return rows
+
+
 def _require_seeds(seeds) -> None:
     if len(seeds) == 0:
         raise ConfigError("need at least one split seed")
@@ -306,35 +311,22 @@ def classification_report(features, labels, ratios=(0.1, 0.3, 0.5), seeds=tuple(
     strat_labels = [next(iter(s)) for s in sets] if strat else None
     rows = []
     for ratio in ratios:
-        micros, macros = [], []
+        results = []
         for seed in seeds:
             spec = SplitSpec(train_ratio=ratio, seed=seed, stratified=strat)
             clf = logistic_ovr_train(x, labels, spec)
             _, test_idx = make_split(x.shape[0], spec, labels=strat_labels)
-            pred = clf.predict(x[test_idx])
-            micro, macro = micro_macro_f1(pred, [sets[i] for i in test_idx])
-            rows.append(("classification", ratio, str(seed), "micro_f1", micro))
-            rows.append(("classification", ratio, str(seed), "macro_f1", macro))
-            micros.append(micro)
-            macros.append(macro)
-        rows.append(("classification", ratio, "mean", "micro_f1", float(np.mean(micros))))
-        rows.append(("classification", ratio, "mean", "macro_f1", float(np.mean(macros))))
+            results.append(micro_macro_f1(clf.predict(x[test_idx]), [sets[i] for i in test_idx]))
+        rows += _report_rows("classification", ratio, seeds, results, ("micro_f1", "macro_f1"))
     return rows
 
 
 def link_prediction_report(net, embeddings, target_view, ratio=0.5, seeds=tuple(range(10))):
     """ROC-AUC and average precision per seed plus their means, same row layout as classification."""
     _require_seeds(seeds)
-    rows = []
-    aucs, aps = [], []
+    non_edges = non_edge_codes(net.view(target_view))
+    results = []
     for seed in seeds:
-        task = build_linkpred_task(net, target_view, seed)
-        spec = SplitSpec(train_ratio=ratio, seed=seed, stratified=True)
-        auc, ap = link_predict(embeddings, task, spec)
-        rows.append(("link_prediction", ratio, str(seed), "roc_auc", auc))
-        rows.append(("link_prediction", ratio, str(seed), "average_precision", ap))
-        aucs.append(auc)
-        aps.append(ap)
-    rows.append(("link_prediction", ratio, "mean", "roc_auc", float(np.mean(aucs))))
-    rows.append(("link_prediction", ratio, "mean", "average_precision", float(np.mean(aps))))
-    return rows
+        task = build_linkpred_task(net, target_view, seed, non_edges)
+        results.append(link_predict(embeddings, task, SplitSpec(train_ratio=ratio, seed=seed, stratified=True)))
+    return _report_rows("link_prediction", ratio, seeds, results, ("roc_auc", "average_precision"))

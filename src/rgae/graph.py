@@ -217,9 +217,14 @@ class MultiViewNetwork:
                 raise LengthMismatch("one label set per node required")
             self.labels = [set(s) for s in self.labels]
 
-    def without_view(self, k: int) -> "MultiViewNetwork":
+    def view(self, k: int) -> SparseAdjacency:
+        """View k; a ConfigError names the valid range when there is none."""
         if not 0 <= k < len(self.views):
             raise ConfigError(f"no view {k} in a network with {len(self.views)} views")
+        return self.views[k]
+
+    def without_view(self, k: int) -> "MultiViewNetwork":
+        self.view(k)
         if len(self.views) == 1:
             raise SingleView("cannot drop the only view")
         kept = [v for i, v in enumerate(self.views) if i != k]

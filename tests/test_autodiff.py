@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import rgae.autodiff as ad
 from rgae.autodiff import Tape
@@ -39,6 +44,16 @@ def scalarize(fn):
     return run
 
 
+def two_branch_sigmoid(x):
+    """Reference: 1/(1+exp(-x)) gathered from x >= 0, exp(x)/(1+exp(x)) from x < 0."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class TestForwardValues:
     def test_relu_value_and_grad(self):
         tape = Tape()
@@ -70,6 +85,20 @@ class TestForwardValues:
         assert np.all(np.isfinite(s.value))
         assert s.value[0, 0] == pytest.approx(1.0)
         assert s.value[0, 1] == pytest.approx(0.0)
+
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=1, max_dims=2, max_side=8),
+            # most finite floats saturate the logistic, so half the draws come from where it does not
+            elements=st.one_of(st.floats(-40.0, 40.0), st.floats(allow_nan=False, allow_infinity=False)),
+        )
+    )
+    @example(np.linspace(-40.0, 40.0, 801).reshape(3, 267))
+    @example(np.array([0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, 2e-308, -2e-308]))
+    @example(np.array([[36.0, -36.0, 709.8, -745.2], [1e308, -1e308, 0.5, -0.5]]))
+    def test_sigmoid_values_match_two_branch_reference(self, x):
+        assert np.array_equal(ad._sigmoid_values(x).view(np.uint64), two_branch_sigmoid(x).view(np.uint64))
 
     def test_sq_frobenius_gradient_is_double(self):
         tape = Tape()
@@ -268,6 +297,23 @@ class TestBalancedBce:
         tape.backward(loss)
         assert np.array_equal(p.grad, ref_grad)
         assert abs(loss.value[0, 0] - ref_loss) <= 1e-12 * abs(ref_loss)
+
+    def test_forward_keeps_no_square_array(self):
+        # the pull closure lives as long as the tape, so it may hold the O(nnz) target values only
+        n = 300
+        adj = SparseAdjacency.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        tape = Tape()
+        p = tape.leaf(np.random.default_rng(3).uniform(0.01, 0.99, size=(n, n)))
+        tracemalloc.start()
+        try:
+            loss = ad.balanced_bce(p, adj)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < n * n
+        tape.backward(loss)
+        ref_loss, ref_grad = dense_bce_reference(p.value, adj)
+        assert np.array_equal(p.grad, ref_grad)
 
 
 class TestBackwardContract:

@@ -193,6 +193,20 @@ class TestEmbeddingsFormat:
         assert np.array_equal(back, y)
         assert (n_views, d) == (2, 2)
 
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        y = np.array(
+            [
+                [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1.7976931348623157e308],
+                [0.1, 1.0 / 3.0, -np.pi, 1e16, 123456789.0, 2.0**-1074 * 3],
+            ]
+        )
+        names = ["a", "node b"]
+        path = tmp_path / "emb.txt"
+        save_embeddings(path, names, y, 2, 2)
+        lines = ["2 6 2 2"] + [name + " " + " ".join(f"{v:.17g}" for v in row) for name, row in zip(names, y)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert "-0 0 4.9406564584124654e-324" in path.read_text()
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("5 6\n")

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import rgae.evaluate as evaluate
 from rgae.errors import (
     ConfigError,
     DegenerateClass,
@@ -11,6 +14,7 @@ from rgae.errors import (
 from rgae.evaluate import (
     LinkPredTask,
     SplitSpec,
+    _fit_binary_logistic,
     average_precision,
     build_linkpred_task,
     classification_report,
@@ -149,6 +153,48 @@ class TestLogisticOvr:
         assert micro > 0.9
 
 
+def _ovr_case(kind):
+    """Features, labels and split: single-label with one class only on the test side, or multilabel."""
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(40, 3))
+    spec = SplitSpec(0.5, seed=4)
+    if kind == "multilabel":
+        labels = [{c for c, v in zip("rus", row) if v > 0} for row in x]
+        return x, labels, spec
+    labels = ["abc"[int(np.argmax(row))] for row in x]
+    _, test = make_split(40, spec)
+    labels[test[0]] = "lone"
+    return x, labels, spec
+
+
+class TestBatchedOvr:
+    @pytest.mark.parametrize("kind", ["degenerate", "multilabel"])
+    def test_matches_per_class_fits(self, kind):
+        x, labels, spec = _ovr_case(kind)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            clf = logistic_ovr_train(x, labels, spec)
+        degenerate = [w for w in caught if issubclass(w.category, DegenerateClass)]
+        assert len(degenerate) == (kind == "degenerate")
+        train, _ = make_split(40, spec)
+        sets = [lab if isinstance(lab, set) else {lab} for lab in labels]
+        for ci, cls in enumerate(clf.classes):
+            y = np.array([1.0 if cls in sets[i] else 0.0 for i in train])
+            if y.sum() == 0:
+                assert cls == "lone" and not clf.trained[ci]
+                assert not np.any(clf.weights[ci])
+                continue
+            ref = _fit_binary_logistic(x[train], y)
+            assert clf.trained[ci]
+            assert np.max(np.abs(clf.weights[ci] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_one_column_matrix_is_the_vector_fit(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(30, 4))
+        y = (x[:, 0] + 0.3 * rng.normal(size=30) > 0).astype(np.float64)
+        assert np.array_equal(_fit_binary_logistic(x, y[:, None])[:, 0], _fit_binary_logistic(x, y))
+
+
 class TestMicroMacroF1:
     def test_perfect(self):
         micro, macro = micro_macro_f1([{"a"}, {"b"}], [{"a"}, {"b"}])
@@ -278,6 +324,32 @@ class TestReports:
         x = np.random.default_rng(0).normal(size=(8, 2))
         with pytest.raises(ConfigError):
             classification_report(x, [0, 1] * 4, ratios=(0.5,), seeds=())
+
+    def test_link_prediction_report_negatives_match_sample_negatives(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        n = 30
+        iu, ju = np.triu_indices(n, k=1)
+        pick = rng.random(iu.size) < 0.15
+        view = SparseAdjacency.from_edges(n, np.stack([iu[pick], ju[pick]], axis=1))
+        net = MultiViewNetwork(n=n, views=[view, view])
+        tasks, builds = [], []
+        build = evaluate.non_edge_codes
+        monkeypatch.setattr(evaluate, "non_edge_codes", lambda v: builds.append(v) or build(v))
+        monkeypatch.setattr(evaluate, "link_predict", lambda y, task, spec: tasks.append(task) or (0.5, 0.5))
+        seeds = (0, 3, 7)
+        link_prediction_report(net, rng.normal(size=(n, 4)), 1, seeds=seeds)
+        assert len(builds) == 1
+        monkeypatch.undo()
+        for seed, task in zip(seeds, tasks, strict=True):
+            assert np.array_equal(task.negatives, sample_negatives(view, view.nnz // 2, seed))
+            assert np.array_equal(task.positives, build_linkpred_task(net, 1, seed).positives)
+
+    @pytest.mark.parametrize("target_view", [2, -1])
+    def test_link_prediction_report_rejects_a_missing_view(self, target_view):
+        view = SparseAdjacency.from_edges(6, [(0, 1), (2, 3)])
+        net = MultiViewNetwork(n=6, views=[view, view])
+        with pytest.raises(ConfigError, match="no view"):
+            link_prediction_report(net, np.ones((6, 2)), target_view, seeds=(0,))
 
     def test_link_prediction_report_needs_a_seed(self):
         edges = [(i, j) for i in range(6) for j in range(i + 1, 6) if (i + j) % 2]

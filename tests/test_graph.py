@@ -310,3 +310,14 @@ class TestMultiViewNetwork:
         assert dropped.views[0] is v2
         with pytest.raises(SingleView):
             dropped.without_view(0)
+
+    @pytest.mark.parametrize("k", [2, -1])
+    def test_view_index_out_of_range(self, k):
+        v1 = SparseAdjacency.from_edges(3, [(0, 1)])
+        v2 = SparseAdjacency.from_edges(3, [(1, 2)])
+        net = MultiViewNetwork(3, [v1, v2])
+        assert net.view(1) is v2
+        with pytest.raises(ConfigError, match="no view"):
+            net.view(k)
+        with pytest.raises(ConfigError, match="no view"):
+            net.without_view(k)

@@ -2,8 +2,8 @@
 
 A rename inside the package, or a training path that stops calling a wrapped
 function, would only surface when a traced benchmark runs; resolving every
-wrapped name and firing every training span here makes it fail in the test
-suite instead.
+wrapped name and firing every training and evaluation span here makes it
+fail in the test suite instead.
 """
 
 import importlib
@@ -11,9 +11,10 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rgae import trainer
+from rgae import evaluate, trainer
 from rgae.synth import SynthConfig, generate
 from rgae.trainer import TrainConfig
 
@@ -58,3 +59,23 @@ def test_training_fires_every_training_span():
     # one forward per epoch; encoder calls under trainer's name are the view-weight refreshes only
     assert tracer.calls["model.run_model"] == cfg.max_epochs
     assert tracer.calls["model.encode.refresh"] == cfg.max_epochs * len(net.views)
+
+
+def test_evaluation_fires_every_eval_span():
+    net = generate(SynthConfig(n=30, communities=(10, 10, 10), views=2, seed=7))
+    y = np.random.default_rng(0).normal(size=(net.n, 4))
+    ratios, seeds = (0.3, 0.5), (0, 1)
+    tracer = _spans.Tracer()
+    tracer.install()
+    try:
+        evaluate.classification_report(y, net.labels, ratios=ratios, seeds=seeds)
+        evaluate.link_prediction_report(net, y, 1, seeds=seeds)
+    finally:
+        tracer.uninstall()
+    eval_spans = [span for span, _, _ in TARGETS if span.startswith("evaluate.")]
+    assert [span for span in eval_spans if tracer.calls[span] == 0] == []
+    # the tracer counts fits from logistic_ovr_train's .trained mask; every class trains here
+    fits = len(ratios) * len(seeds) * len(set().union(*net.labels))
+    assert tracer.calls["evaluate.logistic_ovr_train"] == len(ratios) * len(seeds)
+    assert tracer.counts[("evaluate.logistic_ovr_train", "fits")] == fits
+    assert tracer.calls["evaluate.sample_negatives"] == len(seeds)
