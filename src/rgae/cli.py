@@ -7,7 +7,7 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import product
 from pathlib import Path
 
@@ -194,35 +194,36 @@ def _require(cfg, key, flag):
     return cfg[key]
 
 
-GENERATE_KEYS = {
-    "out": (str, None),
-    "n": (int, 60),
-    "communities": (_parse_ints, (20, 20, 20)),
-    "views": (int, 2),
-    "p_in": (float, 0.3),
-    "p_out": (float, 0.02),
-    "unique_frac": (float, 0.5),
-    "overlap": (float, None),
-    "seed": (int, 7),
-}
+FIELD_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "tuple": _parse_ints, "float | None": float}
+
+
+def _field_keys(cls, skip=(), rename=None, **defaults) -> dict:
+    """(parser, default) per field of a config dataclass, keyed by CLI name.
+
+    rename maps CLI names to field names; keyword arguments replace the
+    dataclass defaults.
+    """
+    cli_name = {field: key for key, field in (rename or {}).items()}
+    return {
+        cli_name.get(f.name, f.name): (FIELD_PARSERS[f.type], defaults.get(f.name, f.default))
+        for f in fields(cls)
+        if f.name not in skip
+    }
+
+
+GENERATE_KEYS = {"out": (str, None), **_field_keys(SynthConfig, n=60, communities=(20, 20, 20), seed=7)}
+
+# CLI names of the TrainConfig fields they differ from; config files and manifests use the CLI names.
+MODEL_FIELDS = {"layers": "layer_sizes", "epochs": "max_epochs", "lambda_every": "lambda_update_every"}
+MODEL_KEYS = _field_keys(TrainConfig, skip=("use_sim", "use_dif", "verbose"), rename=MODEL_FIELDS)
 
 TRAIN_KEYS = {
     "data": (str, None),
     "out": (str, None),
-    "alpha": (float, 0.5),
-    "beta": (float, 0.5),
-    "gamma": (float, 5.0),
-    "dim": (int, 32),
-    "layers": (_parse_ints, (32,)),
-    "lr": (float, 0.01),
-    "epochs": (int, 500),
-    "patience": (float, 20),
-    "tol": (float, 1e-5),
-    "seed": (int, 0),
+    **MODEL_KEYS,
     "ablate": (str, "none"),
-    "lambda_every": (int, 1),
     "target_view": (int, None),
-    "verbose": (_parse_bool, False),
+    "verbose": (_parse_bool, TrainConfig.verbose),
 }
 
 EVAL_KEYS = {
@@ -247,17 +248,7 @@ SWEEP_KEYS = {
     "betas": (_parse_floats, None),
     "gammas": (_parse_floats, None),
     "dims": (_parse_ints, None),
-    "alpha": (float, 0.5),
-    "beta": (float, 0.5),
-    "gamma": (float, 5.0),
-    "dim": (int, 32),
-    "layers": (_parse_ints, (32,)),
-    "lr": (float, 0.01),
-    "epochs": (int, 500),
-    "patience": (float, 20),
-    "tol": (float, 1e-5),
-    "seed": (int, 0),
-    "lambda_every": (int, 1),
+    **MODEL_KEYS,
     "train_ratio": (float, 0.5),
     "seeds": (_parse_ints, (0, 1, 2)),
 }
@@ -276,36 +267,17 @@ def _train_config(cfg) -> TrainConfig:
         raise ConfigError(f"--ablate must be one of {sorted(ABLATE_FLAGS)}, got {ablate!r}")
     use_sim, use_dif = ABLATE_FLAGS[ablate]
     return TrainConfig(
-        dim=cfg["dim"],
-        layer_sizes=tuple(cfg["layers"]),
-        alpha=cfg["alpha"],
-        beta=cfg["beta"],
-        gamma=cfg["gamma"],
-        lr=cfg["lr"],
-        max_epochs=cfg["epochs"],
-        patience=cfg["patience"],
-        tol=cfg["tol"],
-        seed=cfg["seed"],
+        **{MODEL_FIELDS.get(key, key): cfg[key] for key in MODEL_KEYS},
         use_sim=use_sim,
         use_dif=use_dif,
-        lambda_update_every=cfg["lambda_every"],
-        verbose=cfg.get("verbose", False),
+        verbose=cfg.get("verbose", TrainConfig.verbose),
     )
 
 
 def cmd_generate(args) -> int:
     cfg = _resolve(args, GENERATE_KEYS)
     out_dir = Path(_require(cfg, "out", "--out"))
-    synth = SynthConfig(
-        n=cfg["n"],
-        communities=tuple(cfg["communities"]),
-        views=cfg["views"],
-        p_in=cfg["p_in"],
-        p_out=cfg["p_out"],
-        unique_frac=cfg["unique_frac"],
-        overlap=cfg["overlap"],
-        seed=cfg["seed"],
-    )
+    synth = SynthConfig(**{f.name: cfg[f.name] for f in fields(SynthConfig)})
     net = generate(synth)
     written = save_dataset(net, out_dir)
     _write_manifest(out_dir / "manifest.json", args, cfg, [], sorted(p.name for p in written))

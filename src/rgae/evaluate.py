@@ -301,13 +301,16 @@ def _require_seeds(seeds) -> None:
         raise ConfigError("need at least one split seed")
 
 
-def classification_report(features, labels, ratios=(0.1, 0.3, 0.5), seeds=tuple(range(10)), stratified=True):
-    """Micro and macro F1 per ratio and seed plus their means, as (task, ratio, seed, metric, value) rows."""
+def classification_report(features, labels, ratios=(0.1, 0.3, 0.5), seeds=tuple(range(10))):
+    """Micro and macro F1 per ratio and seed plus their means, as (task, ratio, seed, metric, value) rows.
+
+    Splits are stratified by class unless the data is multi-label.
+    """
     _require_seeds(seeds)
     x = np.asarray(features, dtype=np.float64)
     sets = as_label_sets(labels)
     multilabel = is_multilabel(sets)
-    strat = stratified and not multilabel
+    strat = not multilabel
     strat_labels = [next(iter(s)) for s in sets] if strat else None
     rows = []
     for ratio in ratios:

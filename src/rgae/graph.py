@@ -270,18 +270,13 @@ def load_edge_lists(paths, n_hint=None, node_names=None) -> MultiViewNetwork:
     Lines are "src dst [weight]"; '#' starts a comment line. Node ids are
     arbitrary strings mapped to contiguous indices by first appearance across
     files in argument order. Self-loop lines are skipped. Duplicate edges
-    collapse keeping the max weight. `node_names` pre-seeds the index mapping
-    (used when a dataset ships an explicit node order), `n_hint` pads
-    trailing isolated nodes.
+    collapse keeping the max weight. `node_names` fixes the node set and its
+    order (used when a dataset ships an explicit node list); an edge naming
+    any other node is then a ParseError. `n_hint` pads trailing isolated nodes.
     """
-    index: dict[str, int] = {}
-    names: list[str] = []
-    if node_names is not None:
-        for name in node_names:
-            if name in index:
-                raise ConfigError(f"duplicate node name {name!r}")
-            index[name] = len(names)
-            names.append(name)
+    index = {name: i for i, name in enumerate(node_names or ())}
+    if node_names is not None and len(index) != len(node_names):
+        raise ConfigError("node_names must be distinct")
     views_edges = []
     for path in paths:
         edges = []
@@ -302,22 +297,17 @@ def load_edge_lists(paths, n_hint=None, node_names=None) -> MultiViewNetwork:
                 w = 1.0
             if u == v:
                 continue
-            ui = index.get(u)
-            if ui is None:
-                ui = len(names)
-                index[u] = ui
-                names.append(u)
-            vi = index.get(v)
-            if vi is None:
-                vi = len(names)
-                index[v] = vi
-                names.append(v)
-            edges.append((ui, vi))
+            try:
+                edges.append((index[u], index[v]))
+            except KeyError as exc:
+                if node_names is not None:
+                    raise ParseError(f"{path}:{lineno}: node {exc.args[0]!r} is not in the node list") from None
+                edges.append((index.setdefault(u, len(index)), index.setdefault(v, len(index))))
             weights.append(w)
         if not edges:
             raise EmptyView(f"{path}: no edges")
         views_edges.append((edges, weights))
-    n = len(names)
+    n = len(index)
     if n_hint is not None:
         if n_hint < n:
             raise ConfigError(f"n_hint={n_hint} is below the {n} distinct nodes found")
@@ -326,10 +316,9 @@ def load_edge_lists(paths, n_hint=None, node_names=None) -> MultiViewNetwork:
             if name in index:
                 raise ConfigError("cannot pad isolated nodes: generated name collides; provide node_names")
             index[name] = i
-            names.append(name)
         n = n_hint
     views = [SparseAdjacency.from_edges(n, e, w) for e, w in views_edges]
-    return MultiViewNetwork(n=n, views=views, labels=None, node_names=names)
+    return MultiViewNetwork(n=n, views=views, labels=None, node_names=list(index))
 
 
 def load_label_file(path, node_names) -> list:
@@ -401,10 +390,13 @@ def load_dataset(directory) -> MultiViewNetwork:
     nodes_path = directory / "nodes.txt"
     if not nodes_path.is_file():
         raise FileError(f"{nodes_path}: missing node list")
-    names = [line for _, line in text_lines(nodes_path)]
+    first_line = {}
+    for lineno, name in text_lines(nodes_path):
+        if name in first_line:
+            raise ParseError(f"{nodes_path}:{lineno}: node {name!r} is already on line {first_line[name]}")
+        first_line[name] = lineno
+    names = list(first_line)
     net = load_edge_lists(_view_paths(directory), node_names=names)
-    if net.n != len(names):
-        raise ParseError(f"{directory}: edge files mention nodes absent from nodes.txt")
     labels_path = directory / "labels.txt"
     labels = load_label_file(labels_path, names) if labels_path.is_file() else None
     return MultiViewNetwork(net.n, net.views, labels, names)

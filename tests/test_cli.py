@@ -1,9 +1,27 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from rgae.cli import load_embeddings, main, save_embeddings
+from rgae.cli import (
+    GENERATE_KEYS,
+    MODEL_FIELDS,
+    MODEL_KEYS,
+    SWEEP_KEYS,
+    TRAIN_KEYS,
+    _build_parser,
+    _parse_bool,
+    _parse_floats,
+    _parse_ints,
+    _resolve,
+    _train_config,
+    load_embeddings,
+    main,
+    save_embeddings,
+)
+from rgae.synth import SynthConfig
+from rgae.trainer import TrainConfig
 
 
 def run(*argv):
@@ -28,6 +46,94 @@ def embeddings(dataset, tmp_path_factory):
     path = tmp_path_factory.mktemp("emb") / "embeddings.txt"
     save_embeddings(path, names, np.random.default_rng(0).normal(size=(len(names), 6)), 2, 2)
     return path
+
+
+# The CLI surface as released: every key with its parser and default.
+MODEL_SURFACE = {
+    "alpha": (float, 0.5),
+    "beta": (float, 0.5),
+    "gamma": (float, 5.0),
+    "dim": (int, 32),
+    "layers": (_parse_ints, (32,)),
+    "lr": (float, 0.01),
+    "epochs": (int, 500),
+    "patience": (float, 20),
+    "tol": (float, 1e-5),
+    "seed": (int, 0),
+    "lambda_every": (int, 1),
+}
+SURFACE = {
+    "generate": {
+        "out": (str, None),
+        "n": (int, 60),
+        "communities": (_parse_ints, (20, 20, 20)),
+        "views": (int, 2),
+        "p_in": (float, 0.3),
+        "p_out": (float, 0.02),
+        "unique_frac": (float, 0.5),
+        "overlap": (float, None),
+        "seed": (int, 7),
+    },
+    "train": {
+        "data": (str, None),
+        "out": (str, None),
+        **MODEL_SURFACE,
+        "ablate": (str, "none"),
+        "target_view": (int, None),
+        "verbose": (_parse_bool, False),
+    },
+    "sweep": {
+        "data": (str, None),
+        "out": (str, None),
+        "alphas": (_parse_floats, None),
+        "betas": (_parse_floats, None),
+        "gammas": (_parse_floats, None),
+        "dims": (_parse_ints, None),
+        **MODEL_SURFACE,
+        "train_ratio": (float, 0.5),
+        "seeds": (_parse_ints, (0, 1, 2)),
+    },
+}
+KEYS = {"generate": GENERATE_KEYS, "train": TRAIN_KEYS, "sweep": SWEEP_KEYS}
+SAMPLE = {str: "x", int: "3", float: "0.25", _parse_ints: "4,5", _parse_floats: "0.1,2"}
+
+
+def resolve_defaults(command):
+    return _resolve(_build_parser().parse_args([command]), KEYS[command])
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_keys_parsers_and_defaults(self, command):
+        assert KEYS[command] == SURFACE[command]
+        assert resolve_defaults(command) == {k: d for k, (_, d) in SURFACE[command].items()}
+
+    @pytest.mark.parametrize(
+        "command,key", [(c, k) for c in sorted(SURFACE) for k in SURFACE[c]]
+    )
+    def test_flag_parses(self, command, key):
+        conv, _ = SURFACE[command][key]
+        flag = "--" + key.replace("_", "-")
+        if conv is _parse_bool:
+            argv, expected = [flag], True
+        else:
+            argv, expected = [flag, SAMPLE[conv]], conv(SAMPLE[conv])
+        args = _build_parser().parse_args([command, *argv])
+        assert getattr(args, key) == expected
+
+    def test_train_defaults_are_train_config(self):
+        assert _train_config(resolve_defaults("train")) == TrainConfig()
+
+    def test_generate_defaults_are_synth_config_but_three(self):
+        resolved = resolve_defaults("generate")
+        cli_own = {"n": 60, "communities": (20, 20, 20), "seed": 7}
+        for f in fields(SynthConfig):
+            assert resolved[f.name] == cli_own.get(f.name, f.default)
+
+    def test_every_model_field_reachable(self):
+        reached = {MODEL_FIELDS.get(key, key) for key in MODEL_KEYS}
+        expected = {f.name for f in fields(TrainConfig)} - {"use_sim", "use_dif", "verbose"}
+        assert reached == expected
 
 
 class TestGenerate:

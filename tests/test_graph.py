@@ -293,6 +293,20 @@ class TestDatasetRoundTrip:
         with pytest.raises(FileError, match=re.escape(stray)):
             load_dataset(tmp_path)
 
+    def test_edge_to_unlisted_node_names_file_and_line(self, tmp_path):
+        (tmp_path / "nodes.txt").write_text("a\nb\nc\n")
+        (tmp_path / "view_0.txt").write_text("a b\n# note\nb z\n")
+        with pytest.raises(ParseError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value).startswith(f"{tmp_path / 'view_0.txt'}:3: node 'z'")
+
+    def test_duplicate_node_name_names_file_and_line(self, tmp_path):
+        (tmp_path / "nodes.txt").write_text("a\nb\n\na\n")
+        (tmp_path / "view_0.txt").write_text("a b\n")
+        with pytest.raises(ParseError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value).startswith(f"{tmp_path / 'nodes.txt'}:4: node 'a'")
+
 
 class TestMultiViewNetwork:
     def test_mismatched_node_counts(self):
