@@ -7,7 +7,7 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
@@ -26,24 +26,6 @@ from .graph import (
 )
 from .synth import SynthConfig, generate
 from .trainer import TrainConfig, train
-
-
-@dataclass
-class RunManifest:
-    """Resolved description of one run, written next to its outputs.
-
-    Contains no timestamps: re-running a command with the same manifest
-    inputs reproduces the outputs byte for byte.
-    """
-
-    command: str
-    config: dict
-    inputs: dict
-    outputs: list
-    versions: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def _versions() -> dict:
@@ -67,15 +49,19 @@ def _digest_inputs(paths) -> dict:
 
 
 def _write_manifest(path: Path, args, cfg: dict, inputs: list, outputs: list) -> None:
-    """Record the resolved config, input digests (the --config file included), outputs and versions."""
-    manifest = RunManifest(
-        command=args.command,
-        config={k: _jsonable(v) for k, v in cfg.items()},
-        inputs=_digest_inputs(inputs + ([args.config] if args.config else [])),
-        outputs=outputs,
-        versions=_versions(),
-    )
-    write_text_atomic(path, manifest.to_json())
+    """Record the resolved config, input digests (the --config file included), outputs and versions.
+
+    Holds no timestamps: re-running a command with the same manifest inputs
+    reproduces the outputs byte for byte.
+    """
+    manifest = {
+        "command": args.command,
+        "config": cfg,
+        "inputs": _digest_inputs(inputs + ([args.config] if args.config else [])),
+        "outputs": outputs,
+        "versions": _versions(),
+    }
+    write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _write_table(args, cfg: dict, text: str, inputs: list) -> None:
@@ -116,18 +102,20 @@ def load_embeddings(path):
         raise ParseError(f"{path}:1: bad header {lines[0]!r}") from exc
     if len(lines) != n + 1:
         raise ParseError(f"{path}: expected {n} node lines, found {len(lines) - 1}")
-    names = []
+    first_line = {}
     rows = np.empty((n, d_total))
     for i, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != d_total + 1:
             raise ParseError(f"{path}:{i}: expected a name and {d_total} values")
-        names.append(parts[0])
+        if parts[0] in first_line:
+            raise ParseError(f"{path}:{i}: node {parts[0]!r} is already on line {first_line[parts[0]]}")
+        first_line[parts[0]] = i
         try:
             rows[i - 2] = [float(x) for x in parts[1:]]
         except ValueError as exc:
             raise ParseError(f"{path}:{i}: bad value") from exc
-    return names, rows, n_views, d
+    return list(first_line), rows, n_views, d
 
 
 def _parse_bool(s: str) -> bool:
@@ -153,8 +141,10 @@ def _read_config(path) -> dict:
     for lineno, line in text_lines(path):
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = (lineno, value.strip())
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ParseError(f"{path}:{lineno}: key {key!r} is already on line {out[key][0]}")
+        out[key] = (lineno, value)
     return out
 
 
@@ -178,14 +168,6 @@ def _resolve(args, keys: dict) -> dict:
         else:
             resolved[key] = default
     return resolved
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, Path):
-        return str(value)
-    return value
 
 
 def _require(cfg, key, flag):

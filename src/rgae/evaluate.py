@@ -160,16 +160,11 @@ class OvrClassifier:
     trained: np.ndarray
     multilabel: bool
 
-    def decision_scores(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        xb = np.hstack([x, np.ones((x.shape[0], 1))])
-        scores = xb @ self.weights.T
-        scores[:, ~self.trained] = -np.inf
-        return scores
-
     def predict(self, x) -> list:
         """Label sets per row: the argmax class, or every class scoring above 0.5 when multilabel."""
-        scores = self.decision_scores(x)
+        x = np.asarray(x, dtype=np.float64)
+        scores = np.hstack([x, np.ones((x.shape[0], 1))]) @ self.weights.T
+        scores[:, ~self.trained] = -np.inf
         if self.multilabel:
             return [{self.classes[c] for c in np.flatnonzero(row > 0.0)} for row in scores]
         if not np.any(self.trained):
@@ -177,8 +172,8 @@ class OvrClassifier:
         return [{self.classes[int(b)]} for b in np.argmax(scores, axis=1)]
 
 
-def logistic_ovr_train(features, labels, split: SplitSpec) -> OvrClassifier:
-    """Fit one-vs-rest logistic classifiers on the train side of the split.
+def logistic_ovr_train(features, labels, train_idx) -> OvrClassifier:
+    """Fit one-vs-rest logistic classifiers on the rows train_idx.
 
     Classes with no positive training example are skipped with a
     DegenerateClass warning and never predicted.
@@ -189,11 +184,6 @@ def logistic_ovr_train(features, labels, split: SplitSpec) -> OvrClassifier:
     sets = as_label_sets(labels)
     if len(sets) != x.shape[0]:
         raise LengthMismatch(f"{len(sets)} labels for {x.shape[0]} feature rows")
-    multilabel = is_multilabel(sets)
-    if split.stratified and multilabel:
-        raise ConfigError("stratified splits are only defined for single-label data")
-    strat = [next(iter(s)) for s in sets] if split.stratified else None
-    train_idx, _ = make_split(x.shape[0], split, labels=strat)
     classes = sorted({c for s in sets for c in s})
     y = np.array([[cls in sets[i] for cls in classes] for i in train_idx], dtype=np.float64)
     trained = y.any(axis=0)
@@ -201,7 +191,7 @@ def logistic_ovr_train(features, labels, split: SplitSpec) -> OvrClassifier:
         warnings.warn(f"class {classes[ci]!r} has no training examples; skipped", DegenerateClass)
     weights = np.zeros((len(classes), x.shape[1] + 1))
     weights[trained] = _fit_binary_logistic(x[train_idx], y[:, trained]).T
-    return OvrClassifier(classes=classes, weights=weights, trained=trained, multilabel=multilabel)
+    return OvrClassifier(classes=classes, weights=weights, trained=trained, multilabel=is_multilabel(sets))
 
 
 def micro_macro_f1(pred, truth):
@@ -299,6 +289,8 @@ def _report_rows(task, ratio, seeds, results, metrics) -> list:
 def _require_seeds(seeds) -> None:
     if len(seeds) == 0:
         raise ConfigError("need at least one split seed")
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError(f"split seeds must be nonnegative, got {list(seeds)}")
 
 
 def classification_report(features, labels, ratios=(0.1, 0.3, 0.5), seeds=tuple(range(10))):
@@ -309,16 +301,15 @@ def classification_report(features, labels, ratios=(0.1, 0.3, 0.5), seeds=tuple(
     _require_seeds(seeds)
     x = np.asarray(features, dtype=np.float64)
     sets = as_label_sets(labels)
-    multilabel = is_multilabel(sets)
-    strat = not multilabel
+    strat = not is_multilabel(sets)
     strat_labels = [next(iter(s)) for s in sets] if strat else None
     rows = []
     for ratio in ratios:
         results = []
         for seed in seeds:
             spec = SplitSpec(train_ratio=ratio, seed=seed, stratified=strat)
-            clf = logistic_ovr_train(x, labels, spec)
-            _, test_idx = make_split(x.shape[0], spec, labels=strat_labels)
+            train_idx, test_idx = make_split(x.shape[0], spec, labels=strat_labels)
+            clf = logistic_ovr_train(x, labels, train_idx)
             results.append(micro_macro_f1(clf.predict(x[test_idx]), [sets[i] for i in test_idx]))
         rows += _report_rows("classification", ratio, seeds, results, ("micro_f1", "macro_f1"))
     return rows

@@ -1,4 +1,4 @@
-"""Sparse multi-view graph data model: CSR adjacencies, symmetric normalization, edge-list IO."""
+"""Sparse multi-view graph data model: CSR adjacencies, symmetric normalization, dataset IO."""
 
 from __future__ import annotations
 
@@ -264,61 +264,39 @@ def write_text_atomic(path, text: str) -> None:
     tmp.replace(path)
 
 
-def load_edge_lists(paths, n_hint=None, node_names=None) -> MultiViewNetwork:
-    """Read one whitespace-separated edge list per view.
+def _read_view(path, index: dict) -> SparseAdjacency:
+    """Read one view file of "src dst [weight]" lines over the nodes of index (name -> position).
 
-    Lines are "src dst [weight]"; '#' starts a comment line. Node ids are
-    arbitrary strings mapped to contiguous indices by first appearance across
-    files in argument order. Self-loop lines are skipped. Duplicate edges
-    collapse keeping the max weight. `node_names` fixes the node set and its
-    order (used when a dataset ships an explicit node list); an edge naming
-    any other node is then a ParseError. `n_hint` pads trailing isolated nodes.
+    '#' starts a comment line. Self-loop lines are skipped. Duplicate edges
+    collapse keeping the max weight. An edge naming a node outside index is a
+    ParseError.
     """
-    index = {name: i for i, name in enumerate(node_names or ())}
-    if node_names is not None and len(index) != len(node_names):
-        raise ConfigError("node_names must be distinct")
-    views_edges = []
-    for path in paths:
-        edges = []
-        weights = []
-        for lineno, line in text_lines(path):
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ParseError(f"{path}:{lineno}: expected 'src dst [weight]'")
-            u, v = parts[0], parts[1]
-            if len(parts) == 3:
-                try:
-                    w = float(parts[2])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
-                if not np.isfinite(w) or w <= 0:
-                    raise ParseError(f"{path}:{lineno}: weight must be finite and positive")
-            else:
-                w = 1.0
-            if u == v:
-                continue
+    edges = []
+    weights = []
+    for lineno, line in text_lines(path):
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ParseError(f"{path}:{lineno}: expected 'src dst [weight]'")
+        u, v = parts[0], parts[1]
+        if len(parts) == 3:
             try:
-                edges.append((index[u], index[v]))
-            except KeyError as exc:
-                if node_names is not None:
-                    raise ParseError(f"{path}:{lineno}: node {exc.args[0]!r} is not in the node list") from None
-                edges.append((index.setdefault(u, len(index)), index.setdefault(v, len(index))))
-            weights.append(w)
-        if not edges:
-            raise EmptyView(f"{path}: no edges")
-        views_edges.append((edges, weights))
-    n = len(index)
-    if n_hint is not None:
-        if n_hint < n:
-            raise ConfigError(f"n_hint={n_hint} is below the {n} distinct nodes found")
-        for i in range(n, n_hint):
-            name = str(i)
-            if name in index:
-                raise ConfigError("cannot pad isolated nodes: generated name collides; provide node_names")
-            index[name] = i
-        n = n_hint
-    views = [SparseAdjacency.from_edges(n, e, w) for e, w in views_edges]
-    return MultiViewNetwork(n=n, views=views, labels=None, node_names=list(index))
+                w = float(parts[2])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
+            if not np.isfinite(w) or w <= 0:
+                raise ParseError(f"{path}:{lineno}: weight must be finite and positive")
+        else:
+            w = 1.0
+        if u == v:
+            continue
+        try:
+            edges.append((index[u], index[v]))
+        except KeyError as exc:
+            raise ParseError(f"{path}:{lineno}: node {exc.args[0]!r} is not in the node list") from None
+        weights.append(w)
+    if not edges:
+        raise EmptyView(f"{path}: no edges")
+    return SparseAdjacency.from_edges(len(index), edges, weights)
 
 
 def load_label_file(path, node_names) -> list:
@@ -396,7 +374,8 @@ def load_dataset(directory) -> MultiViewNetwork:
             raise ParseError(f"{nodes_path}:{lineno}: node {name!r} is already on line {first_line[name]}")
         first_line[name] = lineno
     names = list(first_line)
-    net = load_edge_lists(_view_paths(directory), node_names=names)
+    index = {name: i for i, name in enumerate(names)}
+    views = [_read_view(path, index) for path in _view_paths(directory)]
     labels_path = directory / "labels.txt"
     labels = load_label_file(labels_path, names) if labels_path.is_file() else None
-    return MultiViewNetwork(net.n, net.views, labels, names)
+    return MultiViewNetwork(len(names), views, labels, names)

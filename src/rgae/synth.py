@@ -46,6 +46,8 @@ class SynthConfig:
             raise ConfigError("need at least one view")
         if self.overlap is not None and not (0.0 < self.overlap <= 1.0):
             raise ConfigError("overlap must be in (0, 1]")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 def generate(cfg: SynthConfig) -> MultiViewNetwork:

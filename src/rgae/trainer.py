@@ -68,6 +68,8 @@ class TrainConfig:
             raise ConfigError("lambda_update_every must be at least 1")
         if self.dim < 1:
             raise ConfigError("dim must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

@@ -1,9 +1,11 @@
 import json
+import platform
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from rgae import __version__
 from rgae.cli import (
     GENERATE_KEYS,
     MODEL_FIELDS,
@@ -20,6 +22,7 @@ from rgae.cli import (
     main,
     save_embeddings,
 )
+from rgae.errors import ParseError
 from rgae.synth import SynthConfig
 from rgae.trainer import TrainConfig
 
@@ -147,6 +150,48 @@ class TestGenerate:
         assert manifest["config"]["n"] == 30
         assert manifest["config"]["p_in"] == 0.3
         assert "numpy" in manifest["versions"]
+
+    def test_manifest_bytes(self, tmp_path, monkeypatch):
+        # pins key order, the 2-space indent, tuples as lists, null and the trailing newline
+        monkeypatch.chdir(tmp_path)
+        assert run("generate", "--out", "ds") == 0
+        expected = MANIFEST_GOLDEN
+        for key, value in (("PYTHON", platform.python_version()), ("NUMPY", np.__version__), ("RGAE", __version__)):
+            expected = expected.replace(key, value)
+        assert (tmp_path / "ds" / "manifest.json").read_text() == expected
+
+
+MANIFEST_GOLDEN = """{
+  "command": "generate",
+  "config": {
+    "communities": [
+      20,
+      20,
+      20
+    ],
+    "n": 60,
+    "out": "ds",
+    "overlap": null,
+    "p_in": 0.3,
+    "p_out": 0.02,
+    "seed": 7,
+    "unique_frac": 0.5,
+    "views": 2
+  },
+  "inputs": {},
+  "outputs": [
+    "labels.txt",
+    "nodes.txt",
+    "view_0.txt",
+    "view_1.txt"
+  ],
+  "versions": {
+    "numpy": "NUMPY",
+    "python": "PYTHON",
+    "rgae": "RGAE"
+  }
+}
+"""
 
 
 class TestTrainEval(object):
@@ -316,10 +361,15 @@ class TestEmbeddingsFormat:
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("5 6\n")
-        from rgae.errors import ParseError
-
         with pytest.raises(ParseError):
             load_embeddings(path)
+
+    def test_repeated_name_names_file_and_both_lines(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("3 2 1 1\na 0 1\nb 1 0\na 2 2\n")
+        with pytest.raises(ParseError) as info:
+            load_embeddings(path)
+        assert str(info.value).startswith(f"{path}:4: node 'a' is already on line 2")
 
 
 class TestErrorReporting:
@@ -354,6 +404,37 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         key = line.split("=")[0]
         assert err.startswith(f"ConfigError: {cfg}:4: bad value for {key}")
+
+    def test_repeated_config_key_names_both_lines(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("epochs=3\n# again\nepochs=5\n")
+        code = run("train", "--config", str(cfg), "--data", str(dataset), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"ParseError: {cfg}:3: key 'epochs' is already on line 1")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--seed=-1"],
+            ["train", "--seed=-1", "--epochs", "1"],
+            ["eval", "--seeds=-1"],
+            ["eval", "--seeds=0,-1", "--task", "linkpred", "--target-view", "1"],
+            ["sweep", "--seeds=-1"],
+        ],
+        ids=["generate", "train", "eval", "eval-linkpred", "sweep"],
+    )
+    def test_negative_seed(self, dataset, embeddings, tmp_path, capsys, argv):
+        paths = {
+            "generate": ["--out", str(tmp_path / "o")],
+            "train": ["--data", str(dataset), "--out", str(tmp_path / "o")],
+            "eval": ["--embeddings", str(embeddings), "--data", str(dataset), "--out", str(tmp_path / "o")],
+            "sweep": ["--data", str(dataset), "--out", str(tmp_path / "o")],
+        }
+        code = run(*argv, *paths[argv[0]])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ConfigError:")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("task", [[], ["--task", "linkpred", "--target-view", "1"]])
     def test_eval_empty_seed_list(self, dataset, embeddings, tmp_path, capsys, task):

@@ -96,9 +96,8 @@ class TestLogisticOvr:
     def test_separable_one_dimensional(self):
         x = np.array([[-1.0]] * 10 + [[1.0]] * 10)
         y = np.array([0] * 10 + [1] * 10)
-        spec = SplitSpec(0.5, seed=0, stratified=True)
-        clf = logistic_ovr_train(x, y, spec)
-        _, test = make_split(20, spec, labels=y)
+        train, test = make_split(20, SplitSpec(0.5, seed=0, stratified=True), labels=y)
+        clf = logistic_ovr_train(x, y, train)
         pred = clf.predict(x[test])
         truth = [{y[i]} for i in test]
         micro, macro = micro_macro_f1(pred, truth)
@@ -107,8 +106,8 @@ class TestLogisticOvr:
     def test_identical_features_predict_majority(self):
         x = np.zeros((10, 2))
         y = np.array([0] * 7 + [1] * 3)
-        spec = SplitSpec(0.5, seed=0, stratified=True)
-        clf = logistic_ovr_train(x, y, spec)
+        train, _ = make_split(10, SplitSpec(0.5, seed=0, stratified=True), labels=y)
+        clf = logistic_ovr_train(x, y, train)
         pred = clf.predict(x)
         assert all(p == {0} for p in pred)
 
@@ -117,9 +116,8 @@ class TestLogisticOvr:
         centers = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
         x = np.concatenate([c + 0.1 * rng.normal(size=(30, 2)) for c in centers])
         y = np.repeat([0, 1, 2], 30)
-        spec = SplitSpec(0.5, seed=0, stratified=True)
-        clf = logistic_ovr_train(x, y, spec)
-        _, test = make_split(90, spec, labels=y)
+        train, test = make_split(90, SplitSpec(0.5, seed=0, stratified=True), labels=y)
+        clf = logistic_ovr_train(x, y, train)
         pred = clf.predict(x[test])
         micro, _ = micro_macro_f1(pred, [{y[i]} for i in test])
         assert micro > 0.95
@@ -128,9 +126,9 @@ class TestLogisticOvr:
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         labels = [{"a"}, {"a"}, {"a"}, {"b"}]
         # seed chosen so the single "b" example lands in the test side
-        spec = SplitSpec(0.5, seed=1)
+        train, _ = make_split(4, SplitSpec(0.5, seed=1))
         with pytest.warns(DegenerateClass):
-            clf = logistic_ovr_train(x, labels, spec)
+            clf = logistic_ovr_train(x, labels, train)
         assert not clf.trained[clf.classes.index("b")]
         assert all("b" not in p for p in clf.predict(x))
 
@@ -146,7 +144,8 @@ class TestLogisticOvr:
             if row[1] > 0:
                 s.add("u")
             labels.append(s)
-        clf = logistic_ovr_train(x, labels, SplitSpec(0.5, seed=0))
+        train, _ = make_split(n, SplitSpec(0.5, seed=0))
+        clf = logistic_ovr_train(x, labels, train)
         assert clf.multilabel
         pred = clf.predict(x)
         micro, _ = micro_macro_f1(pred, labels)
@@ -171,12 +170,12 @@ class TestBatchedOvr:
     @pytest.mark.parametrize("kind", ["degenerate", "multilabel"])
     def test_matches_per_class_fits(self, kind):
         x, labels, spec = _ovr_case(kind)
+        train, _ = make_split(40, spec)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            clf = logistic_ovr_train(x, labels, spec)
+            clf = logistic_ovr_train(x, labels, train)
         degenerate = [w for w in caught if issubclass(w.category, DegenerateClass)]
         assert len(degenerate) == (kind == "degenerate")
-        train, _ = make_split(40, spec)
         sets = [lab if isinstance(lab, set) else {lab} for lab in labels]
         for ci, cls in enumerate(clf.classes):
             y = np.array([1.0 if cls in sets[i] else 0.0 for i in train])
@@ -319,6 +318,40 @@ class TestReports:
         per_seed = [v for _, _, s, m, v in rows if s != "mean" and m == "micro_f1"]
         mean_value = [v for _, _, s, m, v in rows if s == "mean" and m == "micro_f1"][0]
         assert mean_value == pytest.approx(np.mean(per_seed))
+
+    def test_classification_report_draws_each_split_once(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        x = np.concatenate([rng.normal(size=(12, 2)), 4 + rng.normal(size=(12, 2))])
+        labels = [0] * 12 + [1] * 12
+        splits, fits = [], []
+        split, fit = evaluate.make_split, evaluate.logistic_ovr_train
+
+        def counted_split(*args, **kwargs):
+            splits.append(split(*args, **kwargs))
+            return splits[-1]
+
+        def recorded_fit(features, labels, train_idx):
+            fits.append(train_idx)
+            return fit(features, labels, train_idx)
+
+        monkeypatch.setattr(evaluate, "make_split", counted_split)
+        monkeypatch.setattr(evaluate, "logistic_ovr_train", recorded_fit)
+        ratios, seeds = (0.3, 0.5), (0, 1, 2)
+        rows = classification_report(x, labels, ratios=ratios, seeds=seeds)
+        assert len(splits) == len(fits) == len(ratios) * len(seeds)
+        assert all(train is drawn for train, (drawn, _) in zip(fits, splits))
+        monkeypatch.undo()
+        assert rows == classification_report(x, labels, ratios=ratios, seeds=seeds)
+
+    @pytest.mark.parametrize("seeds", [(-1,), (0, -3)])
+    def test_reports_reject_negative_seeds(self, seeds):
+        view = SparseAdjacency.from_edges(6, [(0, 1), (2, 3)])
+        net = MultiViewNetwork(n=6, views=[view, view])
+        y = np.random.default_rng(0).normal(size=(6, 2))
+        with pytest.raises(ConfigError, match="nonnegative"):
+            classification_report(y, [0, 1] * 3, ratios=(0.5,), seeds=seeds)
+        with pytest.raises(ConfigError, match="nonnegative"):
+            link_prediction_report(net, y, 1, seeds=seeds)
 
     def test_classification_report_needs_a_seed(self):
         x = np.random.default_rng(0).normal(size=(8, 2))

@@ -18,10 +18,10 @@ from rgae.graph import (
     SparseAdjacency,
     jaccard_consistency,
     load_dataset,
-    load_edge_lists,
     normalize,
     save_dataset,
     spmm,
+    text_lines,
 )
 
 
@@ -198,74 +198,60 @@ class TestJaccard:
         assert np.allclose(j_perm, j[np.ix_(perm, perm)])
 
 
+def write_dataset(directory, nodes, *views):
+    """A dataset directory with the given node list and raw view file texts."""
+    (directory / "nodes.txt").write_text("\n".join(nodes) + "\n")
+    for i, text in enumerate(views):
+        (directory / f"view_{i}.txt").write_text(text)
+    return directory
+
+
 class TestLoadEdgeLists:
+    """View files as load_dataset reads them."""
+
     def test_two_files(self, tmp_path):
-        f1 = tmp_path / "v1.txt"
-        f2 = tmp_path / "v2.txt"
-        f1.write_text("a b\n")
-        f2.write_text("b c\n")
-        net = load_edge_lists([f1, f2])
+        net = load_dataset(write_dataset(tmp_path, "abc", "a b\n", "b c\n"))
         assert net.n == 3
         assert [v.num_edges for v in net.views] == [1, 1]
-        assert net.node_names == ["a", "b", "c"]
+        assert net.views[0].to_dense()[0, 1] == net.views[1].to_dense()[1, 2] == 1.0
 
     def test_duplicate_line_collapses(self, tmp_path):
-        f = tmp_path / "v.txt"
-        f.write_text("a b\na b\n")
-        net = load_edge_lists([f])
+        net = load_dataset(write_dataset(tmp_path, "ab", "a b\na b\n"))
         assert net.views[0].num_edges == 1
 
     def test_weight_applies_both_directions(self, tmp_path):
-        f = tmp_path / "v.txt"
-        f.write_text("a b 2.5\n")
-        net = load_edge_lists([f])
+        net = load_dataset(write_dataset(tmp_path, "ab", "a b 2.5\n"))
         dense = net.views[0].to_dense()
         assert dense[0, 1] == dense[1, 0] == 2.5
 
     def test_comments_blanks_and_self_loops_skipped(self, tmp_path):
-        f = tmp_path / "v.txt"
-        f.write_text("# header\n\na a\na b\n")
-        net = load_edge_lists([f])
+        net = load_dataset(write_dataset(tmp_path, "ab", "# header\n\na a\na b\n"))
         assert net.n == 2 and net.views[0].num_edges == 1
 
     def test_parse_error_carries_line_number(self, tmp_path):
-        f = tmp_path / "v.txt"
-        f.write_text("a b\na b c d\n")
         with pytest.raises(ParseError, match=":2:"):
-            load_edge_lists([f])
+            load_dataset(write_dataset(tmp_path, "abcd", "a b\na b c d\n"))
 
     def test_bad_weight(self, tmp_path):
-        f = tmp_path / "v.txt"
-        f.write_text("a b zero\n")
-        with pytest.raises(ParseError, match=":1:"):
-            load_edge_lists([f])
+        with pytest.raises(ParseError, match=":1: bad weight"):
+            load_dataset(write_dataset(tmp_path, "ab", "a b zero\n"))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileError):
-            load_edge_lists([tmp_path / "absent.txt"])
+            text_lines(tmp_path / "absent.txt")
 
     def test_empty_view(self, tmp_path):
-        f = tmp_path / "v.txt"
-        f.write_text("# nothing here\n")
         with pytest.raises(EmptyView):
-            load_edge_lists([f])
-
-    def test_n_hint_pads_isolated_nodes(self, tmp_path):
-        f = tmp_path / "v.txt"
-        f.write_text("a b\n")
-        net = load_edge_lists([f], n_hint=4)
-        assert net.n == 4
-        with pytest.raises(ConfigError):
-            load_edge_lists([f], n_hint=1)
+            load_dataset(write_dataset(tmp_path, "ab", "a b\n", "# nothing here\n"))
 
 
 class TestDatasetRoundTrip:
     def test_round_trip_identity(self, tmp_path):
-        f1 = tmp_path / "v1.txt"
-        f2 = tmp_path / "v2.txt"
-        f1.write_text("b a 1.5\nc d\n")
-        f2.write_text("d b\n# note\nc a 0.25\n")
-        net = load_edge_lists([f1, f2])
+        views = [
+            SparseAdjacency.from_edges(4, [(1, 0), (2, 3)], [1.5, 1.0]),
+            SparseAdjacency.from_edges(4, [(3, 0), (2, 1)], [1.0, 0.25]),
+        ]
+        net = MultiViewNetwork(4, views, node_names=["b", "a", "c", "d"])
         out = tmp_path / "ds"
         save_dataset(net, out)
         again = load_dataset(out)

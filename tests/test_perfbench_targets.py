@@ -9,6 +9,7 @@ fail in the test suite instead.
 import importlib
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +17,23 @@ import pytest
 
 from rgae import evaluate, trainer
 from rgae.synth import SynthConfig, generate
-from rgae.trainer import TrainConfig
+from rgae.trainer import TrainConfig, train
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-_spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-_spans = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_spans)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_spans = _load("spans")
+_oracle = _load("oracle")
 TARGETS = _spans.TARGETS
+# the benchmark's tolerance when it rescores report rows with the oracle
+METRIC_ATOL = 1e-9
 
 TRAINING_SPANS = (
     "graph.spmm",
@@ -79,3 +90,22 @@ def test_evaluation_fires_every_eval_span():
     assert tracer.calls["evaluate.logistic_ovr_train"] == len(ratios) * len(seeds)
     assert tracer.counts[("evaluate.logistic_ovr_train", "fits")] == fits
     assert tracer.calls["evaluate.sample_negatives"] == len(seeds)
+
+
+def test_oracle_rescoring_matches_the_reports():
+    # the oracle calls make_split, SplitSpec and build_linkpred_task directly; a change to
+    # any of them would otherwise surface only in a benchmark run
+    net = generate(SynthConfig(n=60, communities=(20, 20, 20), views=3, seed=3))
+    cfg = TrainConfig(dim=8, layer_sizes=(8,), max_epochs=5, patience=math.inf, tol=0.0)
+    _, embeds, _ = train(net.without_view(2), cfg)
+    y = embeds.final
+    ratios = (0.1, 0.3, 0.5)
+    rows = {(r, m): v for _, r, s, m, v in evaluate.classification_report(y, net.labels, ratios, seeds=(0,))
+            if s == "0"}
+    for ratio in ratios:
+        assert abs(rows[ratio, "micro_f1"] - _oracle.micro_f1(y, net.labels, ratio, 0)) <= METRIC_ATOL
+    rows = {m: v for _, _, s, m, v in evaluate.link_prediction_report(net, y, 2, seeds=(0,)) if s == "0"}
+    auc, ap, problems = _oracle.link_prediction(net, y, 2, 0)
+    assert problems == []
+    assert abs(rows["roc_auc"] - auc) <= METRIC_ATOL
+    assert abs(rows["average_precision"] - ap) <= METRIC_ATOL

@@ -82,6 +82,8 @@ class TestGenerate:
             SynthConfig(n=10, communities=(5, 5), unique_frac=-0.1)
         with pytest.raises(ConfigError):
             SynthConfig(n=10, communities=(5, 5), overlap=1.5)
+        with pytest.raises(ConfigError, match="seed"):
+            SynthConfig(n=10, communities=(5, 5), seed=-1)
 
     def test_empty_backbone_rejected(self):
         with pytest.raises(ConfigError):

@@ -204,6 +204,8 @@ class TestTrain:
             train(net, TrainConfig(gamma=1.0))
         with pytest.raises(ConfigError):
             train(net, TrainConfig(dim=1))
+        with pytest.raises(ConfigError, match="seed"):
+            train(net, TrainConfig(seed=-1))
 
     def test_verbose_stream_format(self, capsys):
         cfg = TrainConfig(dim=2, layer_sizes=(), max_epochs=2, verbose=True, seed=0)
