@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, FileError, ParseError, RgaeError
+from .errors import ConfigError, ParseError, RgaeError
 from .evaluate import _require_seeds, classification_report, link_prediction_report
 from .graph import (
     MultiViewNetwork,
     jaccard_consistency,
     load_dataset,
+    read_text,
     save_dataset,
     text_lines,
     write_text_atomic,
@@ -87,10 +88,7 @@ def save_embeddings(path, names, embeddings, n_views, block_dim) -> None:
 
 def load_embeddings(path):
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise FileError(f"{path}: {exc}") from exc
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}:1: empty embeddings file")
     header = lines[0].split()

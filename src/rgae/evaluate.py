@@ -1,4 +1,4 @@
-"""Downstream tasks: one-vs-rest logistic classification and cosine-feature link prediction.
+"""Downstream tasks: one-vs-rest logistic classification and cosine-ranked link prediction.
 
 The classifier is a deterministic full-batch gradient-descent logistic
 regression, so repeated runs with the same seed reproduce every metric
@@ -64,23 +64,24 @@ def make_split(n: int, spec: SplitSpec, labels=None):
     return train, test
 
 
-def non_edge_codes(view: SparseAdjacency) -> np.ndarray:
-    """Sorted codes u * n + v of the unordered non-adjacent pairs u < v of the view."""
-    iu, ju = np.triu_indices(view.n, k=1)
-    codes = iu.astype(np.int64) * view.n + ju
-    return np.setdiff1d(codes, edge_pair_codes(view), assume_unique=True)
+def sample_negatives(view: SparseAdjacency, count: int, seed: int) -> np.ndarray:
+    """Uniformly sample distinct non-adjacent pairs u < v, in O(edges + count) time and memory.
 
-
-def sample_negatives(view: SparseAdjacency, count: int, seed: int, non_edges=None) -> np.ndarray:
-    """Uniformly sample distinct non-adjacent pairs u < v; ``non_edges``: the view's ``non_edge_codes``, if built."""
+    The draw picks sorted ranks k among the non-edges in row-major pair order;
+    with pair index p = starts[u] + v - u - 1, rank k is p = k + #{edges j : p_j - j <= k}.
+    """
     if count < 1:
         raise ConfigError("need a positive number of negatives")
-    non_edges = non_edge_codes(view) if non_edges is None else non_edges
-    if non_edges.size < count:
-        raise InsufficientNodes(f"only {non_edges.size} non-edges available, need {count}")
-    rng = np.random.default_rng(seed)
-    chosen = non_edges[np.sort(rng.choice(non_edges.size, size=count, replace=False))]
-    return np.stack([chosen // view.n, chosen % view.n], axis=1)
+    n, codes = view.n, edge_pair_codes(view)
+    free = n * (n - 1) // 2 - codes.size
+    if free < count:
+        raise InsufficientNodes(f"only {free} non-edges available, need {count}")
+    ranks = np.sort(np.random.default_rng(seed).choice(free, size=count, replace=False))
+    starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+    edges = starts[codes // n] + codes % n - codes // n - 1
+    p = ranks + np.searchsorted(edges - np.arange(codes.size), ranks, side="right")
+    u = np.searchsorted(starts, p, side="right") - 1
+    return np.stack([u, p - starts[u] + u + 1], axis=1)
 
 
 @dataclass(eq=False)
@@ -96,11 +97,11 @@ class LinkPredTask:
             raise LengthMismatch("positives and negatives must have equal counts")
 
 
-def build_linkpred_task(net: MultiViewNetwork, target_view: int, seed: int, non_edges=None) -> LinkPredTask:
+def build_linkpred_task(net: MultiViewNetwork, target_view: int, seed: int) -> LinkPredTask:
     view = net.view(target_view)
     codes = edge_pair_codes(view)
     positives = np.stack([codes // net.n, codes % net.n], axis=1)
-    negatives = sample_negatives(view, positives.shape[0], seed, non_edges)
+    negatives = sample_negatives(view, positives.shape[0], seed)
     return LinkPredTask(target_view=target_view, positives=positives, negatives=negatives)
 
 
@@ -229,25 +230,17 @@ def micro_macro_f1(pred, truth):
 
 
 def roc_auc(scores, labels) -> float:
-    """Rank-statistic AUC; tied scores contribute one half."""
+    """Share of positive-negative pairs the scores order correctly; tied pairs count one half."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape:
         raise LengthMismatch(f"{s.shape} scores for {y.shape} labels")
-    pos = y == 1
-    n_pos = int(pos.sum())
-    n_neg = s.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    pos, neg = s[y == 1], np.sort(s[y != 1])
+    if pos.size == 0 or neg.size == 0:
         raise ConfigError("AUC needs both positive and negative examples")
-    order = np.argsort(s, kind="mergesort")
-    _, inverse, counts = np.unique(s[order], return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    avg_rank_sorted = (starts + ends + 1) / 2.0
-    ranks = np.empty(s.size)
-    ranks[order] = avg_rank_sorted[inverse]
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    below = np.searchsorted(neg, pos, side="left")
+    tied = np.searchsorted(neg, pos, side="right") - below
+    return float((below + 0.5 * tied).sum() / (pos.size * neg.size))
 
 
 def average_precision(scores, labels) -> float:
@@ -266,15 +259,17 @@ def average_precision(scores, labels) -> float:
 
 
 def link_predict(embeddings, task: LinkPredTask, split: SplitSpec):
-    """Train a logistic classifier on cosine features of the pairs and score the held-out side."""
+    """ROC-AUC and AP of the held-out pairs ranked by cosine times the sign of the training side's cov(cosine, label).
+
+    A logistic fit on the cosine ranks alike: its slope has that sign, or stays 0 when the covariance is 0.
+    """
     pairs = np.concatenate([task.positives, task.negatives])
     y = np.concatenate([np.ones(len(task.positives)), np.zeros(len(task.negatives))])
-    feats = cosine_features(embeddings, pairs)[:, None]
+    feats = cosine_features(embeddings, pairs)
     strat = y if split.stratified else None
     train_idx, test_idx = make_split(len(y), split, labels=strat)
-    w = _fit_binary_logistic(feats[train_idx], y[train_idx])
-    xb = np.hstack([feats[test_idx], np.ones((test_idx.size, 1))])
-    scores = _sigmoid_values(xb @ w)
+    x_train, y_train = feats[train_idx], y[train_idx]
+    scores = np.sign(np.mean((x_train - x_train.mean()) * (y_train - y_train.mean()))) * feats[test_idx]
     return roc_auc(scores, y[test_idx]), average_precision(scores, y[test_idx])
 
 
@@ -318,9 +313,8 @@ def classification_report(features, labels, ratios=(0.1, 0.3, 0.5), seeds=tuple(
 def link_prediction_report(net, embeddings, target_view, ratio=0.5, seeds=tuple(range(10))):
     """ROC-AUC and average precision per seed plus their means, same row layout as classification."""
     _require_seeds(seeds)
-    non_edges = non_edge_codes(net.view(target_view))
     results = []
     for seed in seeds:
-        task = build_linkpred_task(net, target_view, seed, non_edges)
+        task = build_linkpred_task(net, target_view, seed)
         results.append(link_predict(embeddings, task, SplitSpec(train_ratio=ratio, seed=seed, stratified=True)))
     return _report_rows("link_prediction", ratio, seeds, results, ("roc_auc", "average_precision"))

@@ -246,13 +246,20 @@ def jaccard_consistency(net: MultiViewNetwork) -> np.ndarray:
     return out
 
 
-def text_lines(path) -> list:
-    """(lineno, stripped line) for each non-blank line of a UTF-8 file that does not start with '#'."""
+def read_text(path) -> str:
+    """A UTF-8 file's text; FileError if it cannot be read, ParseError at path:line for a byte that is not UTF-8."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FileError(f"{path}: {exc}") from exc
-    lines = enumerate(map(str.strip, text.splitlines()), 1)
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from exc
+
+
+def text_lines(path) -> list:
+    """(lineno, stripped line) for each non-blank line of a UTF-8 file that does not start with '#'."""
+    lines = enumerate(map(str.strip, read_text(path).splitlines()), 1)
     return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
 
 

@@ -1,5 +1,7 @@
 import json
 import platform
+import re
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -371,6 +373,12 @@ class TestEmbeddingsFormat:
             load_embeddings(path)
         assert str(info.value).startswith(f"{path}:4: node 'a' is already on line 2")
 
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"2 1 1 1\na 0\nb\xff 1\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: not UTF-8"):
+            load_embeddings(path)
+
 
 class TestErrorReporting:
     def test_missing_data_dir(self, tmp_path, capsys):
@@ -411,6 +419,24 @@ class TestErrorReporting:
         code = run("train", "--config", str(cfg), "--data", str(dataset), "--out", str(tmp_path / "o"))
         assert code == 1
         assert capsys.readouterr().err.startswith(f"ParseError: {cfg}:3: key 'epochs' is already on line 1")
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_view_file_names_file_and_line(self, dataset, tmp_path, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        view = data / "view_0.txt"
+        lines = view.read_bytes().count(b"\n")
+        with view.open("ab") as f:
+            f.write(b"\xff")
+        assert run("analyze", "--data", str(data)) == 1
+        assert capsys.readouterr().err.startswith(f"ParseError: {view}:{lines + 1}: not UTF-8")
+
+    def test_non_utf8_config_names_file_and_line(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"epochs=3\xff\n")
+        code = run("train", "--config", str(cfg), "--data", str(dataset), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"ParseError: {cfg}:1: not UTF-8")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

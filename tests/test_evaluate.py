@@ -1,9 +1,13 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import rgae.evaluate as evaluate
+from rgae.autodiff import _sigmoid_values
 from rgae.errors import (
     ConfigError,
     DegenerateClass,
@@ -27,7 +31,7 @@ from rgae.evaluate import (
     roc_auc,
     sample_negatives,
 )
-from rgae.graph import MultiViewNetwork, SparseAdjacency
+from rgae.graph import MultiViewNetwork, SparseAdjacency, edge_pair_codes
 
 
 class TestMakeSplit:
@@ -90,6 +94,62 @@ class TestSampleNegatives:
         pos = {tuple(p) for p in task.positives}
         neg = {tuple(p) for p in task.negatives}
         assert not pos & neg
+
+    @given(
+        n=st.integers(2, 40),
+        density=st.floats(0.0, 1.0),
+        graph_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_enumerate_then_choice(self, n, density, graph_seed, seed, data):
+        view = _random_view(n, density, graph_seed)
+        free = n * (n - 1) // 2 - view.num_edges
+        assume(free >= 1)
+        count = data.draw(st.integers(1, free))
+        assert np.array_equal(sample_negatives(view, count, seed), _reference_negatives(view, count, seed))
+
+    @pytest.mark.parametrize("n, density", [(2, 0.0), (3, 0.5), (40, 0.0), (40, 0.9), (60, 0.2)])
+    def test_every_non_edge_drawn(self, n, density):
+        view = _random_view(n, density, graph_seed=n)
+        free = n * (n - 1) // 2 - view.num_edges
+        for seed in (0, 11):
+            assert np.array_equal(sample_negatives(view, free, seed), _reference_negatives(view, free, seed))
+        with pytest.raises(InsufficientNodes, match=f"^only {free} non-edges available, need {free + 1}$"):
+            sample_negatives(view, free + 1, seed=0)
+
+    def test_memory_stays_below_all_pairs(self):
+        # about 15 neighbours per node, the benchmark graphs' density
+        n = 2000
+        rng = np.random.default_rng(3)
+        pairs = rng.integers(0, n, size=(15 * n // 2, 2))
+        view = SparseAdjacency.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
+        tracemalloc.start()
+        try:
+            negatives = sample_negatives(view, view.num_edges, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert negatives.shape == (view.num_edges, 2)
+        assert peak < n * n
+
+
+def _random_view(n, density, graph_seed) -> SparseAdjacency:
+    iu, ju = np.triu_indices(n, k=1)
+    pick = np.random.default_rng(graph_seed).random(iu.size) < density
+    return SparseAdjacency.from_edges(n, np.stack([iu[pick], ju[pick]], axis=1))
+
+
+def _reference_negatives(view, count, seed):
+    """Enumerate the codes of every non-edge, then draw sorted positions among them: the O(n^2) composition."""
+    iu, ju = np.triu_indices(view.n, k=1)
+    codes = iu.astype(np.int64) * view.n + ju
+    non_edges = np.setdiff1d(codes, edge_pair_codes(view), assume_unique=True)
+    if non_edges.size < count:
+        raise InsufficientNodes(f"only {non_edges.size} non-edges available, need {count}")
+    rng = np.random.default_rng(seed)
+    chosen = non_edges[np.sort(rng.choice(non_edges.size, size=count, replace=False))]
+    return np.stack([chosen // view.n, chosen % view.n], axis=1)
 
 
 class TestLogisticOvr:
@@ -266,6 +326,23 @@ class TestRankMetrics:
         with pytest.raises(ConfigError):
             roc_auc(np.array([0.1, 0.2]), np.array([1, 1]))
 
+    @given(
+        scores=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1e-20, 0.25, 0.5, 3.0]), min_size=2, max_size=60),
+        data=st.data(),
+    )
+    def test_auc_equals_average_rank_statistic(self, scores, data):
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores))))
+        assume(0 < labels.sum() < labels.size)
+        s = np.array(scores)
+        order = np.argsort(s, kind="mergesort")
+        _, inverse, counts = np.unique(s[order], return_inverse=True, return_counts=True)
+        ends = np.cumsum(counts)
+        ranks = np.empty(s.size)
+        ranks[order] = ((ends - counts + ends + 1) / 2.0)[inverse]
+        n_pos = int(labels.sum())
+        u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
+        assert roc_auc(s, labels) == u / (n_pos * (s.size - n_pos))
+
 
 class TestCosineFeatures:
     def test_values(self):
@@ -304,6 +381,63 @@ class TestLinkPredict:
         task = LinkPredTask(0, pos, neg)
         spec = SplitSpec(0.5, seed=2, stratified=True)
         assert link_predict(y, task, spec) == link_predict(y, task, spec)
+
+
+def _fit_link_predict(embeddings, task, split):
+    """Link prediction scored by a logistic fit on the cosine feature: the reference for the rank scoring."""
+    pairs = np.concatenate([task.positives, task.negatives])
+    y = np.concatenate([np.ones(len(task.positives)), np.zeros(len(task.negatives))])
+    feats = cosine_features(embeddings, pairs)[:, None]
+    strat = y if split.stratified else None
+    train_idx, test_idx = make_split(len(y), split, labels=strat)
+    w = _fit_binary_logistic(feats[train_idx], y[train_idx])
+    xb = np.hstack([feats[test_idx], np.ones((test_idx.size, 1))])
+    scores = _sigmoid_values(xb @ w)
+    return roc_auc(scores, y[test_idx]), average_precision(scores, y[test_idx])
+
+
+class TestRankScoringMatchesFit:
+    @staticmethod
+    def _case(seed):
+        """A 60-node view over three communities and embeddings that carry them, with noise."""
+        rng = np.random.default_rng(seed)
+        community = np.repeat(np.arange(3), 20)
+        iu, ju = np.triu_indices(60, k=1)
+        pick = rng.random(iu.size) < np.where(community[iu] == community[ju], 0.3, 0.03)
+        view = SparseAdjacency.from_edges(60, np.stack([iu[pick], ju[pick]], axis=1))
+        net = MultiViewNetwork(n=60, views=[view, view])
+        y = np.eye(3)[community] + 0.8 * rng.normal(size=(60, 3))
+        return build_linkpred_task(net, 0, seed), y
+
+    @staticmethod
+    def _assert_same(y, task):
+        for seed in range(5):
+            spec = SplitSpec(0.5, seed=seed, stratified=True)
+            assert link_predict(y, task, spec) == _fit_link_predict(y, task, spec)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_informative_embeddings(self, seed):
+        task, y = self._case(seed)
+        self._assert_same(y, task)
+
+    def test_swapped_labels_negative_covariance(self):
+        task, y = self._case(3)
+        swapped = LinkPredTask(0, task.negatives, task.positives)
+        auc, _ = link_predict(y, swapped, SplitSpec(0.5, seed=0, stratified=True))
+        assert auc > 0.5
+        self._assert_same(y, swapped)
+
+    def test_equal_rows_zero_covariance(self):
+        task, y = self._case(4)
+        equal = np.ones_like(y)
+        assert link_predict(equal, task, SplitSpec(0.5, seed=0, stratified=True))[0] == 0.5
+        self._assert_same(equal, task)
+
+    def test_zero_norm_rows(self):
+        task, y = self._case(5)
+        y[::4] = 0.0
+        with pytest.warns(ZeroVector):
+            self._assert_same(y, task)
 
 
 class TestReports:
@@ -365,13 +499,10 @@ class TestReports:
         pick = rng.random(iu.size) < 0.15
         view = SparseAdjacency.from_edges(n, np.stack([iu[pick], ju[pick]], axis=1))
         net = MultiViewNetwork(n=n, views=[view, view])
-        tasks, builds = [], []
-        build = evaluate.non_edge_codes
-        monkeypatch.setattr(evaluate, "non_edge_codes", lambda v: builds.append(v) or build(v))
+        tasks = []
         monkeypatch.setattr(evaluate, "link_predict", lambda y, task, spec: tasks.append(task) or (0.5, 0.5))
         seeds = (0, 3, 7)
         link_prediction_report(net, rng.normal(size=(n, 4)), 1, seeds=seeds)
-        assert len(builds) == 1
         monkeypatch.undo()
         for seed, task in zip(seeds, tasks, strict=True):
             assert np.array_equal(task.negatives, sample_negatives(view, view.nnz // 2, seed))
