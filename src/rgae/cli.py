@@ -113,6 +113,8 @@ def load_embeddings(path):
             rows[i - 2] = [float(x) for x in parts[1:]]
         except ValueError as exc:
             raise ParseError(f"{path}:{i}: bad value") from exc
+        if not np.all(np.isfinite(rows[i - 2])):
+            raise ParseError(f"{path}:{i}: value is not finite")
     return list(first_line), rows, n_views, d
 
 

@@ -9,7 +9,6 @@ repeated splits driven by seeds.
 from __future__ import annotations
 
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,43 +136,49 @@ def _fit_binary_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return w
 
 
-def as_label_sets(labels) -> list:
-    """Normalize labels to one set per item; bare scalars become singletons."""
-    out = []
-    for item in labels:
-        if isinstance(item, (set, frozenset, list, tuple)):
-            out.append(set(item))
-        else:
-            out.append({item})
-    return out
+@dataclass(frozen=True, eq=False)
+class LabelMatrix:
+    """Sorted class names and a boolean item-by-class matrix; the one label shape classification uses."""
 
+    classes: list
+    y: np.ndarray
 
-def is_multilabel(label_sets) -> bool:
-    return any(len(s) != 1 for s in label_sets)
+    @classmethod
+    def of(cls, labels) -> "LabelMatrix":
+        """One row per item from label sets, lists or tuples; a bare scalar is a single label."""
+        sets = [set(item) if isinstance(item, (set, frozenset, list, tuple)) else {item} for item in labels]
+        classes = sorted(set().union(*sets))
+        column = {c: j for j, c in enumerate(classes)}
+        y = np.zeros((len(sets), len(classes)), dtype=bool)
+        y[[i for i, s in enumerate(sets) for _ in s], [column[c] for s in sets for c in s]] = True
+        return cls(classes, y)
+
+    @property
+    def multilabel(self) -> bool:
+        return bool(np.any(self.y.sum(axis=1) != 1))
 
 
 @dataclass(eq=False)
 class OvrClassifier:
     """One-vs-rest logistic weights with an intercept column per class."""
 
-    classes: list
     weights: np.ndarray
     trained: np.ndarray
     multilabel: bool
 
-    def predict(self, x) -> list:
-        """Label sets per row: the argmax class, or every class scoring above 0.5 when multilabel."""
+    def predict(self, x) -> np.ndarray:
+        """Boolean row-by-class matrix: the one-hot argmax class, or every class scoring above 0.5 when multilabel."""
         x = np.asarray(x, dtype=np.float64)
         scores = np.hstack([x, np.ones((x.shape[0], 1))]) @ self.weights.T
         scores[:, ~self.trained] = -np.inf
         if self.multilabel:
-            return [{self.classes[c] for c in np.flatnonzero(row > 0.0)} for row in scores]
+            return scores > 0.0
         if not np.any(self.trained):
             raise ConfigError("no class had training examples")
-        return [{self.classes[int(b)]} for b in np.argmax(scores, axis=1)]
+        return np.argmax(scores, axis=1)[:, None] == np.arange(scores.shape[1])
 
 
-def logistic_ovr_train(features, labels, train_idx) -> OvrClassifier:
+def logistic_ovr_train(features, labels: LabelMatrix, train_idx) -> OvrClassifier:
     """Fit one-vs-rest logistic classifiers on the rows train_idx.
 
     Classes with no positive training example are skipped with a
@@ -182,51 +187,33 @@ def logistic_ovr_train(features, labels, train_idx) -> OvrClassifier:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    sets = as_label_sets(labels)
-    if len(sets) != x.shape[0]:
-        raise LengthMismatch(f"{len(sets)} labels for {x.shape[0]} feature rows")
-    classes = sorted({c for s in sets for c in s})
-    y = np.array([[cls in sets[i] for cls in classes] for i in train_idx], dtype=np.float64)
+    if labels.y.shape[0] != x.shape[0]:
+        raise LengthMismatch(f"{labels.y.shape[0]} labels for {x.shape[0]} feature rows")
+    y = labels.y[train_idx]
     trained = y.any(axis=0)
     for ci in np.flatnonzero(~trained):
-        warnings.warn(f"class {classes[ci]!r} has no training examples; skipped", DegenerateClass)
-    weights = np.zeros((len(classes), x.shape[1] + 1))
-    weights[trained] = _fit_binary_logistic(x[train_idx], y[:, trained]).T
-    return OvrClassifier(classes=classes, weights=weights, trained=trained, multilabel=is_multilabel(sets))
+        warnings.warn(f"class {labels.classes[ci]!r} has no training examples; skipped", DegenerateClass)
+    weights = np.zeros((y.shape[1], x.shape[1] + 1))
+    weights[trained] = _fit_binary_logistic(x[train_idx], y[:, trained].astype(np.float64)).T
+    return OvrClassifier(weights=weights, trained=trained, multilabel=labels.multilabel)
 
 
 def micro_macro_f1(pred, truth):
-    """Micro and macro F1 over label sets.
+    """Micro and macro F1 of two boolean item-by-class matrices.
 
     Micro aggregates true/false positives and false negatives globally.
     Macro averages per-class F1 over the classes present in the truth;
     a class with no true positive but some error scores 0.
     """
-    p = as_label_sets(pred)
-    t = as_label_sets(truth)
-    if len(p) != len(t):
-        raise LengthMismatch(f"{len(p)} predictions for {len(t)} truths")
-    tp = defaultdict(int)
-    fp = defaultdict(int)
-    fn = defaultdict(int)
-    for ps, ts in zip(p, t):
-        for c in ps & ts:
-            tp[c] += 1
-        for c in ps - ts:
-            fp[c] += 1
-        for c in ts - ps:
-            fn[c] += 1
-    tp_sum = sum(tp.values())
-    denom = 2 * tp_sum + sum(fp.values()) + sum(fn.values())
-    micro = 2.0 * tp_sum / denom if denom else 1.0
-    truth_classes = sorted({c for s in t for c in s})
-    if not truth_classes:
+    if pred.shape != truth.shape:
+        raise LengthMismatch(f"{pred.shape} predictions for {truth.shape} truths")
+    tp, fp, fn = (pred & truth).sum(axis=0), (pred & ~truth).sum(axis=0), (~pred & truth).sum(axis=0)
+    denom = 2 * tp.sum() + fp.sum() + fn.sum()
+    micro = float(2.0 * tp.sum() / denom) if denom else 1.0
+    used = truth.any(axis=0)
+    if not np.any(used):
         return micro, 1.0
-    per_class = []
-    for c in truth_classes:
-        d = 2 * tp[c] + fp[c] + fn[c]
-        per_class.append(2.0 * tp[c] / d if d else 0.0)
-    return micro, float(np.mean(per_class))
+    return micro, float(np.mean(2.0 * tp[used] / (2 * tp + fp + fn)[used]))
 
 
 def roc_auc(scores, labels) -> float:
@@ -295,17 +282,17 @@ def classification_report(features, labels, ratios=(0.1, 0.3, 0.5), seeds=tuple(
     """
     _require_seeds(seeds)
     x = np.asarray(features, dtype=np.float64)
-    sets = as_label_sets(labels)
-    strat = not is_multilabel(sets)
-    strat_labels = [next(iter(s)) for s in sets] if strat else None
+    labels = LabelMatrix.of(labels)
+    strat = not labels.multilabel
+    strat_index = labels.y.argmax(axis=1) if strat else None
     rows = []
     for ratio in ratios:
         results = []
         for seed in seeds:
             spec = SplitSpec(train_ratio=ratio, seed=seed, stratified=strat)
-            train_idx, test_idx = make_split(x.shape[0], spec, labels=strat_labels)
+            train_idx, test_idx = make_split(x.shape[0], spec, labels=strat_index)
             clf = logistic_ovr_train(x, labels, train_idx)
-            results.append(micro_macro_f1(clf.predict(x[test_idx]), [sets[i] for i in test_idx]))
+            results.append(micro_macro_f1(clf.predict(x[test_idx]), labels.y[test_idx]))
         rows += _report_rows("classification", ratio, seeds, results, ("micro_f1", "macro_f1"))
     return rows
 

@@ -40,8 +40,8 @@ class SynthConfig:
             raise ConfigError(f"community sizes must sum to n={self.n}")
         if not (0.0 <= self.p_out < self.p_in <= 1.0):
             raise ConfigError("need 0 <= p_out < p_in <= 1")
-        if self.unique_frac < 0:
-            raise ConfigError("unique_frac must be nonnegative")
+        if not 0.0 <= self.unique_frac < float("inf"):
+            raise ConfigError(f"unique_frac must be finite and nonnegative, got {self.unique_frac}")
         if self.views < 1:
             raise ConfigError("need at least one view")
         if self.overlap is not None and not (0.0 < self.overlap <= 1.0):

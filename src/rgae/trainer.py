@@ -53,6 +53,9 @@ class TrainConfig:
     verbose: bool = False
 
     def validate(self) -> None:
+        for name in ("alpha", "beta", "gamma", "lr", "tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("alpha and beta must be nonnegative")
         check_gamma(self.gamma)

@@ -373,6 +373,13 @@ class TestEmbeddingsFormat:
             load_embeddings(path)
         assert str(info.value).startswith(f"{path}:4: node 'a' is already on line 2")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"2 2 1 1\na 0 1\nb 1 {value}\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: value is not finite"):
+            load_embeddings(path)
+
     def test_non_utf8_byte_names_file_and_line(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_bytes(b"2 1 1 1\na 0\nb\xff 1\n")
@@ -498,6 +505,11 @@ class TestErrorReporting:
                    "--seeds", "")
         assert code == 1
         assert capsys.readouterr().err.startswith("ConfigError:")
+
+    def test_non_finite_tol(self, dataset, tmp_path, capsys):
+        code = run("train", "--data", str(dataset), "--out", str(tmp_path / "o"), "--tol", "nan")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ConfigError: tol must be finite")
 
     def test_missing_required_flag(self, capsys):
         code = run("train", "--out", "somewhere")

@@ -1,10 +1,12 @@
 import tracemalloc
 import warnings
+from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import rgae.evaluate as evaluate
 from rgae.autodiff import _sigmoid_values
@@ -16,6 +18,7 @@ from rgae.errors import (
     ZeroVector,
 )
 from rgae.evaluate import (
+    LabelMatrix,
     LinkPredTask,
     SplitSpec,
     _fit_binary_logistic,
@@ -157,19 +160,22 @@ class TestLogisticOvr:
         x = np.array([[-1.0]] * 10 + [[1.0]] * 10)
         y = np.array([0] * 10 + [1] * 10)
         train, test = make_split(20, SplitSpec(0.5, seed=0, stratified=True), labels=y)
-        clf = logistic_ovr_train(x, y, train)
+        labels = LabelMatrix.of(y)
+        clf = logistic_ovr_train(x, labels, train)
         pred = clf.predict(x[test])
-        truth = [{y[i]} for i in test]
-        micro, macro = micro_macro_f1(pred, truth)
+        micro, macro = micro_macro_f1(pred, labels.y[test])
         assert micro == 1.0 and macro == 1.0
 
     def test_identical_features_predict_majority(self):
         x = np.zeros((10, 2))
         y = np.array([0] * 7 + [1] * 3)
         train, _ = make_split(10, SplitSpec(0.5, seed=0, stratified=True), labels=y)
-        clf = logistic_ovr_train(x, y, train)
+        labels = LabelMatrix.of(y)
+        clf = logistic_ovr_train(x, labels, train)
         pred = clf.predict(x)
-        assert all(p == {0} for p in pred)
+        assert labels.classes == [0, 1]
+        assert pred.dtype == bool and pred.shape == (10, 2)
+        assert np.all(pred[:, 0]) and not np.any(pred[:, 1])
 
     def test_gaussian_blobs(self):
         rng = np.random.default_rng(0)
@@ -177,39 +183,67 @@ class TestLogisticOvr:
         x = np.concatenate([c + 0.1 * rng.normal(size=(30, 2)) for c in centers])
         y = np.repeat([0, 1, 2], 30)
         train, test = make_split(90, SplitSpec(0.5, seed=0, stratified=True), labels=y)
-        clf = logistic_ovr_train(x, y, train)
+        labels = LabelMatrix.of(y)
+        clf = logistic_ovr_train(x, labels, train)
         pred = clf.predict(x[test])
-        micro, _ = micro_macro_f1(pred, [{y[i]} for i in test])
+        micro, _ = micro_macro_f1(pred, labels.y[test])
         assert micro > 0.95
 
     def test_degenerate_class_warned_and_skipped(self):
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
-        labels = [{"a"}, {"a"}, {"a"}, {"b"}]
+        labels = LabelMatrix.of([{"a"}, {"a"}, {"a"}, {"b"}])
         # seed chosen so the single "b" example lands in the test side
         train, _ = make_split(4, SplitSpec(0.5, seed=1))
-        with pytest.warns(DegenerateClass):
+        with pytest.warns(DegenerateClass, match="'b'"):
             clf = logistic_ovr_train(x, labels, train)
-        assert not clf.trained[clf.classes.index("b")]
-        assert all("b" not in p for p in clf.predict(x))
+        b = labels.classes.index("b")
+        assert not clf.trained[b]
+        assert not np.any(clf.predict(x)[:, b])
 
     def test_multilabel_thresholding(self):
         rng = np.random.default_rng(1)
         n = 40
         x = rng.normal(size=(n, 2))
-        labels = []
+        sets = []
         for row in x:
             s = set()
             if row[0] > 0:
                 s.add("r")
             if row[1] > 0:
                 s.add("u")
-            labels.append(s)
+            sets.append(s)
+        labels = LabelMatrix.of(sets)
         train, _ = make_split(n, SplitSpec(0.5, seed=0))
         clf = logistic_ovr_train(x, labels, train)
-        assert clf.multilabel
+        assert labels.multilabel and clf.multilabel
         pred = clf.predict(x)
-        micro, _ = micro_macro_f1(pred, labels)
+        micro, _ = micro_macro_f1(pred, labels.y)
         assert micro > 0.9
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            logistic_ovr_train(np.zeros((3, 2)), LabelMatrix.of([0, 1]), np.array([0]))
+
+
+class TestLabelMatrix:
+    def test_sets_scalars_and_sequences(self):
+        labels = LabelMatrix.of([{"b", "a"}, "c", ("a",), [], frozenset({"c"})])
+        assert labels.classes == ["a", "b", "c"]
+        assert labels.y.dtype == bool
+        assert labels.y.tolist() == [
+            [True, True, False],
+            [False, False, True],
+            [True, False, False],
+            [False, False, False],
+            [False, False, True],
+        ]
+        assert labels.multilabel
+
+    def test_single_label_integers(self):
+        labels = LabelMatrix.of(np.array([2, 0, 10, 2]))
+        assert labels.classes == [0, 2, 10]
+        assert not labels.multilabel
+        assert labels.y.argmax(axis=1).tolist() == [1, 0, 2, 1]
 
 
 def _ovr_case(kind):
@@ -231,13 +265,14 @@ class TestBatchedOvr:
     def test_matches_per_class_fits(self, kind):
         x, labels, spec = _ovr_case(kind)
         train, _ = make_split(40, spec)
+        matrix = LabelMatrix.of(labels)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            clf = logistic_ovr_train(x, labels, train)
+            clf = logistic_ovr_train(x, matrix, train)
         degenerate = [w for w in caught if issubclass(w.category, DegenerateClass)]
         assert len(degenerate) == (kind == "degenerate")
         sets = [lab if isinstance(lab, set) else {lab} for lab in labels]
-        for ci, cls in enumerate(clf.classes):
+        for ci, cls in enumerate(matrix.classes):
             y = np.array([1.0 if cls in sets[i] else 0.0 for i in train])
             if y.sum() == 0:
                 assert cls == "lone" and not clf.trained[ci]
@@ -254,35 +289,85 @@ class TestBatchedOvr:
         assert np.array_equal(_fit_binary_logistic(x, y[:, None])[:, 0], _fit_binary_logistic(x, y))
 
 
+def _reference_f1(pred, truth):
+    """Micro and macro F1 over label sets, counted with dicts: the per-row set composition."""
+    tp = defaultdict(int)
+    fp = defaultdict(int)
+    fn = defaultdict(int)
+    for ps, ts in zip(pred, truth):
+        for c in ps & ts:
+            tp[c] += 1
+        for c in ps - ts:
+            fp[c] += 1
+        for c in ts - ps:
+            fn[c] += 1
+    tp_sum = sum(tp.values())
+    denom = 2 * tp_sum + sum(fp.values()) + sum(fn.values())
+    micro = 2.0 * tp_sum / denom if denom else 1.0
+    truth_classes = sorted({c for s in truth for c in s})
+    if not truth_classes:
+        return micro, 1.0
+    per_class = []
+    for c in truth_classes:
+        d = 2 * tp[c] + fp[c] + fn[c]
+        per_class.append(2.0 * tp[c] / d if d else 0.0)
+    return micro, float(np.mean(per_class))
+
+
+def _onehot(indices, k):
+    return np.eye(k, dtype=bool)[indices]
+
+
+def _label_sets(matrix):
+    return [set(np.flatnonzero(row).tolist()) for row in matrix]
+
+
 class TestMicroMacroF1:
     def test_perfect(self):
-        micro, macro = micro_macro_f1([{"a"}, {"b"}], [{"a"}, {"b"}])
+        micro, macro = micro_macro_f1(_onehot([0, 1], 2), _onehot([0, 1], 2))
         assert micro == 1.0 and macro == 1.0
 
     def test_hand_counts(self):
-        micro, macro = micro_macro_f1(["a", "a"], ["a", "b"])
+        micro, macro = micro_macro_f1(_onehot([0, 0], 2), _onehot([0, 1], 2))
         assert micro == pytest.approx(0.5)
         assert macro == pytest.approx((2 / 3 + 0.0) / 2)
 
     def test_all_wrong(self):
-        micro, macro = micro_macro_f1(["b", "a"], ["a", "b"])
+        micro, macro = micro_macro_f1(_onehot([1, 0], 2), _onehot([0, 1], 2))
         assert micro == 0.0 and macro == 0.0
 
     def test_micro_equals_accuracy_for_multiclass(self):
         rng = np.random.default_rng(2)
         truth = rng.integers(0, 4, size=50)
         pred = rng.integers(0, 4, size=50)
-        micro, _ = micro_macro_f1(pred, truth)
+        micro, _ = micro_macro_f1(_onehot(pred, 4), _onehot(truth, 4))
         assert micro == pytest.approx(np.mean(pred == truth))
 
     def test_class_missing_from_truth_excluded_from_macro(self):
-        # prediction invents class "c"; macro averages only over a and b
-        micro, macro = micro_macro_f1([{"a"}, {"c"}], [{"a"}, {"b"}])
+        # columns a, b, c: the prediction invents class c; macro averages only over a and b
+        micro, macro = micro_macro_f1(_onehot([0, 2], 3), _onehot([0, 1], 3))
         assert macro == pytest.approx((1.0 + 0.0) / 2)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            micro_macro_f1(["a"], ["a", "b"])
+            micro_macro_f1(_onehot([0], 2), _onehot([0, 1], 2))
+
+    @example((np.zeros((3, 2), bool), np.zeros((3, 2), bool)))
+    @example((_onehot([2, 0, 2], 3), _onehot([0, 0, 1], 3) & [[True], [False], [True]]))
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda rows: st.integers(0, 5).flatmap(
+                lambda cols: st.tuples(
+                    hnp.arrays(bool, (rows, cols)),
+                    hnp.arrays(bool, (rows, cols)),
+                )
+            )
+        )
+    )
+    def test_matches_set_counts(self, pair):
+        # random matrices cover empty rows, classes only in pred and all-false columns
+        pred, truth = pair
+        assert micro_macro_f1(pred, truth) == _reference_f1(_label_sets(pred), _label_sets(truth))
 
 
 class TestRankMetrics:
@@ -465,7 +550,7 @@ class TestReports:
             return splits[-1]
 
         def recorded_fit(features, labels, train_idx):
-            fits.append(train_idx)
+            fits.append((train_idx, labels))
             return fit(features, labels, train_idx)
 
         monkeypatch.setattr(evaluate, "make_split", counted_split)
@@ -473,7 +558,10 @@ class TestReports:
         ratios, seeds = (0.3, 0.5), (0, 1, 2)
         rows = classification_report(x, labels, ratios=ratios, seeds=seeds)
         assert len(splits) == len(fits) == len(ratios) * len(seeds)
-        assert all(train is drawn for train, (drawn, _) in zip(fits, splits))
+        assert all(train is drawn for (train, _), (drawn, _) in zip(fits, splits))
+        matrix = fits[0][1]
+        assert isinstance(matrix, LabelMatrix) and matrix.classes == [0, 1]
+        assert all(labels is matrix for _, labels in fits)
         monkeypatch.undo()
         assert rows == classification_report(x, labels, ratios=ratios, seeds=seeds)
 

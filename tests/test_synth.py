@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,9 @@ class TestGenerate:
             SynthConfig(n=10, communities=(5, 5), p_in=0.1, p_out=0.2)
         with pytest.raises(ConfigError):
             SynthConfig(n=10, communities=(5, 5), unique_frac=-0.1)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="unique_frac"):
+                SynthConfig(n=10, communities=(5, 5), unique_frac=value)
         with pytest.raises(ConfigError):
             SynthConfig(n=10, communities=(5, 5), overlap=1.5)
         with pytest.raises(ConfigError, match="seed"):

@@ -207,6 +207,12 @@ class TestTrain:
         with pytest.raises(ConfigError, match="seed"):
             train(net, TrainConfig(seed=-1))
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "lr", "tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rates_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            train(two_node_net(), TrainConfig(max_epochs=1, **{field: value}))
+
     def test_verbose_stream_format(self, capsys):
         cfg = TrainConfig(dim=2, layer_sizes=(), max_epochs=2, verbose=True, seed=0)
         train(two_node_net(), cfg)
