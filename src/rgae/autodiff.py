@@ -253,10 +253,7 @@ def balanced_bce(probs: Tensor, adj: SparseAdjacency) -> Tensor:
     if probs.shape != (n, n):
         raise ShapeMismatch(f"reconstruction must be ({n}, {n}), got {probs.shape}")
     diag = np.arange(n, dtype=np.int64)
-    t_idx = (
-        np.concatenate([_graph._expand_rows(adj.row_offsets), diag]),
-        np.concatenate([adj.col_indices, diag]),
-    )
+    t_idx = (np.concatenate([adj.rows, diag]), np.concatenate([adj.col_indices, diag]))
     positives = adj.nnz + n
     pos_weight = (n * n - positives) / positives
     log1m = np.clip(probs.value, CLAMP_EPS, 1.0 - CLAMP_EPS)

@@ -98,10 +98,12 @@ def load_embeddings(path):
         n, d_total, n_views, d = (int(x) for x in header)
     except ValueError as exc:
         raise ParseError(f"{path}:1: bad header {lines[0]!r}") from exc
+    if min(n, d_total, n_views, d) < 0:
+        raise ParseError(f"{path}:1: negative value in header {lines[0]!r}")
     if len(lines) != n + 1:
         raise ParseError(f"{path}: expected {n} node lines, found {len(lines) - 1}")
     first_line = {}
-    rows = np.empty((n, d_total))
+    rows = []
     for i, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != d_total + 1:
@@ -110,12 +112,12 @@ def load_embeddings(path):
             raise ParseError(f"{path}:{i}: node {parts[0]!r} is already on line {first_line[parts[0]]}")
         first_line[parts[0]] = i
         try:
-            rows[i - 2] = [float(x) for x in parts[1:]]
+            rows.append([float(x) for x in parts[1:]])
         except ValueError as exc:
             raise ParseError(f"{path}:{i}: bad value") from exc
-        if not np.all(np.isfinite(rows[i - 2])):
+        if not np.all(np.isfinite(rows[-1])):
             raise ParseError(f"{path}:{i}: value is not finite")
-    return list(first_line), rows, n_views, d
+    return list(first_line), np.array(rows, dtype=np.float64).reshape(n, d_total), n_views, d
 
 
 def _parse_bool(s: str) -> bool:
@@ -296,8 +298,7 @@ def _aligned_embeddings(net: MultiViewNetwork, path):
     index = {name: i for i, name in enumerate(names)}
     if set(index) != set(net.node_names):
         raise ConfigError(f"{path}: node names do not match the dataset")
-    order = [index[name] for name in net.node_names]
-    return y[order], n_views, d
+    return y[[index[name] for name in net.node_names]]
 
 
 def cmd_eval(args) -> int:
@@ -305,7 +306,7 @@ def cmd_eval(args) -> int:
     emb_path = Path(_require(cfg, "embeddings", "--embeddings"))
     data_dir = Path(_require(cfg, "data", "--data"))
     net = load_dataset(data_dir)
-    y, _, _ = _aligned_embeddings(net, emb_path)
+    y = _aligned_embeddings(net, emb_path)
     if cfg["task"] == "classification":
         if net.labels is None:
             raise ConfigError(f"{data_dir}: dataset has no labels.txt")
@@ -344,8 +345,8 @@ def cmd_sweep(args) -> int:
     out_path = Path(_require(cfg, "out", "--out"))
     _require_seeds(cfg["seeds"])
     net = load_dataset(data_dir)
-    if net.labels is None:
-        raise ConfigError(f"{data_dir}: sweeps evaluate classification and need labels.txt")
+    if net.labels is None or not any(net.labels):
+        raise ConfigError(f"{data_dir}: sweeps evaluate classification and need a labels.txt that labels a node")
     alphas = cfg["alphas"] or (cfg["alpha"],)
     betas = cfg["betas"] or (cfg["beta"],)
     gammas = cfg["gammas"] or (cfg["gamma"],)

@@ -87,7 +87,6 @@ def sample_negatives(view: SparseAdjacency, count: int, seed: int) -> np.ndarray
 class LinkPredTask:
     """Held-out positive pairs of one view plus an equal number of sampled non-edges."""
 
-    target_view: int
     positives: np.ndarray
     negatives: np.ndarray
 
@@ -101,7 +100,7 @@ def build_linkpred_task(net: MultiViewNetwork, target_view: int, seed: int) -> L
     codes = edge_pair_codes(view)
     positives = np.stack([codes // net.n, codes % net.n], axis=1)
     negatives = sample_negatives(view, positives.shape[0], seed)
-    return LinkPredTask(target_view=target_view, positives=positives, negatives=negatives)
+    return LinkPredTask(positives=positives, negatives=negatives)
 
 
 def cosine_features(embeddings, pairs) -> np.ndarray:
@@ -148,6 +147,8 @@ class LabelMatrix:
         """One row per item from label sets, lists or tuples; a bare scalar is a single label."""
         sets = [set(item) if isinstance(item, (set, frozenset, list, tuple)) else {item} for item in labels]
         classes = sorted(set().union(*sets))
+        if not classes:
+            raise ConfigError("no item has a label")
         column = {c: j for j, c in enumerate(classes)}
         y = np.zeros((len(sets), len(classes)), dtype=bool)
         y[[i for i, s in enumerate(sets) for _ in s], [column[c] for s in sets for c in s]] = True

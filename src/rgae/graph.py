@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,22 +27,19 @@ def _frozen(a, dtype) -> np.ndarray:
     return out
 
 
-def _expand_rows(row_offsets: np.ndarray) -> np.ndarray:
-    n = row_offsets.size - 1
-    return np.repeat(np.arange(n, dtype=np.int64), np.diff(row_offsets))
-
-
 @dataclass(eq=False)
 class _Csr:
     """Frozen CSR storage of a symmetric n-by-n matrix with finite positive values.
 
-    Each subclass states its own rule for diagonal entries in _check_diagonal.
+    rows holds the row index of every stored entry. Each subclass states its
+    own rule for diagonal entries in _check_diagonal.
     """
 
     n: int
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.row_offsets = offsets = _frozen(self.row_offsets, np.int64)
@@ -59,12 +56,13 @@ class _Csr:
             raise IndexOutOfRange("values and column indices must align")
         if cols.size and (cols.min() < 0 or cols.max() >= n):
             raise IndexOutOfRange("column index out of range")
-        rows = _expand_rows(offsets)
+        self.rows = rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        rows.setflags(write=False)
         if np.any((rows[1:] == rows[:-1]) & (np.diff(cols) <= 0)):
             raise IndexOutOfRange("column indices must increase strictly within each row")
         if not np.all(np.isfinite(values)) or np.any(values <= 0):
             raise ConfigError("edge weights must be finite and positive")
-        self._check_diagonal(rows)
+        self._check_diagonal()
         order = np.lexsort((rows, cols))
         if not (
             np.array_equal(cols[order], rows)
@@ -73,8 +71,21 @@ class _Csr:
         ):
             raise NonSymmetric("a stored edge lacks a mirror entry with equal weight")
 
-    def _check_diagonal(self, rows: np.ndarray) -> None:
+    def _check_diagonal(self) -> None:
         raise NotImplementedError
+
+    @classmethod
+    def from_coo(cls, n, rows, cols, vals):
+        """CSR of (row, col, value) entries in any order; a repeated (row, col) keeps its max value."""
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(first)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[starts], minlength=n), out=offsets[1:])
+        vals = np.maximum.reduceat(vals, starts)
+        return cls(n=n, row_offsets=offsets, col_indices=cols[starts], values=vals)
 
     @property
     def nnz(self) -> int:
@@ -82,7 +93,7 @@ class _Csr:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
-        out[_expand_rows(self.row_offsets), self.col_indices] = self.values
+        out[self.rows, self.col_indices] = self.values
         return out
 
 
@@ -96,8 +107,8 @@ class SparseAdjacency(_Csr):
         super().__post_init__()
         self._normalized = None
 
-    def _check_diagonal(self, rows):
-        if np.any(rows == self.col_indices):
+    def _check_diagonal(self):
+        if np.any(self.rows == self.col_indices):
             raise IndexOutOfRange("self-loops must not be stored")
 
     @property
@@ -116,23 +127,8 @@ class SparseAdjacency(_Csr):
                 raise LengthMismatch("one weight per edge required")
         if np.any(e[:, 0] == e[:, 1]):
             raise IndexOutOfRange("self-loops are not allowed")
-        src = np.concatenate([e[:, 0], e[:, 1]])
-        dst = np.concatenate([e[:, 1], e[:, 0]])
-        ww = np.concatenate([w, w])
-        order = np.lexsort((dst, src))
-        src, dst, ww = src[order], dst[order], ww[order]
-        if src.size:
-            first = np.empty(src.size, dtype=bool)
-            first[0] = True
-            first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-            starts = np.flatnonzero(first)
-            vals = np.maximum.reduceat(ww, starts)
-            src, dst = src[starts], dst[starts]
-        else:
-            vals = ww
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-        return cls(n=n, row_offsets=offsets, col_indices=dst, values=vals)
+        u, v = e.T
+        return cls.from_coo(n, np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w]))
 
     def normalized(self) -> "NormalizedAdjacency":
         if self._normalized is None:
@@ -148,8 +144,8 @@ class NormalizedAdjacency(_Csr):
         if np.any(self.values > 1.0):
             raise ConfigError("normalized values must lie in (0, 1]")
 
-    def _check_diagonal(self, rows):
-        diag_per_row = np.bincount(rows[rows == self.col_indices], minlength=self.n)
+    def _check_diagonal(self):
+        diag_per_row = np.bincount(self.rows[self.rows == self.col_indices], minlength=self.n)
         if np.any(diag_per_row != 1):
             raise IndexOutOfRange("every row needs exactly one diagonal entry")
 
@@ -157,20 +153,14 @@ class NormalizedAdjacency(_Csr):
 def normalize(adj: SparseAdjacency) -> NormalizedAdjacency:
     """Two-sided degree normalization of the adjacency with one self-loop added per node."""
     n = adj.n
-    rows = _expand_rows(adj.row_offsets)
-    deg = np.bincount(rows, weights=adj.values, minlength=n) + 1.0
+    deg = np.bincount(adj.rows, weights=adj.values, minlength=n) + 1.0
     inv_sqrt = 1.0 / np.sqrt(deg)
     diag = np.arange(n, dtype=np.int64)
-    all_rows = np.concatenate([rows, diag])
-    all_cols = np.concatenate([adj.col_indices, diag])
-    all_vals = np.concatenate([adj.values, np.ones(n)])
-    order = np.lexsort((all_cols, all_rows))
-    all_rows, all_cols, all_vals = all_rows[order], all_cols[order], all_vals[order]
+    rows = np.concatenate([adj.rows, diag])
+    cols = np.concatenate([adj.col_indices, diag])
     # the two scale factors are multiplied first so mirrored entries come out bit-identical
-    scaled = all_vals * (inv_sqrt[all_rows] * inv_sqrt[all_cols])
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(all_rows, minlength=n), out=offsets[1:])
-    return NormalizedAdjacency(n=n, row_offsets=offsets, col_indices=all_cols, values=scaled)
+    scaled = np.concatenate([adj.values, np.ones(n)]) * (inv_sqrt[rows] * inv_sqrt[cols])
+    return NormalizedAdjacency.from_coo(n, rows, cols, scaled)
 
 
 def spmm(norm: NormalizedAdjacency, dense: np.ndarray) -> np.ndarray:
@@ -184,9 +174,8 @@ def spmm(norm: NormalizedAdjacency, dense: np.ndarray) -> np.ndarray:
 
 def edge_pair_codes(adj: SparseAdjacency) -> np.ndarray:
     """Sorted codes u * n + v of the stored unordered pairs with u < v."""
-    rows = _expand_rows(adj.row_offsets)
-    mask = rows < adj.col_indices
-    return rows[mask] * adj.n + adj.col_indices[mask]
+    mask = adj.rows < adj.col_indices
+    return adj.rows[mask] * adj.n + adj.col_indices[mask]
 
 
 @dataclass(eq=False)
@@ -334,11 +323,10 @@ def save_dataset(net: MultiViewNetwork, directory) -> list:
 
     put("nodes.txt", "\n".join(net.node_names) + "\n")
     for i, view in enumerate(net.views):
-        rows = _expand_rows(view.row_offsets)
-        mask = rows < view.col_indices
+        mask = view.rows < view.col_indices
         lines = [
             f"{net.node_names[u]} {net.node_names[v]} {w:.17g}"
-            for u, v, w in zip(rows[mask], view.col_indices[mask], view.values[mask])
+            for u, v, w in zip(view.rows[mask], view.col_indices[mask], view.values[mask])
         ]
         put(f"view_{i}.txt", "\n".join(lines) + "\n")
     if net.labels is not None:

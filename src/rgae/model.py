@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -106,38 +107,44 @@ def forward_view(norm: NormalizedAdjacency, params: RgaeParams, view: int):
     return ys, yp, a_hat
 
 
+def _view_powers(lam, gamma: float, n_views: int) -> np.ndarray:
+    """lam**gamma, after checking gamma and that there is one weight per view."""
+    check_gamma(gamma)
+    lam = np.asarray(lam, dtype=np.float64)
+    if lam.shape != (n_views,):
+        raise ShapeMismatch(f"need one weight per view, got {lam.shape} for {n_views} views")
+    return lam**gamma
+
+
+def _sum(terms) -> Tensor:
+    """Left fold of the terms with add, recorded in iteration order."""
+    return reduce(ad.add, terms)
+
+
 def consistent_embedding(shared: list, lam, gamma: float) -> Tensor:
     """Weighted mean of the shared outputs with weights lam**gamma, normalized.
 
     This is the exact minimizer of the similarity loss for fixed view weights.
     """
-    check_gamma(gamma)
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (len(shared),):
-        raise ShapeMismatch(f"need one weight per view, got {lam.shape} for {len(shared)} views")
-    w = lam**gamma
+    w = _view_powers(lam, gamma, len(shared))
     total = w.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise DegenerateWeights("view weights vanished under the exponent")
-    coef = w / total
-    acc = ad.scale(shared[0], coef[0])
-    for c, t in zip(coef[1:], shared[1:]):
-        acc = ad.add(acc, ad.scale(t, c))
-    return acc
+    return _sum(ad.scale(t, c) for c, t in zip(w / total, shared))
+
+
+def disagreements(shared: list, y_con: Tensor) -> list:
+    """Per view, the squared distance b_i of its shared output to the consistent embedding.
+
+    similarity_loss weights these nodes; the closed-form view-weight update reads their values.
+    """
+    return [ad.sq_frobenius(ad.sub(y_con, t)) for t in shared]
 
 
 def similarity_loss(shared: list, y_con: Tensor, lam, gamma: float) -> Tensor:
     """Sum over views of lam_i**gamma times the squared distance to the consistent embedding."""
-    check_gamma(gamma)
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (len(shared),):
-        raise ShapeMismatch(f"need one weight per view, got {lam.shape} for {len(shared)} views")
-    w = lam**gamma
-    total = None
-    for wi, t in zip(w, shared):
-        term = ad.scale(ad.sq_frobenius(ad.sub(y_con, t)), wi)
-        total = term if total is None else ad.add(total, term)
-    return total
+    w = _view_powers(lam, gamma, len(shared))
+    return _sum(ad.scale(d, wi) for wi, d in zip(w, disagreements(shared, y_con)))
 
 
 def difference_loss(shared_view: Tensor, private_view: Tensor) -> Tensor:
@@ -188,16 +195,11 @@ def run_model(
     y_con = consistent_embedding(shared_out, params.lam, gamma)
     sim = similarity_loss(shared_out, y_con, params.lam, gamma)
     dif = [difference_loss(ys, yp) for ys, yp in zip(shared_out, private_out)]
-    loss = rec[0]
-    for r in rec[1:]:
-        loss = ad.add(loss, r)
+    loss = _sum(rec)
     if use_sim:
         loss = ad.add(loss, ad.scale(sim, alpha))
     if use_dif:
-        dif_total = dif[0]
-        for d in dif[1:]:
-            dif_total = ad.add(dif_total, d)
-        loss = ad.add(loss, ad.scale(dif_total, beta))
+        loss = ad.add(loss, ad.scale(_sum(dif), beta))
     return ModelOutput(
         loss=loss,
         rec=rec,

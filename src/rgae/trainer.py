@@ -14,6 +14,7 @@ from .model import (
     RgaeParams,
     check_gamma,
     consistent_embedding,
+    disagreements,
     embed,
     embed_dim,
     encode,
@@ -24,7 +25,7 @@ LAMBDA_FLOOR = 1e-12
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Everything one training run needs.
 
@@ -35,6 +36,7 @@ class TrainConfig:
     total loss stays below tol for patience consecutive epochs (patience may
     be math.inf). The view weights are refreshed every lambda_update_every
     epochs, after the gradient step, from freshly computed shared outputs.
+    Construction checks every field.
     """
 
     dim: int = 32
@@ -52,7 +54,7 @@ class TrainConfig:
     lambda_update_every: int = 1
     verbose: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "lr", "tol"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -146,8 +148,7 @@ def _refresh_lambda(net: MultiViewNetwork, params: RgaeParams, gamma: float) -> 
     shared_nodes = [tape.leaf(w) for w in params.shared]
     outs = [encode(view.normalized(), shared_nodes) for view in net.views]
     y_con = consistent_embedding(outs, params.lam, gamma)
-    b = np.array([np.sum((y_con.value - o.value) ** 2) for o in outs])
-    return update_lambda(b, gamma)
+    return update_lambda([scalar(d) for d in disagreements(outs, y_con)], gamma)
 
 
 def _run_epoch(net, params, state: AdamState, cfg: TrainConfig, epoch: int) -> EpochStats:
@@ -182,7 +183,6 @@ def train(net: MultiViewNetwork, cfg: TrainConfig):
     refresh. The returned embeddings come from a final encoder pass with the
     trained parameters.
     """
-    cfg.validate()
     n_views = len(net.views)
     d = embed_dim(cfg.dim, n_views)
     layers = LayerSpec(tuple(int(s) for s in cfg.layer_sizes) + (d,))

@@ -1,12 +1,17 @@
 import json
+import os
 import platform
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rgae
 from rgae import __version__
 from rgae.cli import (
     GENERATE_KEYS,
@@ -515,3 +520,147 @@ class TestErrorReporting:
         code = run("train", "--out", "somewhere")
         assert code == 1
         assert capsys.readouterr().err.startswith("ConfigError:")
+
+
+def failing(capsys, *argv):
+    """stderr of a command that must exit 1."""
+    assert run(*argv) == 1
+    return capsys.readouterr().err
+
+
+class TestTypedInputErrors:
+    """Every malformed input ends the command with exit 1 and one typed line naming the file and line."""
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("", ":1: empty embeddings file"),
+            ("30 six 2 2\n", ":1: bad header '30 six 2 2'"),
+            ("30 6\n", ":1: expected 'n d_total n_views d'"),
+            ("3 2 1 1\na 0 1\n", ": expected 3 node lines, found 1"),
+            ("2 2 1 1\na 0 1\nb 1 x\n", ":3: bad value"),
+            ("2 -1 1 1\na\nb\n", ":1: negative value in header '2 -1 1 1'"),
+            ("1 100000000000 1 1\na 1\n", ":2: expected a name and 100000000000 values"),
+        ],
+        ids=["empty", "bad-header", "header-arity", "node-count", "bad-value", "negative", "huge-width"],
+    )
+    def test_bad_embeddings_file(self, dataset, tmp_path, capsys, text, where):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        err = failing(capsys, "eval", "--embeddings", str(path), "--data", str(dataset))
+        assert err == f"ParseError: {path}{where}\n"
+
+    def test_embeddings_of_other_nodes(self, dataset, tmp_path, capsys):
+        path = tmp_path / "emb.txt"
+        save_embeddings(path, [f"x{i}" for i in range(30)], np.ones((30, 2)), 1, 1)
+        err = failing(capsys, "eval", "--embeddings", str(path), "--data", str(dataset))
+        assert err == f"ConfigError: {path}: node names do not match the dataset\n"
+
+    def test_config_line_without_equals(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("# settings\nepochs=3\nverbose\n")
+        err = failing(capsys, "train", "--config", str(cfg), "--data", str(dataset), "--out", str(tmp_path / "o"))
+        assert err == f"ParseError: {cfg}:3: expected key=value\n"
+
+    @pytest.mark.parametrize("value, printed", [("yes", 2), ("no", 0)])
+    def test_verbose_from_config_file(self, dataset, tmp_path, capsys, value, printed):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"verbose={value}\nepochs=2\ndim=6\nlayers=4\n")
+        assert run("train", "--config", str(cfg), "--data", str(dataset), "--out", str(tmp_path / "o")) == 0
+        epoch_lines = [l for l in capsys.readouterr().out.splitlines() if l[:1].isdigit()]
+        assert len(epoch_lines) == printed
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["config"]["verbose"] is (value == "yes")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("0 1 extra", "expected 'node label'"), ("nobody 1", "unknown node 'nobody'")],
+        ids=["three-fields", "unknown-node"],
+    )
+    def test_bad_label_line(self, dataset, tmp_path, capsys, line, message):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        labels = data / "labels.txt"
+        lineno = len(labels.read_text().splitlines()) + 1
+        with labels.open("a") as f:
+            f.write(line + "\n")
+        err = failing(capsys, "analyze", "--data", str(data))
+        assert err == f"ParseError: {labels}:{lineno}: {message}\n"
+
+    def test_zero_edge_weight(self, dataset, tmp_path, capsys):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        view = data / "view_1.txt"
+        view.write_text("# weighted\n0 1 2.5\n1 2 0\n")
+        err = failing(capsys, "analyze", "--data", str(data))
+        assert err == f"ParseError: {view}:3: weight must be finite and positive\n"
+
+    def test_unknown_task(self, dataset, embeddings, capsys):
+        err = failing(capsys, "eval", "--embeddings", str(embeddings), "--data", str(dataset), "--task", "bogus")
+        assert err == "ConfigError: --task must be classification or linkpred, got 'bogus'\n"
+
+
+class TestUnlabeledData:
+    """Classification needs labels: no labels.txt, or one that labels no node, is a ConfigError."""
+
+    @pytest.fixture(params=["missing", "comment-only"])
+    def unlabeled(self, request, dataset, tmp_path):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        if request.param == "missing":
+            (data / "labels.txt").unlink()
+            return data, f"{data}: dataset has no labels.txt"
+        (data / "labels.txt").write_text("# no labels yet\n")
+        return data, "no item has a label"
+
+    def test_eval(self, unlabeled, embeddings, tmp_path, capsys):
+        data, message = unlabeled
+        out = tmp_path / "metrics.tsv"
+        err = failing(capsys, "eval", "--embeddings", str(embeddings), "--data", str(data), "--out", str(out))
+        assert err == f"ConfigError: {message}\n"
+        assert not out.exists()
+
+    def test_sweep_trains_nothing(self, unlabeled, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("sweep trained on a dataset without labels")
+
+        monkeypatch.setattr("rgae.cli.train", no_training)
+        data, _ = unlabeled
+        out = tmp_path / "sweep.tsv"
+        err = failing(capsys, "sweep", "--data", str(data), "--out", str(out))
+        assert err.startswith(f"ConfigError: {data}: sweeps evaluate classification and need")
+        assert not out.exists()
+
+
+class TestFreshProcessDeterminism:
+    """generate, train and eval in new interpreters write the same bytes under different hash seeds."""
+
+    COMMANDS = [
+        ["generate", "--out", "data", "--n", "40", "--communities", "20,20", "--views", "3", "--seed", "4"],
+        ["train", "--data", "data", "--out", "run", "--dim", "12", "--layers", "8", "--epochs", "30",
+         "--target-view", "2"],
+        ["eval", "--embeddings", "run/embeddings.txt", "--data", "data", "--out", "class.tsv", "--seeds", "0,1"],
+        ["eval", "--embeddings", "run/embeddings.txt", "--data", "data", "--out", "link.tsv", "--seeds", "0,1",
+         "--task", "linkpred", "--target-view", "2"],
+    ]
+
+    def outputs(self, directory, hash_seed):
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(rgae.__file__).parents[1]),
+            "PYTHONHASHSEED": str(hash_seed),
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1",
+        }
+        directory.mkdir()
+        for argv in self.COMMANDS:
+            subprocess.run([sys.executable, "-m", "rgae.cli", *argv], cwd=directory, env=env, check=True,
+                           capture_output=True)
+        return {str(p.relative_to(directory)): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+    def test_hash_seed_does_not_reach_any_output(self, tmp_path):
+        first = self.outputs(tmp_path / "a", 1)
+        second = self.outputs(tmp_path / "b", 2)
+        assert {"run/embeddings.txt", "run/history.tsv", "class.tsv", "link.tsv", "data/labels.txt"} <= set(first)
+        assert first == second

@@ -239,6 +239,11 @@ class TestLabelMatrix:
         ]
         assert labels.multilabel
 
+    @pytest.mark.parametrize("labels", [[set(), set(), set()], [(), []], []])
+    def test_no_label_at_all_rejected(self, labels):
+        with pytest.raises(ConfigError, match="^no item has a label$"):
+            LabelMatrix.of(labels)
+
     def test_single_label_integers(self):
         labels = LabelMatrix.of(np.array([2, 0, 10, 2]))
         assert labels.classes == [0, 2, 10]
@@ -454,7 +459,7 @@ class TestLinkPredict:
         ])
         pos = [(i, j) for i in range(10) for j in range(i + 1, 10)]
         neg = [(i, 10 + j) for i in range(10) for j in range(5)][: len(pos)]
-        task = LinkPredTask(0, np.array(pos), np.array(neg))
+        task = LinkPredTask(np.array(pos), np.array(neg))
         auc, ap = link_predict(y, task, SplitSpec(0.5, seed=0, stratified=True))
         assert auc > 0.95 and ap > 0.95
 
@@ -463,7 +468,7 @@ class TestLinkPredict:
         y = rng.normal(size=(12, 3))
         pos = np.array([(0, 1), (2, 3), (4, 5), (6, 7)])
         neg = np.array([(0, 2), (1, 3), (5, 8), (9, 10)])
-        task = LinkPredTask(0, pos, neg)
+        task = LinkPredTask(pos, neg)
         spec = SplitSpec(0.5, seed=2, stratified=True)
         assert link_predict(y, task, spec) == link_predict(y, task, spec)
 
@@ -507,7 +512,7 @@ class TestRankScoringMatchesFit:
 
     def test_swapped_labels_negative_covariance(self):
         task, y = self._case(3)
-        swapped = LinkPredTask(0, task.negatives, task.positives)
+        swapped = LinkPredTask(task.negatives, task.positives)
         auc, _ = link_predict(y, swapped, SplitSpec(0.5, seed=0, stratified=True))
         assert auc > 0.5
         self._assert_same(y, swapped)
@@ -574,6 +579,12 @@ class TestReports:
             classification_report(y, [0, 1] * 3, ratios=(0.5,), seeds=seeds)
         with pytest.raises(ConfigError, match="nonnegative"):
             link_prediction_report(net, y, 1, seeds=seeds)
+
+    def test_classification_report_needs_a_label(self):
+        # unlabeled items once scored a perfect micro and macro F1
+        x = np.random.default_rng(0).normal(size=(8, 2))
+        with pytest.raises(ConfigError, match="no item has a label"):
+            classification_report(x, [set()] * 8, ratios=(0.5,), seeds=(0,))
 
     def test_classification_report_needs_a_seed(self):
         x = np.random.default_rng(0).normal(size=(8, 2))

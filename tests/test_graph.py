@@ -1,7 +1,10 @@
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rgae.errors import (
     ConfigError,
@@ -321,3 +324,105 @@ class TestMultiViewNetwork:
             net.view(k)
         with pytest.raises(ConfigError, match="no view"):
             net.without_view(k)
+
+
+# ---------------------------------------------------------------------------
+# CSR assembly as it was before from_edges and normalize shared from_coo:
+# kept as the reference the shared assembly must reproduce bit for bit
+# ---------------------------------------------------------------------------
+
+def reference_from_edges(n, edges, weights):
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    w = np.asarray(weights, dtype=np.float64)
+    src = np.concatenate([e[:, 0], e[:, 1]])
+    dst = np.concatenate([e[:, 1], e[:, 0]])
+    ww = np.concatenate([w, w])
+    order = np.lexsort((dst, src))
+    src, dst, ww = src[order], dst[order], ww[order]
+    if src.size:
+        first = np.empty(src.size, dtype=bool)
+        first[0] = True
+        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        starts = np.flatnonzero(first)
+        vals = np.maximum.reduceat(ww, starts)
+        src, dst = src[starts], dst[starts]
+    else:
+        vals = ww
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets, dst, vals
+
+
+def reference_normalize(offsets, cols, vals):
+    n = offsets.size - 1
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    deg = np.bincount(rows, weights=vals, minlength=n) + 1.0
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    diag = np.arange(n, dtype=np.int64)
+    all_rows = np.concatenate([rows, diag])
+    all_cols = np.concatenate([cols, diag])
+    all_vals = np.concatenate([vals, np.ones(n)])
+    order = np.lexsort((all_cols, all_rows))
+    all_rows, all_cols, all_vals = all_rows[order], all_cols[order], all_vals[order]
+    scaled = all_vals * (inv_sqrt[all_rows] * inv_sqrt[all_cols])
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(all_rows, minlength=n), out=offsets[1:])
+    return offsets, all_cols, scaled
+
+
+@st.composite
+def edge_lists(draw, min_edges=0):
+    """n nodes and undirected pairs with repeats, reversed repeats, weights and isolated nodes."""
+    n = draw(st.integers(1 if min_edges == 0 else 2, 12))
+    if n < 2:
+        return n, [], []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(pair, min_size=min_edges, max_size=30))
+    weight = st.one_of(st.just(1.0), st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+    weights = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    return n, edges, weights
+
+
+def csr_arrays(m):
+    return m.row_offsets, m.col_indices, m.values
+
+
+class TestCsrProperties:
+    @given(edge_lists())
+    def test_from_edges_and_normalize_match_the_reference(self, case):
+        n, edges, weights = case
+        adj = SparseAdjacency.from_edges(n, edges, weights)
+        want = reference_from_edges(n, edges, weights)
+        for got, expected in zip(csr_arrays(adj), want, strict=True):
+            assert np.array_equal(got, expected)
+        for got, expected in zip(csr_arrays(normalize(adj)), reference_normalize(*want), strict=True):
+            assert np.array_equal(got, expected)
+
+    @given(edge_lists())
+    def test_rows_expand_the_offsets(self, case):
+        n, edges, weights = case
+        adj = SparseAdjacency.from_edges(n, edges, weights)
+        for m in (adj, normalize(adj)):
+            assert np.array_equal(m.rows, np.repeat(np.arange(n), np.diff(m.row_offsets)))
+            assert not m.rows.flags.writeable
+
+    @given(edge_lists(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_spmm_matches_the_dense_product(self, case, k, seed):
+        n, edges, weights = case
+        norm = normalize(SparseAdjacency.from_edges(n, edges, weights))
+        x = np.random.default_rng(seed).normal(size=(n, k))
+        assert np.max(np.abs(spmm(norm, x) - norm.to_dense() @ x)) <= 1e-12
+
+    @given(edge_lists(min_edges=1), st.data())
+    def test_save_load_round_trip(self, case, data):
+        n, edges, weights = case
+        names = data.draw(st.permutations([f"node{i}" for i in range(n)]))
+        labels = data.draw(st.lists(st.sets(st.sampled_from("abc")), min_size=n, max_size=n))
+        net = MultiViewNetwork(n, [SparseAdjacency.from_edges(n, edges, weights)], labels, names)
+        with tempfile.TemporaryDirectory() as directory:
+            save_dataset(net, directory)
+            again = load_dataset(directory)
+        assert again.node_names == names
+        assert again.labels == labels
+        for got, expected in zip(csr_arrays(again.views[0]), csr_arrays(net.views[0]), strict=True):
+            assert np.array_equal(got, expected)

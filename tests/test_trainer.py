@@ -6,12 +6,13 @@ import weakref
 import numpy as np
 import pytest
 
+import rgae.autodiff as ad
 from rgae.autodiff import Tape
 from rgae.errors import ConfigError, InvalidGamma, NumericalOverflow, ShapeMismatch
 from rgae.graph import MultiViewNetwork, SparseAdjacency
-from rgae.model import LayerSpec, RgaeParams, run_model
+from rgae.model import LayerSpec, RgaeParams, bind_params, embed_dim, encode, forward_view, run_model
 from rgae.synth import SynthConfig, generate
-from rgae.trainer import AdamState, TrainConfig, adam_step, train, update_lambda
+from rgae.trainer import AdamState, TrainConfig, _refresh_lambda, adam_step, train, update_lambda
 
 
 class TestUpdateLambda:
@@ -251,3 +252,90 @@ class TestMemory:
             assert probe() is None
         finally:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# The loss and view-weight compositions as they were before model.py gained
+# one fold, one view-weight power and one disagreement definition: the
+# interleaved scale/add consistent embedding, the per-view similarity loop,
+# separate reconstruction and difference folds, and the numpy disagreements.
+# ---------------------------------------------------------------------------
+
+def reference_consistent(shared, lam, gamma):
+    w = lam**gamma
+    coef = w / w.sum()
+    acc = ad.scale(shared[0], coef[0])
+    for c, t in zip(coef[1:], shared[1:]):
+        acc = ad.add(acc, ad.scale(t, c))
+    return acc
+
+
+def reference_loss(net, params, cfg, tape):
+    bound = bind_params(tape, params)
+    shared, private, rec = [], [], []
+    for i, view in enumerate(net.views):
+        ys, yp, a_hat = forward_view(view.normalized(), bound, i)
+        shared.append(ys)
+        private.append(yp)
+        rec.append(ad.balanced_bce(a_hat, view))
+    y_con = reference_consistent(shared, params.lam, cfg.gamma)
+    sim = None
+    for wi, t in zip(params.lam**cfg.gamma, shared):
+        term = ad.scale(ad.sq_frobenius(ad.sub(y_con, t)), wi)
+        sim = term if sim is None else ad.add(sim, term)
+    dif = [ad.sq_frobenius(ad.row_dot(ys, yp)) for ys, yp in zip(shared, private)]
+    loss = rec[0]
+    for r in rec[1:]:
+        loss = ad.add(loss, r)
+    if cfg.use_sim:
+        loss = ad.add(loss, ad.scale(sim, cfg.alpha))
+    if cfg.use_dif:
+        dif_total = dif[0]
+        for d in dif[1:]:
+            dif_total = ad.add(dif_total, d)
+        loss = ad.add(loss, ad.scale(dif_total, cfg.beta))
+    return loss, bound
+
+
+def reference_refresh(net, params, gamma):
+    tape = Tape()
+    nodes = [tape.leaf(w) for w in params.shared]
+    outs = [encode(view.normalized(), nodes) for view in net.views]
+    y_con = reference_consistent(outs, params.lam, gamma)
+    b = np.array([np.sum((y_con.value - o.value) ** 2) for o in outs])
+    return update_lambda(b, gamma)
+
+
+class TestMatchesReferenceComposition:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TrainConfig(layer_sizes=(16,), gamma=0.5, seed=3),
+            TrainConfig(use_sim=False, lambda_update_every=4, seed=4),
+            TrainConfig(use_sim=False, use_dif=False, seed=5),
+        ],
+        ids=["layers-16-8-gamma-0.5", "no-sim-lambda-every-4", "no-regularizers"],
+    )
+    def test_loss_gradients_and_lambda_bit_identical(self, cfg):
+        net = generate(SynthConfig(n=30, communities=(10, 10, 10), views=3, seed=6))
+        layers = LayerSpec(cfg.layer_sizes + (embed_dim(cfg.dim, 3),))
+        params = RgaeParams.init(net.n, layers, 3, seed=cfg.seed)
+        state = AdamState.for_params(params.weights())
+        refreshed = 0
+        for epoch in range(8):
+            tape, ref_tape = Tape(), Tape()
+            out = run_model(net, params, cfg.alpha, cfg.beta, cfg.gamma, tape,
+                            use_sim=cfg.use_sim, use_dif=cfg.use_dif)
+            ref_loss, ref_bound = reference_loss(net, params, cfg, ref_tape)
+            tape.backward(out.loss)
+            ref_tape.backward(ref_loss)
+            assert np.array_equal(out.loss.value, ref_loss.value)
+            for got, want in zip(out.params.gradients(), ref_bound.gradients(), strict=True):
+                assert np.array_equal(got, want)
+            adam_step(params.weights(), out.params.gradients(), state, cfg.lr)
+            if (epoch + 1) % cfg.lambda_update_every == 0:
+                lam = _refresh_lambda(net, params, cfg.gamma)
+                assert np.array_equal(lam, reference_refresh(net, params, cfg.gamma))
+                refreshed += not np.array_equal(lam, params.lam)
+                params.lam = lam
+        assert refreshed >= 2
