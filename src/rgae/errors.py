@@ -50,7 +50,7 @@ class DegenerateWeights(RgaeError):
 
 
 class InvalidGamma(RgaeError):
-    """The weight-distribution exponent must be positive and different from 1."""
+    """The weight-distribution exponent must be finite, positive and different from 1."""
 
 
 class ConfigError(RgaeError):

@@ -1,9 +1,8 @@
 """Downstream tasks: one-vs-rest logistic classification and cosine-ranked link prediction.
 
-The classifier is a deterministic full-batch gradient-descent logistic
-regression, so repeated runs with the same seed reproduce every metric
-exactly. Reported numbers follow the usual protocol of averaging over
-repeated splits driven by seeds.
+The classifier is a deterministic full-batch gradient-descent logistic regression, so repeated
+runs with the same seed reproduce every metric exactly. Reported numbers average over repeated
+splits driven by seeds, the usual protocol; items without a label are in no split and are not scored.
 """
 
 from __future__ import annotations
@@ -120,17 +119,19 @@ def cosine_features(embeddings, pairs) -> np.ndarray:
 
 
 def _fit_binary_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Full-batch gradient descent, curvature-bounded step, unpenalized intercept; a 2-D y is one fit per column."""
-    n, d = x.shape
-    xb = np.hstack([x, np.ones((n, 1))])
-    w = np.zeros((d + 1,) + y.shape[1:])
-    lipschitz = np.linalg.norm(xb, 2) ** 2 / (4.0 * n) + L2_PENALTY
-    step = 1.0 / lipschitz
-    decay = np.full_like(w, L2_PENALTY)
+    """Full-batch gradient descent, curvature-bounded step, unpenalized intercept; a 2-D y is one fit per column.
+
+    Leading axes of x and y are independent fits, each with its own step.
+    """
+    n, d = x.shape[-2:]
+    xb = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+    w = np.zeros(x.shape[:-2] + (d + 1,) + y.shape[x.ndim - 1 :])
+    decay = np.full(w.shape[x.ndim - 2 :], L2_PENALTY)
     decay[d] = 0.0
+    lipschitz = np.linalg.norm(xb, 2, axis=(-2, -1)) ** 2 / (4.0 * n) + L2_PENALTY
+    step = np.reshape(1.0 / lipschitz, lipschitz.shape + (1,) * decay.ndim)
     for _ in range(FIT_ITERATIONS):
-        p = _sigmoid_values(xb @ w)
-        grad = xb.T @ (p - y) / n + decay * w
+        grad = xb.mT @ (_sigmoid_values(xb @ w) - y) / n + decay * w
         w = w - step * grad
     return w
 
@@ -156,12 +157,12 @@ class LabelMatrix:
 
     @property
     def multilabel(self) -> bool:
-        return bool(np.any(self.y.sum(axis=1) != 1))
+        return bool(np.any(self.y.sum(axis=1) > 1))
 
 
 @dataclass(eq=False)
 class OvrClassifier:
-    """One-vs-rest logistic weights with an intercept column per class."""
+    """One-vs-rest logistic weights with an intercept column per class; leading axes are independent fits."""
 
     weights: np.ndarray
     trained: np.ndarray
@@ -170,17 +171,17 @@ class OvrClassifier:
     def predict(self, x) -> np.ndarray:
         """Boolean row-by-class matrix: the one-hot argmax class, or every class scoring above 0.5 when multilabel."""
         x = np.asarray(x, dtype=np.float64)
-        scores = np.hstack([x, np.ones((x.shape[0], 1))]) @ self.weights.T
-        scores[:, ~self.trained] = -np.inf
+        scores = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1) @ self.weights.mT
+        scores = np.where(self.trained[..., None, :], scores, -np.inf)
         if self.multilabel:
             return scores > 0.0
-        if not np.any(self.trained):
+        if not np.all(np.any(self.trained, axis=-1)):
             raise ConfigError("no class had training examples")
-        return np.argmax(scores, axis=1)[:, None] == np.arange(scores.shape[1])
+        return np.argmax(scores, axis=-1)[..., None] == np.arange(scores.shape[-1])
 
 
 def logistic_ovr_train(features, labels: LabelMatrix, train_idx) -> OvrClassifier:
-    """Fit one-vs-rest logistic classifiers on the rows train_idx.
+    """Fit one-vs-rest logistic classifiers on the rows train_idx, or on each row of a 2-D train_idx.
 
     Classes with no positive training example are skipped with a
     DegenerateClass warning and never predicted.
@@ -190,12 +191,17 @@ def logistic_ovr_train(features, labels: LabelMatrix, train_idx) -> OvrClassifie
         x = x[:, None]
     if labels.y.shape[0] != x.shape[0]:
         raise LengthMismatch(f"{labels.y.shape[0]} labels for {x.shape[0]} feature rows")
-    y = labels.y[train_idx]
-    trained = y.any(axis=0)
-    for ci in np.flatnonzero(~trained):
+    splits = np.reshape(train_idx, (-1, np.shape(train_idx)[-1]))
+    y = labels.y[splits]
+    trained = y.any(axis=1)
+    for ci in np.nonzero(~trained)[1]:
         warnings.warn(f"class {labels.classes[ci]!r} has no training examples; skipped", DegenerateClass)
-    weights = np.zeros((y.shape[1], x.shape[1] + 1))
-    weights[trained] = _fit_binary_logistic(x[train_idx], y[:, trained].astype(np.float64)).T
+    weights = np.zeros(trained.shape + (x.shape[1] + 1,))
+    # one stacked descent per distinct mask keeps each split's column count, hence its BLAS blocking and bits
+    for mask in np.unique(trained[trained.any(axis=1)], axis=0):
+        group = np.flatnonzero(np.all(trained == mask, axis=1))
+        weights[np.ix_(group, mask)] = _fit_binary_logistic(x[splits[group]], y[group][..., mask].astype(float)).mT
+    weights, trained = (a.reshape(np.shape(train_idx)[:-1] + a.shape[1:]) for a in (weights, trained))
     return OvrClassifier(weights=weights, trained=trained, multilabel=labels.multilabel)
 
 
@@ -279,21 +285,20 @@ def _require_seeds(seeds) -> None:
 def classification_report(features, labels, ratios=(0.1, 0.3, 0.5), seeds=tuple(range(10))):
     """Micro and macro F1 per ratio and seed plus their means, as (task, ratio, seed, metric, value) rows.
 
-    Splits are stratified by class unless the data is multi-label.
+    Splits leave unlabeled items out and are stratified by class unless the data is multi-label.
     """
     _require_seeds(seeds)
     x = np.asarray(features, dtype=np.float64)
     labels = LabelMatrix.of(labels)
+    labeled = np.flatnonzero(labels.y.any(axis=1))
     strat = not labels.multilabel
-    strat_index = labels.y.argmax(axis=1) if strat else None
+    strat_index = labels.y[labeled].argmax(axis=1) if strat else None
     rows = []
     for ratio in ratios:
-        results = []
-        for seed in seeds:
-            spec = SplitSpec(train_ratio=ratio, seed=seed, stratified=strat)
-            train_idx, test_idx = make_split(x.shape[0], spec, labels=strat_index)
-            clf = logistic_ovr_train(x, labels, train_idx)
-            results.append(micro_macro_f1(clf.predict(x[test_idx]), labels.y[test_idx]))
+        splits = [make_split(labeled.size, SplitSpec(ratio, seed, strat), labels=strat_index) for seed in seeds]
+        train_idx, test_idx = (labeled[np.stack(side)] for side in zip(*splits))
+        pred = logistic_ovr_train(x, labels, train_idx).predict(x[test_idx])
+        results = [micro_macro_f1(p, labels.y[t]) for p, t in zip(pred, test_idx)]
         rows += _report_rows("classification", ratio, seeds, results, ("micro_f1", "macro_f1"))
     return rows
 

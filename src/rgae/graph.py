@@ -77,6 +77,9 @@ class _Csr:
     @classmethod
     def from_coo(cls, n, rows, cols, vals):
         """CSR of (row, col, value) entries in any order; a repeated (row, col) keeps its max value."""
+        ends = np.concatenate([rows, cols])
+        if np.any((ends < 0) | (ends >= n)):
+            raise IndexOutOfRange(f"node index {ends[(ends < 0) | (ends >= n)][0]} out of range for {n} nodes")
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
         first = np.ones(rows.size, dtype=bool)

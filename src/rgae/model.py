@@ -14,8 +14,8 @@ from .graph import MultiViewNetwork, NormalizedAdjacency
 
 
 def check_gamma(gamma: float) -> None:
-    if gamma <= 0 or gamma == 1:
-        raise InvalidGamma(f"gamma must be positive and different from 1, got {gamma}")
+    if not 0 < gamma < np.inf or gamma == 1:
+        raise InvalidGamma(f"gamma must be finite, positive and different from 1, got {gamma}")
 
 
 def embed_dim(total_dim: int, n_views: int) -> int:

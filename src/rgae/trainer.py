@@ -118,9 +118,11 @@ def update_lambda(b, gamma: float) -> np.ndarray:
     """
     check_gamma(gamma)
     b = np.maximum(np.asarray(b, dtype=np.float64), LAMBDA_FLOOR)
-    log_w = np.log(gamma * b) / (1.0 - gamma)
-    log_w -= log_w.max()
-    w = np.exp(log_w)
+    with np.errstate(over="ignore", divide="ignore"):
+        log_w = np.log(gamma * b)
+    # where gamma * b leaves the float range, the sum of the logs keeps the same weights finite
+    log_w = (log_w if np.all(np.isfinite(log_w)) else np.log(gamma) + np.log(b)) / (1.0 - gamma)
+    w = np.exp(log_w - log_w.max())
     return w / w.sum()
 
 

@@ -294,6 +294,110 @@ class TestBatchedOvr:
         assert np.array_equal(_fit_binary_logistic(x, y[:, None])[:, 0], _fit_binary_logistic(x, y))
 
 
+def _reference_fit(x, y):
+    """The two-dimensional fit as it was written before fits were stacked: the reference for its bits."""
+    n, d = x.shape
+    xb = np.hstack([x, np.ones((n, 1))])
+    w = np.zeros((d + 1,) + y.shape[1:])
+    step = 1.0 / (np.linalg.norm(xb, 2) ** 2 / (4.0 * n) + evaluate.L2_PENALTY)
+    decay = np.full_like(w, evaluate.L2_PENALTY)
+    decay[d] = 0.0
+    for _ in range(evaluate.FIT_ITERATIONS):
+        w = w - step * (xb.T @ (_sigmoid_values(xb @ w) - y) / n + decay * w)
+    return w
+
+
+def _per_seed_predict(x, labels, train, test):
+    """One split's fit and prediction as composed before seeds were stacked."""
+    y = labels.y[train]
+    trained = y.any(axis=0)
+    weights = np.zeros((y.shape[1], x.shape[1] + 1))
+    weights[trained] = _fit_binary_logistic(x[train], y[:, trained].astype(np.float64)).T
+    scores = np.hstack([x[test], np.ones((test.size, 1))]) @ weights.T
+    scores[:, ~trained] = -np.inf
+    if labels.multilabel:
+        return trained, weights, scores > 0.0
+    return trained, weights, np.argmax(scores, axis=1)[:, None] == np.arange(scores.shape[1])
+
+
+def _per_seed_report(x, labels, ratios, seeds):
+    """classification_report with one fit per ratio and seed: the reference for the stacked report."""
+    matrix = LabelMatrix.of(labels)
+    strat = not matrix.multilabel
+    rows = []
+    for ratio in ratios:
+        results = []
+        for seed in seeds:
+            spec = SplitSpec(train_ratio=ratio, seed=seed, stratified=strat)
+            train, test = make_split(x.shape[0], spec, labels=matrix.y.argmax(axis=1) if strat else None)
+            results.append(micro_macro_f1(_per_seed_predict(x, matrix, train, test)[2], matrix.y[test]))
+        rows += evaluate._report_rows("classification", ratio, seeds, results, ("micro_f1", "macro_f1"))
+    return rows
+
+
+def _stacked_case(kind):
+    """Every item labeled: five classes, plus a single-item class, or plus a rare second label on six items."""
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(160, 12)) + np.repeat(np.eye(5, 12), 32, axis=0)
+    labels = [int(c) for c in np.repeat(np.arange(5), 32)]
+    if kind == "degenerate":
+        labels[7] = 9
+    elif kind == "multilabel":
+        # "r" sits on 6 items, so at ratio .1 some seeds' training sides miss it
+        labels = [{c} | ({"r"} if i % 27 == 3 else set()) for i, c in enumerate("abcde"[c] for c in labels)]
+    return x, labels
+
+
+class TestStackedSeeds:
+    RATIOS, SEEDS = (0.1, 0.3, 0.5), tuple(range(10))
+
+    @pytest.mark.parametrize("kind", ["single", "degenerate", "multilabel"])
+    def test_weights_and_predictions_match_per_seed_fits(self, kind):
+        x, raw = _stacked_case(kind)
+        labels = LabelMatrix.of(raw)
+        strat_index = None if labels.multilabel else labels.y.argmax(axis=1)
+        groups = []
+        for ratio in self.RATIOS:
+            specs = [SplitSpec(ratio, seed=s, stratified=strat_index is not None) for s in self.SEEDS]
+            train, test = (np.stack(side) for side in zip(*[make_split(160, sp, strat_index) for sp in specs]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateClass)
+                clf = logistic_ovr_train(x, labels, train)
+                pred = clf.predict(x[test])
+                for k in range(len(self.SEEDS)):
+                    trained, weights, ref_pred = _per_seed_predict(x, labels, train[k], test[k])
+                    assert np.array_equal(clf.trained[k], trained)
+                    assert np.array_equal(clf.weights[k], weights)
+                    assert np.array_equal(pred[k], ref_pred)
+            groups.append(len(np.unique(clf.trained, axis=0)))
+        # multilabel splits differ in their trained classes within one stack, so several descents run
+        assert (max(groups) > 1) == (kind == "multilabel")
+
+    @pytest.mark.parametrize("kind", ["single", "degenerate", "multilabel"])
+    def test_report_rows_match_per_seed_report(self, kind):
+        x, labels = _stacked_case(kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateClass)
+            assert classification_report(x, labels, self.RATIOS, self.SEEDS) == _per_seed_report(
+                x, labels, self.RATIOS, self.SEEDS
+            )
+
+    def test_one_warning_per_split_and_untrained_class(self):
+        x, labels = _stacked_case("degenerate")
+        train = np.stack([make_split(160, SplitSpec(0.1, seed=s))[0] for s in range(4)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            clf = logistic_ovr_train(x, LabelMatrix.of(labels), train)
+        assert len([w for w in caught if issubclass(w.category, DegenerateClass)]) == (~clf.trained).sum()
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_unstacked_fits_keep_their_bits(self, shape):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(50, 6))
+        y = (rng.normal(size=(50,) + shape) + x[:, :1] > 0).astype(np.float64)
+        assert np.array_equal(_fit_binary_logistic(x, y), _reference_fit(x, y))
+
+
 def _reference_f1(pred, truth):
     """Micro and macro F1 over label sets, counted with dicts: the per-row set composition."""
     tp = defaultdict(int)
@@ -562,8 +666,13 @@ class TestReports:
         monkeypatch.setattr(evaluate, "logistic_ovr_train", recorded_fit)
         ratios, seeds = (0.3, 0.5), (0, 1, 2)
         rows = classification_report(x, labels, ratios=ratios, seeds=seeds)
-        assert len(splits) == len(fits) == len(ratios) * len(seeds)
-        assert all(train is drawn for (train, _), (drawn, _) in zip(fits, splits))
+        # one stacked fit per ratio; its row k is the split drawn for seed k
+        assert len(splits) == len(ratios) * len(seeds)
+        assert len(fits) == len(ratios)
+        drawn = iter(splits)
+        for train, _ in fits:
+            assert train.shape[0] == len(seeds)
+            assert all(np.array_equal(row, next(drawn)[0]) for row in train)
         matrix = fits[0][1]
         assert isinstance(matrix, LabelMatrix) and matrix.classes == [0, 1]
         assert all(labels is matrix for _, labels in fits)
@@ -585,6 +694,20 @@ class TestReports:
         x = np.random.default_rng(0).normal(size=(8, 2))
         with pytest.raises(ConfigError, match="no item has a label"):
             classification_report(x, [set()] * 8, ratios=(0.5,), seeds=(0,))
+
+    def test_unlabeled_items_are_left_out(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        x = np.concatenate([rng.normal(size=(20, 2)), 4 + rng.normal(size=(20, 2))])
+        labels = [{0}] * 20 + [{1}] * 20
+        for i in range(0, 40, 4):
+            labels[i] = set()
+        assert not LabelMatrix.of(labels).multilabel
+        fitted, fit = [], evaluate.logistic_ovr_train
+        monkeypatch.setattr(evaluate, "logistic_ovr_train", lambda f, m, idx: fitted.append(idx) or fit(f, m, idx))
+        rows = classification_report(x, labels, ratios=(0.3, 0.5), seeds=(0, 1, 2))
+        # unlabeled items once made the data multilabel: mean micro F1 was then 0.726/0.781 at ratios .3/.5
+        assert {v for *_, v in rows} == {1.0}
+        assert not np.any(np.isin(np.concatenate(fitted, axis=None), np.arange(0, 40, 4)))
 
     def test_classification_report_needs_a_seed(self):
         x = np.random.default_rng(0).normal(size=(8, 2))

@@ -160,6 +160,11 @@ class TestCsrValidation:
         with pytest.raises(ConfigError):
             SparseAdjacency.from_edges(2, [(0, 1)], [-1.0])
 
+    @pytest.mark.parametrize("edge, index", [((0, -1), -1), ((0, 5), 5), ((7, 1), 7)])
+    def test_node_index_out_of_range(self, edge, index):
+        with pytest.raises(IndexOutOfRange, match=f"^node index {index} out of range for 3 nodes$"):
+            SparseAdjacency.from_edges(3, [(0, 1), edge])
+
     def test_from_edges_keeps_max_duplicate(self):
         adj = SparseAdjacency.from_edges(2, [(0, 1), (1, 0), (0, 1)], [1.0, 3.0, 2.0])
         assert adj.nnz == 2

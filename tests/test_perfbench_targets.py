@@ -87,7 +87,8 @@ def test_evaluation_fires_every_eval_span():
     assert [span for span in eval_spans if tracer.calls[span] == 0] == []
     # the tracer counts fits from logistic_ovr_train's .trained mask; every class trains here
     fits = len(ratios) * len(seeds) * len(set().union(*net.labels))
-    assert tracer.calls["evaluate.logistic_ovr_train"] == len(ratios) * len(seeds)
+    # the seeds of one ratio are fitted in one stacked call
+    assert tracer.calls["evaluate.logistic_ovr_train"] == len(ratios)
     assert tracer.counts[("evaluate.logistic_ovr_train", "fits")] == fits
     assert tracer.calls["evaluate.sample_negatives"] == len(seeds)
 

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rgae.autodiff as ad
 from rgae.autodiff import Tape
@@ -48,8 +50,17 @@ class TestUpdateLambda:
         assert np.all(np.isfinite(lam))
         assert abs(lam.sum() - 1.0) < 1e-12
 
+    @given(
+        b=st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=6),
+        gamma=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).filter(lambda g: g != 1.0),
+    )
+    def test_any_valid_input_lands_on_the_simplex(self, b, gamma):
+        lam = update_lambda(np.array(b), gamma)
+        assert np.all(np.isfinite(lam)) and np.all(lam >= 0)
+        assert abs(lam.sum() - 1.0) <= 1e-12
+
     def test_invalid_gamma(self):
-        for gamma in (1.0, 0.0, -3.0):
+        for gamma in (1.0, 0.0, -3.0, math.inf, math.nan):
             with pytest.raises(InvalidGamma):
                 update_lambda(np.array([1.0, 2.0]), gamma)
 
