@@ -26,7 +26,7 @@ from .graph import (
     write_text_atomic,
 )
 from .synth import SynthConfig, generate
-from .trainer import TrainConfig, train
+from .trainer import HISTORY_HEADER, TrainConfig, train
 
 
 def _versions() -> dict:
@@ -65,8 +65,9 @@ def _write_manifest(path: Path, args, cfg: dict, inputs: list, outputs: list) ->
     write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _write_table(args, cfg: dict, text: str, inputs: list) -> None:
-    """Write a table to --out with <stem>.manifest.json beside it, or to stdout when --out is unset."""
+def _write_table(args, cfg: dict, header, rows, inputs: list) -> None:
+    """TSV of the header and rows of formatted cells to --out plus <stem>.manifest.json, or to stdout."""
+    text = "".join("\t".join(cells) + "\n" for cells in [header, *rows])
     if not cfg["out"]:
         sys.stdout.write(text)
         return
@@ -172,9 +173,13 @@ def _resolve(args, keys: dict) -> dict:
     return resolved
 
 
-def _require(cfg, key, flag):
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _require(cfg, key):
     if cfg[key] is None:
-        raise ConfigError(f"{flag} is required")
+        raise ConfigError(f"{_flag(key)} is required")
     return cfg[key]
 
 
@@ -260,7 +265,7 @@ def _train_config(cfg) -> TrainConfig:
 
 def cmd_generate(args) -> int:
     cfg = _resolve(args, GENERATE_KEYS)
-    out_dir = Path(_require(cfg, "out", "--out"))
+    out_dir = Path(_require(cfg, "out"))
     synth = SynthConfig(**{f.name: cfg[f.name] for f in fields(SynthConfig)})
     net = generate(synth)
     written = save_dataset(net, out_dir)
@@ -271,8 +276,8 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve(args, TRAIN_KEYS)
-    data_dir = Path(_require(cfg, "data", "--data"))
-    out_dir = Path(_require(cfg, "out", "--out"))
+    data_dir = Path(_require(cfg, "data"))
+    out_dir = Path(_require(cfg, "out"))
     net = load_dataset(data_dir)
     train_net = net.without_view(cfg["target_view"]) if cfg["target_view"] is not None else net
     tc = _train_config(cfg)
@@ -285,8 +290,7 @@ def cmd_train(args) -> int:
         len(train_net.views),
         embeds.consistent.shape[1],
     )
-    header = "epoch\trec\tsim\tdif\ttotal\tlambda"
-    write_text_atomic(out_dir / "history.tsv", "\n".join([header] + [h.line() for h in history]) + "\n")
+    write_text_atomic(out_dir / "history.tsv", "\n".join([HISTORY_HEADER] + [h.line() for h in history]) + "\n")
     _write_manifest(out_dir / "manifest.json", args, cfg, [data_dir], ["embeddings.txt", "history.tsv"])
     final = history[-1].total if history else float("nan")
     print(f"trained {len(history)} epochs (final loss {final:.6g}); embeddings in {out_dir}")
@@ -303,8 +307,8 @@ def _aligned_embeddings(net: MultiViewNetwork, path):
 
 def cmd_eval(args) -> int:
     cfg = _resolve(args, EVAL_KEYS)
-    emb_path = Path(_require(cfg, "embeddings", "--embeddings"))
-    data_dir = Path(_require(cfg, "data", "--data"))
+    emb_path = Path(_require(cfg, "embeddings"))
+    data_dir = Path(_require(cfg, "data"))
     net = load_dataset(data_dir)
     y = _aligned_embeddings(net, emb_path)
     if cfg["task"] == "classification":
@@ -313,36 +317,32 @@ def cmd_eval(args) -> int:
         ratios = (cfg["train_ratio"],) if cfg["train_ratio"] is not None else (0.1, 0.3, 0.5)
         rows = classification_report(y, net.labels, ratios=ratios, seeds=cfg["seeds"])
     elif cfg["task"] == "linkpred":
-        target = _require(cfg, "target_view", "--target-view")
+        target = _require(cfg, "target_view")
         ratio = cfg["train_ratio"] if cfg["train_ratio"] is not None else 0.5
         rows = link_prediction_report(net, y, target, ratio=ratio, seeds=cfg["seeds"])
     else:
         raise ConfigError(f"--task must be classification or linkpred, got {cfg['task']!r}")
-    text = "task\ttrain_ratio\tseed\tmetric\tvalue\n" + "\n".join(
-        f"{t}\t{r:g}\t{s}\t{m}\t{v:.10g}" for t, r, s, m, v in rows
-    ) + "\n"
-    _write_table(args, cfg, text, [emb_path, data_dir])
+    header = "task train_ratio seed metric value".split()
+    cells = [(t, f"{r:g}", str(s), m, f"{v:.10g}") for t, r, s, m, v in rows]
+    _write_table(args, cfg, header, cells, [emb_path, data_dir])
     return 0
 
 
 def cmd_analyze(args) -> int:
     cfg = _resolve(args, ANALYZE_KEYS)
-    data_dir = Path(_require(cfg, "data", "--data"))
+    data_dir = Path(_require(cfg, "data"))
     net = load_dataset(data_dir)
     j = jaccard_consistency(net)
-    header = "view\t" + "\t".join(f"view_{i}" for i in range(len(net.views)))
-    lines = [header]
-    for i, row in enumerate(j):
-        lines.append(f"view_{i}\t" + "\t".join(f"{x:.10g}" for x in row))
-    text = "\n".join(lines) + "\n"
-    _write_table(args, cfg, text, [data_dir])
+    header = ["view"] + [f"view_{i}" for i in range(len(net.views))]
+    rows = [[f"view_{i}"] + [f"{x:.10g}" for x in row] for i, row in enumerate(j)]
+    _write_table(args, cfg, header, rows, [data_dir])
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = _resolve(args, SWEEP_KEYS)
-    data_dir = Path(_require(cfg, "data", "--data"))
-    out_path = Path(_require(cfg, "out", "--out"))
+    data_dir = Path(_require(cfg, "data"))
+    out_path = Path(_require(cfg, "out"))
     _require_seeds(cfg["seeds"])
     net = load_dataset(data_dir)
     if net.labels is None or not any(net.labels):
@@ -364,11 +364,8 @@ def cmd_sweep(args) -> int:
             (alpha, beta, gamma, dim, means["micro_f1"], means["macro_f1"],
              float(lam.min()), float(lam.max()), float(lam.max() - lam.min()))
         )
-    header = "alpha\tbeta\tgamma\tdim\tmicro_f1\tmacro_f1\tlambda_min\tlambda_max\tlambda_spread"
-    text = header + "\n" + "\n".join(
-        "\t".join(f"{x:.10g}" for x in row) for row in rows
-    ) + "\n"
-    _write_table(args, cfg, text, [data_dir])
+    header = "alpha beta gamma dim micro_f1 macro_f1 lambda_min lambda_max lambda_spread".split()
+    _write_table(args, cfg, header, [[f"{x:.10g}" for x in row] for row in rows], [data_dir])
     print(f"swept {len(rows)} configurations; table in {out_path}")
     return 0
 
@@ -376,12 +373,11 @@ def cmd_sweep(args) -> int:
 def _add_common(sub, keys):
     sub.add_argument("--config", help="flat key=value file; flags override it")
     for key in keys:
-        flag = "--" + key.replace("_", "-")
         conv, _ = keys[key]
         if conv is _parse_bool:
-            sub.add_argument(flag, dest=key, action="store_const", const=True, default=None)
+            sub.add_argument(_flag(key), dest=key, action="store_const", const=True, default=None)
         else:
-            sub.add_argument(flag, dest=key, type=conv, default=None)
+            sub.add_argument(_flag(key), dest=key, type=conv, default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:

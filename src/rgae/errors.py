@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the config dataclasses' integer check."""
+
+from numbers import Integral
 
 
 class RgaeError(Exception):
@@ -71,3 +73,9 @@ class DegenerateClass(UserWarning):
 
 class ZeroVector(UserWarning):
     """A zero-norm embedding row made the cosine undefined; the feature was set to 0."""
+
+
+def require_int(name: str, value, low: int) -> None:
+    """ConfigError unless value is a Python or numpy integer of at least low."""
+    if not isinstance(value, Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")

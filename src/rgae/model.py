@@ -26,21 +26,10 @@ def embed_dim(total_dim: int, n_views: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    """Output widths of the encoder layers; the last entry is the embedding block width."""
-
-    sizes: tuple
-
-    def __post_init__(self):
-        if len(self.sizes) < 1 or any(int(s) < 1 for s in self.sizes):
-            raise ConfigError(f"layer sizes must be positive, got {self.sizes}")
-
-
-def _glorot_stack(rng, n, layers: LayerSpec) -> list:
+def _glorot_stack(rng, n, sizes) -> list:
     stack = []
     fan_in = n
-    for size in layers.sizes:
+    for size in sizes:
         limit = np.sqrt(6.0 / (fan_in + size))
         stack.append(rng.uniform(-limit, limit, size=(fan_in, size)))
         fan_in = size
@@ -59,11 +48,16 @@ class RgaeParams:
     lam: np.ndarray
 
     @classmethod
-    def init(cls, n: int, layers: LayerSpec, n_views: int, seed: int = 0) -> "RgaeParams":
-        """Seeded uniform init scaled by fan sizes; shared stack drawn first, then each view's stack."""
+    def init(cls, n: int, sizes: tuple, n_views: int, seed: int = 0) -> "RgaeParams":
+        """Seeded uniform init scaled by fan sizes; shared stack drawn first, then each view's stack.
+
+        sizes are the output widths of the encoder layers; the last is the embedding block width.
+        """
+        if len(sizes) < 1 or min(sizes) < 1:
+            raise ConfigError(f"layer sizes must be positive, got {sizes}")
         rng = np.random.default_rng(seed)
-        shared = _glorot_stack(rng, n, layers)
-        private = [_glorot_stack(rng, n, layers) for _ in range(n_views)]
+        shared = _glorot_stack(rng, n, sizes)
+        private = [_glorot_stack(rng, n, sizes) for _ in range(n_views)]
         lam = np.full(n_views, 1.0 / n_views)
         return cls(private=private, shared=shared, lam=lam)
 
@@ -98,13 +92,20 @@ def encode(norm: NormalizedAdjacency, weights: list) -> Tensor:
     return h
 
 
-def forward_view(norm: NormalizedAdjacency, params: RgaeParams, view: int):
-    """Both encoder stacks for one view plus the decoded reconstruction probabilities."""
-    ys = encode(norm, params.shared)
-    yp = encode(norm, params.private[view])
-    joint = ad.concat_cols(ys, yp)
-    a_hat = ad.sigmoid(ad.gram(joint))
-    return ys, yp, a_hat
+def encode_views(net: MultiViewNetwork, bound: RgaeParams):
+    """(shared, private): each view's shared and private encoder outputs, recorded view by view."""
+    if bound.n_views != len(net.views):
+        raise ShapeMismatch(f"{bound.n_views} private stacks for {len(net.views)} views")
+    shared, private = [], []
+    for view, stack in zip(net.views, bound.private):
+        shared.append(encode(view.normalized(), bound.shared))
+        private.append(encode(view.normalized(), stack))
+    return shared, private
+
+
+def decode(ys: Tensor, yp: Tensor) -> Tensor:
+    """Inner-product decoder: reconstruction probabilities from one view's joined encoder outputs."""
+    return ad.sigmoid(ad.gram(ad.concat_cols(ys, yp)))
 
 
 def _view_powers(lam, gamma: float, n_views: int) -> np.ndarray:
@@ -183,15 +184,9 @@ def run_model(
     """
     if alpha < 0 or beta < 0:
         raise ConfigError("loss weights must be nonnegative")
-    if params.n_views != len(net.views):
-        raise ShapeMismatch(f"{params.n_views} private stacks for {len(net.views)} views")
     bound = bind_params(tape, params)
-    shared_out, private_out, rec = [], [], []
-    for i, view in enumerate(net.views):
-        ys, yp, a_hat = forward_view(view.normalized(), bound, i)
-        shared_out.append(ys)
-        private_out.append(yp)
-        rec.append(ad.balanced_bce(a_hat, view))
+    shared_out, private_out = encode_views(net, bound)
+    rec = [ad.balanced_bce(decode(ys, yp), view) for ys, yp, view in zip(shared_out, private_out, net.views)]
     y_con = consistent_embedding(shared_out, params.lam, gamma)
     sim = similarity_loss(shared_out, y_con, params.lam, gamma)
     dif = [difference_loss(ys, yp) for ys, yp in zip(shared_out, private_out)]
@@ -232,12 +227,8 @@ def aggregate(embeds: EmbeddingSet) -> np.ndarray:
 
 def embed(net: MultiViewNetwork, params: RgaeParams, gamma: float) -> EmbeddingSet:
     """The embeddings of run_model's encoder outputs, without running a decoder or a loss."""
-    if params.n_views != len(net.views):
-        raise ShapeMismatch(f"{params.n_views} private stacks for {len(net.views)} views")
     tape = Tape()  # held here: the leaves refer to it only weakly
-    bound = bind_params(tape, params)
-    shared = [encode(view.normalized(), bound.shared) for view in net.views]
-    private = [encode(view.normalized(), stack) for view, stack in zip(net.views, bound.private)]
+    shared, private = encode_views(net, bind_params(tape, params))
     y_con = consistent_embedding(shared, params.lam, gamma)
     es = EmbeddingSet([t.value for t in shared], [t.value for t in private], y_con.value)
     es.final = aggregate(es)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .graph import MultiViewNetwork, SparseAdjacency
 
 
@@ -32,22 +32,18 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError("need at least two nodes")
-        if not self.communities or any(int(c) < 1 for c in self.communities):
-            raise ConfigError("community sizes must be positive")
-        if sum(int(c) for c in self.communities) != self.n:
+        for name, low in (("n", 2), ("views", 1), ("seed", 0)):
+            require_int(name, getattr(self, name), low)
+        for size in self.communities:
+            require_int("community sizes", size, 1)
+        if sum(self.communities) != self.n:
             raise ConfigError(f"community sizes must sum to n={self.n}")
         if not (0.0 <= self.p_out < self.p_in <= 1.0):
             raise ConfigError("need 0 <= p_out < p_in <= 1")
         if not 0.0 <= self.unique_frac < float("inf"):
             raise ConfigError(f"unique_frac must be finite and nonnegative, got {self.unique_frac}")
-        if self.views < 1:
-            raise ConfigError("need at least one view")
         if self.overlap is not None and not (0.0 < self.overlap <= 1.0):
             raise ConfigError("overlap must be in (0, 1]")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 def generate(cfg: SynthConfig) -> MultiViewNetwork:

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, scalar
-from .errors import ConfigError, NumericalOverflow, ShapeMismatch
+from .errors import ConfigError, NumericalOverflow, ShapeMismatch, require_int
 from .graph import MultiViewNetwork
 from .model import (
-    LayerSpec,
     RgaeParams,
     check_gamma,
     consistent_embedding,
@@ -55,6 +54,10 @@ class TrainConfig:
     verbose: bool = False
 
     def __post_init__(self):
+        for name, low in (("dim", 1), ("max_epochs", 0), ("seed", 0), ("lambda_update_every", 1)):
+            require_int(name, getattr(self, name), low)
+        for size in self.layer_sizes:
+            require_int("layer sizes", size, 1)
         for name in ("alpha", "beta", "gamma", "lr", "tol"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -63,18 +66,10 @@ class TrainConfig:
         check_gamma(self.gamma)
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
-        if self.max_epochs < 0:
-            raise ConfigError("max_epochs must be nonnegative")
         if not (self.patience >= 1):
             raise ConfigError("patience must be at least 1 (math.inf allowed)")
         if self.tol < 0:
             raise ConfigError("tol must be nonnegative")
-        if self.lambda_update_every < 1:
-            raise ConfigError("lambda_update_every must be at least 1")
-        if self.dim < 1:
-            raise ConfigError("dim must be positive")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -126,6 +121,9 @@ def update_lambda(b, gamma: float) -> np.ndarray:
     return w / w.sum()
 
 
+HISTORY_HEADER = "epoch\trec\tsim\tdif\ttotal\tlambda"
+
+
 @dataclass(frozen=True)
 class EpochStats:
     """One loss-history entry; lam is the weight vector in force after this epoch."""
@@ -138,6 +136,7 @@ class EpochStats:
     lam: tuple
 
     def line(self) -> str:
+        """One history.tsv row under HISTORY_HEADER."""
         lam = ",".join(f"{x:.17g}" for x in self.lam)
         return (
             f"{self.epoch}\t{self.rec:.17g}\t{self.sim:.17g}\t"
@@ -187,8 +186,7 @@ def train(net: MultiViewNetwork, cfg: TrainConfig):
     """
     n_views = len(net.views)
     d = embed_dim(cfg.dim, n_views)
-    layers = LayerSpec(tuple(int(s) for s in cfg.layer_sizes) + (d,))
-    params = RgaeParams.init(net.n, layers, n_views, seed=cfg.seed)
+    params = RgaeParams.init(net.n, (*cfg.layer_sizes, d), n_views, seed=cfg.seed)
     state = AdamState.for_params(params.weights())
     history: list[EpochStats] = []
     prev_total = None

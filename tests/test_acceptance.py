@@ -25,7 +25,7 @@ from rgae.evaluate import (
 )
 from rgae.evaluate import _fit_binary_logistic
 from rgae.graph import MultiViewNetwork, SparseAdjacency
-from rgae.model import LayerSpec, RgaeParams, bind_params, forward_view, run_model
+from rgae.model import RgaeParams, bind_params, decode, encode_views, run_model
 from rgae.synth import SynthConfig, generate
 from rgae.trainer import TrainConfig, train, update_lambda
 
@@ -83,7 +83,7 @@ def full_runs(c5_net):
 
 def test_criterion_1_gradient_correctness():
     net = random_net(10, 2, seed=11)
-    params = RgaeParams.init(10, LayerSpec((5, 3)), 2, seed=5)
+    params = RgaeParams.init(10, (5, 3), 2, seed=5)
     params.lam = np.array([0.3, 0.7])
     alpha, beta, gamma = 0.7, 0.4, 2.0
 
@@ -147,11 +147,11 @@ def test_criterion_2_forward_oracle_equivalence():
         hidden = int(rng.integers(3, 7))
         d = int(rng.integers(2, 5))
         net = random_net(n, n_views, seed=seed + 50)
-        params = RgaeParams.init(n, LayerSpec((hidden, d)), n_views, seed=seed)
+        params = RgaeParams.init(n, (hidden, d), n_views, seed=seed)
         tape = Tape()
         bound = bind_params(tape, params)
-        for i, view in enumerate(net.views):
-            ys, yp, a_hat = forward_view(view.normalized(), bound, i)
+        for i, (view, ys, yp) in enumerate(zip(net.views, *encode_views(net, bound))):
+            a_hat = decode(ys, yp)
             oys, oyp, oa = oracle(view, params, i)
             worst = max(
                 worst,

@@ -521,6 +521,33 @@ class TestErrorReporting:
         assert code == 1
         assert capsys.readouterr().err.startswith("ConfigError:")
 
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--out", ["generate"]),
+            ("--data", ["train", "--out", "OUT"]),
+            ("--out", ["train", "--data", "DATA"]),
+            ("--embeddings", ["eval", "--data", "DATA", "--out", "OUT"]),
+            ("--data", ["eval", "--embeddings", "EMB", "--out", "OUT"]),
+            ("--target-view",
+             ["eval", "--embeddings", "EMB", "--data", "DATA", "--task", "linkpred", "--out", "OUT"]),
+            ("--data", ["analyze", "--out", "OUT"]),
+            ("--data", ["sweep", "--out", "OUT"]),
+            ("--out", ["sweep", "--data", "DATA"]),
+        ],
+        ids=["generate-out", "train-data", "train-out", "eval-embeddings", "eval-data", "eval-target-view",
+             "analyze-data", "sweep-data", "sweep-out"],
+    )
+    def test_required_flag_named(self, dataset, embeddings, tmp_path, capsys, monkeypatch, flag, argv):
+        monkeypatch.chdir(tmp_path)
+        paths = {"DATA": str(dataset), "EMB": str(embeddings), "OUT": str(tmp_path / "out")}
+        code = run(*(paths.get(a, a) for a in argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"ConfigError: {flag} is required\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 def failing(capsys, *argv):
     """stderr of a command that must exit 1."""

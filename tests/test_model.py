@@ -8,15 +8,16 @@ from rgae.errors import ConfigError, DegenerateWeights, InvalidGamma, ShapeMisma
 from rgae.graph import MultiViewNetwork, SparseAdjacency
 from rgae.model import (
     EmbeddingSet,
-    LayerSpec,
     RgaeParams,
     aggregate,
     bind_params,
     consistent_embedding,
+    decode,
     difference_loss,
     embed,
     embed_dim,
-    forward_view,
+    encode,
+    encode_views,
     run_model,
     similarity_loss,
 )
@@ -93,29 +94,30 @@ class TestForwardView:
                                 lam=np.array([1.0]))
             tape = Tape()
             bound = bind_params(tape, params)
-            ys, yp, a_hat = forward_view(view.normalized(), bound, 0)
+            ys = encode(view.normalized(), bound.shared)
+            yp = encode(view.normalized(), bound.private[0])
             assert ys.value[0, 0] == pytest.approx(max(w, 0.0))
             assert yp.value[0, 0] == pytest.approx(max(w, 0.0))
 
     def test_zero_weights_give_half_probabilities(self):
         net = random_net(5, 1, seed=2)
-        params = RgaeParams.init(5, LayerSpec((4, 2)), 1, seed=0)
+        params = RgaeParams.init(5, (4, 2), 1, seed=0)
         params.shared = [np.zeros_like(w) for w in params.shared]
         params.private = [[np.zeros_like(w) for w in params.private[0]]]
         tape = Tape()
-        bound = bind_params(tape, params)
-        ys, yp, a_hat = forward_view(net.views[0].normalized(), bound, 0)
+        (ys,), (yp,) = encode_views(net, bind_params(tape, params))
+        a_hat = decode(ys, yp)
         assert np.array_equal(ys.value, np.zeros((5, 2)))
         assert np.all(a_hat.value == 0.5)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_dense_oracle(self, seed):
         net = random_net(6, 2, seed=seed)
-        params = RgaeParams.init(6, LayerSpec((5, 3)), 2, seed=seed + 100)
+        params = RgaeParams.init(6, (5, 3), 2, seed=seed + 100)
         tape = Tape()
         bound = bind_params(tape, params)
-        for i, view in enumerate(net.views):
-            ys, yp, a_hat = forward_view(view.normalized(), bound, i)
+        for i, (view, ys, yp) in enumerate(zip(net.views, *encode_views(net, bound))):
+            a_hat = decode(ys, yp)
             oys, oyp, oa = oracle_forward_view(view, params, i)
             assert np.max(np.abs(ys.value - oys)) < 1e-12
             assert np.max(np.abs(yp.value - oyp)) < 1e-12
@@ -123,26 +125,24 @@ class TestForwardView:
 
     def test_reconstruction_symmetric_in_unit_interval(self):
         net = random_net(7, 1, seed=4)
-        params = RgaeParams.init(7, LayerSpec((3,)), 1, seed=1)
+        params = RgaeParams.init(7, (3,), 1, seed=1)
         tape = Tape()
-        bound = bind_params(tape, params)
-        _, _, a_hat = forward_view(net.views[0].normalized(), bound, 0)
+        (ys,), (yp,) = encode_views(net, bind_params(tape, params))
+        a_hat = decode(ys, yp)
         assert np.allclose(a_hat.value, a_hat.value.T)
         assert np.all((a_hat.value > 0) & (a_hat.value < 1))
 
     def test_shared_weight_tying(self):
         net = random_net(6, 3, seed=6)
-        params = RgaeParams.init(6, LayerSpec((4, 2)), 3, seed=0)
+        params = RgaeParams.init(6, (4, 2), 3, seed=0)
 
         def shared_outputs(p):
             tape = Tape()
-            bound = bind_params(tape, p)
-            return [forward_view(v.normalized(), bound, i)[0].value for i, v in enumerate(net.views)]
+            return [t.value for t in encode_views(net, bind_params(tape, p))[0]]
 
         def private_outputs(p):
             tape = Tape()
-            bound = bind_params(tape, p)
-            return [forward_view(v.normalized(), bound, i)[1].value for i, v in enumerate(net.views)]
+            return [t.value for t in encode_views(net, bind_params(tape, p))[1]]
 
         base_shared = shared_outputs(params)
         base_private = private_outputs(params)
@@ -287,14 +287,14 @@ class TestDifferenceLoss:
 class TestTotalLoss:
     def test_zero_coefficients_equal_reconstruction_exactly(self):
         net = random_net(6, 2, seed=8)
-        params = RgaeParams.init(6, LayerSpec((4, 2)), 2, seed=8)
+        params = RgaeParams.init(6, (4, 2), 2, seed=8)
         tape = Tape()
         out = run_model(net, params, 0.0, 0.0, 2.0, tape)
         assert scalar(out.loss) == sum(scalar(r) for r in out.rec)
 
     def test_matches_independent_oracle(self):
         net = random_net(8, 2, seed=9)
-        params = RgaeParams.init(8, LayerSpec((5, 3)), 2, seed=10)
+        params = RgaeParams.init(8, (5, 3), 2, seed=10)
         params.lam = np.array([0.35, 0.65])
         tape = Tape()
         loss = run_model(net, params, 0.7, 0.4, 2.0, tape).loss
@@ -303,7 +303,7 @@ class TestTotalLoss:
 
     def test_ablation_flags_zero_terms(self):
         net = random_net(6, 2, seed=11)
-        params = RgaeParams.init(6, LayerSpec((3,)), 2, seed=11)
+        params = RgaeParams.init(6, (3,), 2, seed=11)
         tape = Tape()
         full = run_model(net, params, 1.0, 1.0, 2.0, tape)
         rec_only = sum(scalar(r) for r in full.rec)
@@ -316,7 +316,7 @@ class TestTotalLoss:
 
     def test_ablated_gradients_flow_only_through_reconstruction(self):
         net = random_net(6, 2, seed=12)
-        params = RgaeParams.init(6, LayerSpec((4, 2)), 2, seed=12)
+        params = RgaeParams.init(6, (4, 2), 2, seed=12)
         tape = Tape()
         out = run_model(net, params, 1.0, 1.0, 2.0, tape, use_sim=False, use_dif=False)
         tape.backward(out.loss)
@@ -336,7 +336,7 @@ class TestTotalLoss:
 
     def test_negative_coefficients_rejected(self):
         net = random_net(4, 1, seed=13)
-        params = RgaeParams.init(4, LayerSpec((2,)), 1, seed=0)
+        params = RgaeParams.init(4, (2,), 1, seed=0)
         with pytest.raises(ConfigError):
             run_model(net, params, -0.1, 0.0, 2.0, Tape())
 
@@ -346,7 +346,7 @@ class TestEmbed:
     @pytest.mark.parametrize("use_dif", [True, False])
     def test_matches_run_model_outputs(self, use_sim, use_dif):
         net = random_net(12, 3, seed=15)
-        params = RgaeParams.init(12, LayerSpec((5, 3)), 3, seed=15)
+        params = RgaeParams.init(12, (5, 3), 3, seed=15)
         params.lam = np.array([0.2, 0.3, 0.5])
         out = run_model(net, params, 0.5, 0.5, 3.0, Tape(), use_sim=use_sim, use_dif=use_dif)
         es = embed(net, params, 3.0)
@@ -356,7 +356,7 @@ class TestEmbed:
         assert np.array_equal(es.final, aggregate(es))
 
     def test_view_count_mismatch(self):
-        params = RgaeParams.init(6, LayerSpec((2,)), 2, seed=0)
+        params = RgaeParams.init(6, (2,), 2, seed=0)
         with pytest.raises(ShapeMismatch):
             embed(random_net(6, 3, seed=16), params, 2.0)
 
@@ -396,6 +396,6 @@ class TestDimensionBudget:
 
     def test_layer_spec_validation(self):
         with pytest.raises(ConfigError):
-            LayerSpec((4, 0))
+            RgaeParams.init(5, (4, 0), 1)
         with pytest.raises(ConfigError):
-            LayerSpec(())
+            RgaeParams.init(5, (), 1)

@@ -90,6 +90,28 @@ class TestGenerate:
         with pytest.raises(ConfigError, match="seed"):
             SynthConfig(n=10, communities=(5, 5), seed=-1)
 
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            ({"communities": (10.9, 10, 10)}, "community sizes"),
+            ({"views": 2.5}, "views"),
+            ({"n": 30.0}, "n"),
+            ({"seed": 1.5}, "seed"),
+        ],
+        ids=["communities-10.9", "views-2.5", "n-30.0", "seed-1.5"],
+    )
+    def test_integer_fields_checked_at_construction(self, overrides, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer of at least"):
+            SynthConfig(**{"n": 30, "communities": (10, 10, 10), **overrides})
+
+    def test_numpy_integer_fields_accepted(self):
+        base = dict(n=30, communities=(10, 10, 10), views=2, seed=4)
+        as_numpy = dict(n=np.int64(30), communities=tuple(np.int32(10) for _ in range(3)),
+                        views=np.int64(2), seed=np.int64(4))
+        want, got = generate(SynthConfig(**base)), generate(SynthConfig(**as_numpy))
+        assert [v.to_dense().tolist() for v in got.views] == [v.to_dense().tolist() for v in want.views]
+        assert got.labels == want.labels
+
     def test_empty_backbone_rejected(self):
         with pytest.raises(ConfigError):
             generate(SynthConfig(n=4, communities=(2, 2), p_in=1e-9, p_out=0.0, seed=0))

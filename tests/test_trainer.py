@@ -12,7 +12,7 @@ import rgae.autodiff as ad
 from rgae.autodiff import Tape
 from rgae.errors import ConfigError, InvalidGamma, NumericalOverflow, ShapeMismatch
 from rgae.graph import MultiViewNetwork, SparseAdjacency
-from rgae.model import LayerSpec, RgaeParams, bind_params, embed_dim, encode, forward_view, run_model
+from rgae.model import RgaeParams, bind_params, embed_dim, encode, run_model
 from rgae.synth import SynthConfig, generate
 from rgae.trainer import AdamState, TrainConfig, _refresh_lambda, adam_step, train, update_lambda
 
@@ -141,9 +141,7 @@ class TestTrain:
         cfg = TrainConfig(dim=2, layer_sizes=(), max_epochs=0, seed=3)
         params, embeds, history = train(net, cfg)
         assert history == []
-        from rgae.model import LayerSpec, RgaeParams
-
-        fresh = RgaeParams.init(2, LayerSpec((1,)), 1, seed=3)
+        fresh = RgaeParams.init(2, (1,), 1, seed=3)
         for a, b in zip(params.weights(), fresh.weights()):
             assert np.array_equal(a, b)
         assert embeds.final.shape == (2, 2)
@@ -219,6 +217,29 @@ class TestTrain:
         with pytest.raises(ConfigError, match="seed"):
             train(net, TrainConfig(seed=-1))
 
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("layer_sizes", (2.5,), "layer sizes"),
+            ("layer_sizes", (0,), "layer sizes"),
+            ("lambda_update_every", 1.5, "lambda_update_every"),
+            ("dim", 12.7, "dim"),
+            ("max_epochs", 2.5, "max_epochs"),
+            ("seed", 1.5, "seed"),
+        ],
+        ids=["layers-2.5", "layers-0", "lambda-every-1.5", "dim-12.7", "epochs-2.5", "seed-1.5"],
+    )
+    def test_integer_fields_checked_at_construction(self, field, value, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer of at least"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integer_fields_accepted(self):
+        ints = dict(dim=6, layer_sizes=(4,), max_epochs=3, seed=2, lambda_update_every=2)
+        as_numpy = {k: (np.int32(4),) if k == "layer_sizes" else np.int64(v) for k, v in ints.items()}
+        _, want, _ = train(two_node_net(), TrainConfig(**ints))
+        _, got, _ = train(two_node_net(), TrainConfig(**as_numpy))
+        assert np.array_equal(got.final, want.final)
+
     @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "lr", "tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rates_rejected(self, field, value):
@@ -256,7 +277,7 @@ class TestMemory:
             two, six = train_peak(2), train_peak(6)
             assert six <= 1.05 * two
             tape = Tape()
-            out = run_model(net, RgaeParams.init(300, LayerSpec((32, 8)), 3), 0.5, 0.5, 5.0, tape)
+            out = run_model(net, RgaeParams.init(300, (32, 8), 3), 0.5, 0.5, 5.0, tape)
             tape.backward(out.loss)
             probe = weakref.ref(out.shared[0].value)
             del tape, out
@@ -267,9 +288,10 @@ class TestMemory:
 
 # ---------------------------------------------------------------------------
 # The loss and view-weight compositions as they were before model.py gained
-# one fold, one view-weight power and one disagreement definition: the
-# interleaved scale/add consistent embedding, the per-view similarity loop,
-# separate reconstruction and difference folds, and the numpy disagreements.
+# one fold, one view-weight power, one disagreement definition and one encoder
+# pass: each view's encoders and decoder recorded together, the interleaved
+# scale/add consistent embedding, the per-view similarity loop, separate
+# reconstruction and difference folds, and the numpy disagreements.
 # ---------------------------------------------------------------------------
 
 def reference_consistent(shared, lam, gamma):
@@ -285,7 +307,9 @@ def reference_loss(net, params, cfg, tape):
     bound = bind_params(tape, params)
     shared, private, rec = [], [], []
     for i, view in enumerate(net.views):
-        ys, yp, a_hat = forward_view(view.normalized(), bound, i)
+        ys = encode(view.normalized(), bound.shared)
+        yp = encode(view.normalized(), bound.private[i])
+        a_hat = ad.sigmoid(ad.gram(ad.concat_cols(ys, yp)))
         shared.append(ys)
         private.append(yp)
         rec.append(ad.balanced_bce(a_hat, view))
@@ -329,8 +353,7 @@ class TestMatchesReferenceComposition:
     )
     def test_loss_gradients_and_lambda_bit_identical(self, cfg):
         net = generate(SynthConfig(n=30, communities=(10, 10, 10), views=3, seed=6))
-        layers = LayerSpec(cfg.layer_sizes + (embed_dim(cfg.dim, 3),))
-        params = RgaeParams.init(net.n, layers, 3, seed=cfg.seed)
+        params = RgaeParams.init(net.n, cfg.layer_sizes + (embed_dim(cfg.dim, 3),), 3, seed=cfg.seed)
         state = AdamState.for_params(params.weights())
         refreshed = 0
         for epoch in range(8):
