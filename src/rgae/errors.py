@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package, and the config dataclasses' integer check."""
+"""Exception and warning types shared across the package, and the config dataclasses' integer checks."""
 
 from numbers import Integral
 
@@ -76,6 +76,16 @@ class ZeroVector(UserWarning):
 
 
 def require_int(name: str, value, low: int) -> None:
-    """ConfigError unless value is a Python or numpy integer of at least low."""
-    if not isinstance(value, Integral) or value < low:
+    """ConfigError unless value is a Python or numpy integer, not a bool, of at least low."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
         raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
+def require_ints(name: str, values, low: int) -> None:
+    """ConfigError unless values is an iterable of integers that each pass require_int."""
+    try:
+        items = list(values)
+    except TypeError:
+        raise ConfigError(f"{name} must be a sequence of integers of at least {low}, got {values!r}") from None
+    for value in items:
+        require_int(name, value, low)

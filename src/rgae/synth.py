@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_int
+from .errors import ConfigError, require_int, require_ints
 from .graph import MultiViewNetwork, SparseAdjacency
 
 
@@ -34,8 +34,7 @@ class SynthConfig:
     def __post_init__(self):
         for name, low in (("n", 2), ("views", 1), ("seed", 0)):
             require_int(name, getattr(self, name), low)
-        for size in self.communities:
-            require_int("community sizes", size, 1)
+        require_ints("community sizes", self.communities, 1)
         if sum(self.communities) != self.n:
             raise ConfigError(f"community sizes must sum to n={self.n}")
         if not (0.0 <= self.p_out < self.p_in <= 1.0):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, scalar
-from .errors import ConfigError, NumericalOverflow, ShapeMismatch, require_int
+from .errors import ConfigError, NumericalOverflow, ShapeMismatch, require_int, require_ints
 from .graph import MultiViewNetwork
 from .model import (
     RgaeParams,
@@ -56,8 +56,7 @@ class TrainConfig:
     def __post_init__(self):
         for name, low in (("dim", 1), ("max_epochs", 0), ("seed", 0), ("lambda_update_every", 1)):
             require_int(name, getattr(self, name), low)
-        for size in self.layer_sizes:
-            require_int("layer sizes", size, 1)
+        require_ints("layer sizes", self.layer_sizes, 1)
         for name in ("alpha", "beta", "gamma", "lr", "tol"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")

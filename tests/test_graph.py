@@ -3,9 +3,11 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rgae import graph
+from rgae.cli import main as cli_main
 from rgae.errors import (
     ConfigError,
     EmptyView,
@@ -129,6 +131,97 @@ class TestSpmm:
         norm = normalize(adjacency_from_dense(a))
         x = rng.normal(size=(10, 4))
         assert np.array_equal(spmm(norm, x), spmm(norm, x))
+
+
+def reduceat_spmm(norm, dense):
+    """The reference spmm: np.add.reduceat's per-row sums of the CSR products."""
+    return np.add.reduceat(norm.values[:, None] * dense[norm.col_indices], norm.row_offsets[:-1], axis=0)
+
+
+def hub_graph(degrees, seed):
+    """Weighted star hubs of the given degrees over one leaf pool, then two isolated nodes."""
+    hubs, leaves = len(degrees), max(degrees, default=0)
+    edges = [(j, hubs + i) for j, d in enumerate(degrees) for i in range(d)]
+    weights = np.random.default_rng(seed).uniform(1e-3, 1e3, size=len(edges))
+    return normalize(SparseAdjacency.from_edges(hubs + leaves + 2, edges, weights))
+
+
+def wide_range_operand(n, k, rng):
+    """A non-contiguous n-by-k view with magnitudes 1e-8..1e8 and both signed zeros mixed in."""
+    base = rng.normal(size=(n, 2 * k)) * 10.0 ** rng.uniform(-8, 8, size=(n, 2 * k))
+    base[rng.random(base.shape) < 0.1] = 0.0
+    base[rng.random(base.shape) < 0.1] = -0.0
+    return base[:, ::2]
+
+
+class TestSpmmSummationOrder:
+    """spmm is pinned to np.add.reduceat bit for bit, so outputs match the reduceat kernel byte for byte."""
+
+    # row lengths (with the diagonal) cross 1, 2, 8, 9, 16, 17, 129, 130, 131 and 300
+    HUB_DEGREES = (1, 7, 8, 15, 16, 128, 129, 130, 299)
+
+    @pytest.mark.parametrize("k", [1, 8, 32])
+    @pytest.mark.parametrize("graph_name", ["hubs", "every-length", "one-short-row"])
+    def test_bytes_equal_reduceat(self, graph_name, k):
+        if graph_name == "hubs":
+            norm = hub_graph(self.HUB_DEGREES, seed=k)
+        elif graph_name == "every-length":
+            # hub j and leaf 299 - j both have degree j + 1, so every length 2..301 occurs twice
+            norm = hub_graph(range(1, 301), seed=k)
+        else:
+            # only node 0 has at most 129 entries; the other rows take the reduceat path
+            edges = [(u, v) for u in range(140) for v in range(u + 1, 140) if u > 0 or v <= 15]
+            norm = normalize(SparseAdjacency.from_edges(140, edges))
+        assert np.diff(norm.row_offsets).max() >= 131
+        rng = np.random.default_rng(k)
+        operands = [np.full((norm.n, k), -0.0)] + [wide_range_operand(norm.n, k, rng) for _ in range(3)]
+        for dense in operands:
+            assert spmm(norm, dense).tobytes() == reduceat_spmm(norm, dense).tobytes()
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 300), min_size=1, max_size=5), st.sampled_from([1, 8, 32]), st.integers(0, 2**32 - 1))
+    def test_random_hubs_bytes_equal_reduceat(self, degrees, k, seed):
+        norm = hub_graph(degrees, seed)
+        dense = wide_range_operand(norm.n, k, np.random.default_rng(seed))
+        assert spmm(norm, dense).tobytes() == reduceat_spmm(norm, dense).tobytes()
+
+    @pytest.mark.parametrize(
+        "generate_args, train_args",
+        [
+            (["--n", "60", "--communities", "20,20,20", "--views", "2", "--p-in", "0.3", "--p-out", "0.02",
+              "--unique-frac", "0.5", "--seed", "7"],
+             ["--dim", "32", "--layers", "32", "--alpha", "0.5", "--beta", "0.5", "--gamma", "5", "--lr", "0.01",
+              "--epochs", "500", "--patience", "inf", "--tol", "0", "--seed", "0"]),
+            (["--n", "300", "--communities", "100,100,100", "--views", "3", "--p-in", "0.1", "--p-out", "0.005",
+              "--seed", "3"],
+             ["--dim", "32", "--layers", "16,8", "--epochs", "40", "--seed", "2"]),
+        ],
+        ids=["criterion-5-n60", "3-view-n300"],
+    )
+    def test_training_outputs_equal_the_reduceat_kernel(self, tmp_path, monkeypatch, generate_args, train_args):
+        data = tmp_path / "data"
+        assert cli_main(["generate", "--out", str(data)] + generate_args) == 0
+
+        def outputs(run):
+            assert cli_main(["train", "--data", str(data), "--out", str(tmp_path / run)] + train_args) == 0
+            return [(tmp_path / run / name).read_bytes() for name in ("embeddings.txt", "history.tsv")]
+
+        got = outputs("plan")
+        monkeypatch.setattr(graph, "spmm", reduceat_spmm)
+        assert got == outputs("reduceat")
+
+    def test_plan_is_built_once_on_first_product(self, monkeypatch):
+        built = []
+        build = graph._SpmmPlan.build
+        monkeypatch.setattr(graph._SpmmPlan, "build", classmethod(lambda cls, norm: built.append(norm) or build(norm)))
+        adj = SparseAdjacency.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        norm = adj.normalized()
+        normalize(adj)
+        assert built == []
+        x = np.arange(8.0).reshape(4, 2)
+        assert np.array_equal(spmm(norm, x), spmm(norm, x))
+        assert built == [norm]
+        assert norm.spmm_plan() is norm.spmm_plan()
 
 
 class TestCsrValidation:

@@ -91,17 +91,20 @@ class TestGenerate:
             SynthConfig(n=10, communities=(5, 5), seed=-1)
 
     @pytest.mark.parametrize(
-        "overrides, name",
+        "overrides, name, kind",
         [
-            ({"communities": (10.9, 10, 10)}, "community sizes"),
-            ({"views": 2.5}, "views"),
-            ({"n": 30.0}, "n"),
-            ({"seed": 1.5}, "seed"),
+            ({"communities": (10.9, 10, 10)}, "community sizes", "an integer"),
+            ({"views": 2.5}, "views", "an integer"),
+            ({"n": 30.0}, "n", "an integer"),
+            ({"seed": 1.5}, "seed", "an integer"),
+            ({"communities": 30}, "community sizes", "a sequence of integers"),
+            ({"views": True}, "views", "an integer"),
+            ({"seed": True}, "seed", "an integer"),
         ],
-        ids=["communities-10.9", "views-2.5", "n-30.0", "seed-1.5"],
+        ids=["communities-10.9", "views-2.5", "n-30.0", "seed-1.5", "communities-int", "views-bool", "seed-bool"],
     )
-    def test_integer_fields_checked_at_construction(self, overrides, name):
-        with pytest.raises(ConfigError, match=f"^{name} must be an integer of at least"):
+    def test_integer_fields_checked_at_construction(self, overrides, name, kind):
+        with pytest.raises(ConfigError, match=f"^{name} must be {kind} of at least"):
             SynthConfig(**{"n": 30, "communities": (10, 10, 10), **overrides})
 
     def test_numpy_integer_fields_accepted(self):

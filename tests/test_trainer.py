@@ -218,19 +218,26 @@ class TestTrain:
             train(net, TrainConfig(seed=-1))
 
     @pytest.mark.parametrize(
-        "field, value, name",
+        "field, value, name, kind",
         [
-            ("layer_sizes", (2.5,), "layer sizes"),
-            ("layer_sizes", (0,), "layer sizes"),
-            ("lambda_update_every", 1.5, "lambda_update_every"),
-            ("dim", 12.7, "dim"),
-            ("max_epochs", 2.5, "max_epochs"),
-            ("seed", 1.5, "seed"),
+            ("layer_sizes", (2.5,), "layer sizes", "an integer"),
+            ("layer_sizes", (0,), "layer sizes", "an integer"),
+            ("lambda_update_every", 1.5, "lambda_update_every", "an integer"),
+            ("dim", 12.7, "dim", "an integer"),
+            ("max_epochs", 2.5, "max_epochs", "an integer"),
+            ("seed", 1.5, "seed", "an integer"),
+            ("layer_sizes", 32, "layer sizes", "a sequence of integers"),
+            ("layer_sizes", (True,), "layer sizes", "an integer"),
+            ("dim", True, "dim", "an integer"),
+            ("seed", True, "seed", "an integer"),
         ],
-        ids=["layers-2.5", "layers-0", "lambda-every-1.5", "dim-12.7", "epochs-2.5", "seed-1.5"],
+        ids=[
+            "layers-2.5", "layers-0", "lambda-every-1.5", "dim-12.7", "epochs-2.5", "seed-1.5",
+            "layers-int", "layers-bool", "dim-bool", "seed-bool",
+        ],
     )
-    def test_integer_fields_checked_at_construction(self, field, value, name):
-        with pytest.raises(ConfigError, match=f"^{name} must be an integer of at least"):
+    def test_integer_fields_checked_at_construction(self, field, value, name, kind):
+        with pytest.raises(ConfigError, match=f"^{name} must be {kind} of at least"):
             TrainConfig(**{field: value})
 
     def test_numpy_integer_fields_accepted(self):
