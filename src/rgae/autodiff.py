@@ -4,6 +4,15 @@ Every operation computes its value eagerly, checks it is finite, and records
 a closure that routes the incoming gradient to its operands. backward() walks
 the tape once in strict reverse insertion order, so gradient accumulation is
 deterministic and two identical passes give bit-identical results.
+
+A node's gradient buffer is its own: backward() passes it to the node's pull
+and then drops it, so the pull may overwrite it, and a pull hands an array it
+built or its own buffer to an operand with _take. add and concat_cols share
+one array among operands and copy it with _accumulate. Leaves start from
+zeros, so leaf gradients are unchanged; only an interior gradient may keep a
+-0.0 where a copy into zeros would give +0.0. sigmoid, balanced_bce and the
+gram pull walk n-by-n arrays in row blocks with the per-entry arithmetic and
+whole-array sums of whole-array code, so results match it bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +26,14 @@ from .errors import NonScalarRoot, NumericalOverflow, ReleasedTape, ShapeMismatc
 from .graph import NormalizedAdjacency, SparseAdjacency
 
 CLAMP_EPS = 1e-12
+# entries per row block of a decoder op: 512 KiB of float64 stays in L2 (65 rows at n = 1000)
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _row_blocks(shape) -> list:
+    """Row slices covering an array of this shape, each of at most _BLOCK_ELEMENTS entries or one row."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, shape[1]))
+    return [slice(i, i + step) for i in range(0, shape[0], step)]
 
 
 class Tensor:
@@ -46,6 +63,10 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
         self.grad += g
+
+    def _take(self, g) -> None:
+        """_accumulate for an array of this node's shape that nothing else holds: the first one becomes the gradient."""
+        self.grad = g if self.grad is None else np.add(self.grad, g, out=self.grad)
 
     @property
     def shape(self):
@@ -77,7 +98,7 @@ class Tape:
     def backward(self, root: Tensor) -> None:
         """Fill every leaf's gradient with d(root)/d(leaf); root must be 1x1.
 
-        An interior node's gradient is allocated at its first accumulation, dropped after its pull.
+        An interior node's gradient comes from its first contribution and is dropped after its pull.
         """
         if root.tape is not self:
             raise ShapeMismatch("root was recorded on a different tape")
@@ -113,8 +134,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     value = a.value @ b.value
 
     def pull(g):
-        a._accumulate(g @ b.value.T)
-        b._accumulate(a.value.T @ g)
+        a._take(g @ b.value.T)
+        b._take(a.value.T @ g)
 
     return tape._record(value, pull)
 
@@ -127,7 +148,7 @@ def spmm(norm: NormalizedAdjacency, b: Tensor) -> Tensor:
 
     def pull(g):
         # the normalized matrix is symmetric, so its transpose product reuses spmm
-        b._accumulate(_graph.spmm(norm, g))
+        b._take(_graph.spmm(norm, g))
 
     return b.tape._record(value, pull)
 
@@ -136,14 +157,14 @@ def relu(a: Tensor) -> Tensor:
     value = np.maximum(a.value, 0.0)
 
     def pull(g):
-        a._accumulate(g * (a.value > 0.0))
+        a._take(g * (a.value > 0.0))
 
     return a.tape._record(value, pull)
 
 
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
+def _sigmoid_values(x: np.ndarray, out=None) -> np.ndarray:
     """Overflow-free logistic: e = exp(-|x|) <= 1, then max(e, x >= 0) / (1 + e), i.e. e/(1+e) where x < 0."""
-    e = np.abs(x)
+    e = np.abs(x, out=out)
     np.exp(np.negative(e, out=e), out=e)
     denom = 1.0 + e
     np.maximum(e, x >= 0, out=e)
@@ -151,10 +172,17 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    value = _sigmoid_values(a.value)
+    value = np.empty_like(a.value)
+    blocks = _row_blocks(value.shape)
+    for b in blocks:
+        _sigmoid_values(a.value[b], out=value[b])
 
     def pull(g):
-        a._accumulate(g * value * (1.0 - value))
+        for b in blocks:
+            gb = g[b]
+            gb *= value[b]
+            gb *= 1.0 - value[b]
+        a._take(g)
 
     return a.tape._record(value, pull)
 
@@ -177,7 +205,13 @@ def gram(a: Tensor) -> Tensor:
     value = a.value @ a.value.T
 
     def pull(g):
-        a._accumulate((g + g.T) @ a.value)
+        # g += g.T in place by row bands; band b reads and writes only row b and column b from i on
+        for b in _row_blocks(g.shape):
+            i = b.start
+            t = g[b, i:] + g[i:, b].T
+            g[b, i:] = t
+            g[i:, b] = t.T
+        a._take(g @ a.value)
 
     return a.tape._record(value, pull)
 
@@ -190,8 +224,8 @@ def row_dot(a: Tensor, b: Tensor) -> Tensor:
     value = np.sum(a.value * b.value, axis=1, keepdims=True)
 
     def pull(g):
-        a._accumulate(g * b.value)
-        b._accumulate(g * a.value)
+        a._take(g * b.value)
+        b._take(g * a.value)
 
     return tape._record(value, pull)
 
@@ -200,7 +234,7 @@ def sq_frobenius(a: Tensor) -> Tensor:
     value = np.array([[np.sum(a.value * a.value)]])
 
     def pull(g):
-        a._accumulate((2.0 * g[0, 0]) * a.value)
+        a._take((2.0 * g[0, 0]) * a.value)
 
     return a.tape._record(value, pull)
 
@@ -212,8 +246,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     value = a.value - b.value
 
     def pull(g):
-        a._accumulate(g)
-        b._accumulate(-g)
+        a._take(g)
+        b._take(-g)
 
     return tape._record(value, pull)
 
@@ -236,9 +270,14 @@ def scale(a: Tensor, c: float) -> Tensor:
     value = c * a.value
 
     def pull(g):
-        a._accumulate(c * g)
+        a._take(c * g)
 
     return a.tape._record(value, pull)
+
+
+def _clamp(x, out=None):
+    """x limited to [CLAMP_EPS, 1 - CLAMP_EPS], entry for entry as np.clip but without its wrapper cost per block."""
+    return np.minimum(np.maximum(x, CLAMP_EPS, out=out), 1.0 - CLAMP_EPS, out=out)
 
 
 def balanced_bce(probs: Tensor, adj: SparseAdjacency) -> Tensor:
@@ -256,18 +295,29 @@ def balanced_bce(probs: Tensor, adj: SparseAdjacency) -> Tensor:
     t_idx = (np.concatenate([adj.rows, diag]), np.concatenate([adj.col_indices, diag]))
     positives = adj.nnz + n
     pos_weight = (n * n - positives) / positives
-    log1m = np.clip(probs.value, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    p_t = log1m[t_idx]
-    np.log1p(np.negative(log1m, out=log1m), out=log1m)
+    p = probs.value
+    p_t = _clamp(p[t_idx])
+    blocks = _row_blocks(p.shape)
+    log1m = np.empty_like(p)
+    for b in blocks:
+        blk = _clamp(p[b], out=log1m[b])
+        np.log1p(np.negative(blk, out=blk), out=blk)
     total = -(pos_weight * np.sum(np.log(p_t)) + np.sum(log1m) - np.sum(log1m[t_idx]))
 
-    # the pull redoes the clip and the mask so that no n x n array outlives the forward pass
+    # the pull redoes the clamp and the mask so that no n x n array outlives the forward pass
     def pull(g):
-        dp = np.clip(probs.value, CLAMP_EPS, 1.0 - CLAMP_EPS)
-        np.divide(1.0, np.subtract(1.0, dp, out=dp), out=dp)
-        dp[t_idx] = -pos_weight / p_t
-        dp *= g[0, 0]
-        dp *= (probs.value > CLAMP_EPS) & (probs.value < 1.0 - CLAMP_EPS)
-        probs._accumulate(dp)
+        on_target = -pos_weight / p_t
+        dp = np.empty_like(p)
+        for b in blocks:
+            r0, r1 = b.start, min(b.stop, n)
+            blk = _clamp(p[b], out=dp[b])
+            np.divide(1.0, np.subtract(1.0, blk, out=blk), out=blk)
+            # the block's stored entries in CSR order, then its diagonal, as in t_idx
+            s = slice(adj.row_offsets[r0], adj.row_offsets[r1])
+            blk[adj.rows[s] - r0, adj.col_indices[s]] = on_target[s]
+            blk[diag[: r1 - r0], diag[r0:r1]] = on_target[adj.nnz + r0 : adj.nnz + r1]
+            blk *= g[0, 0]
+            blk *= (p[b] > CLAMP_EPS) & (p[b] < 1.0 - CLAMP_EPS)
+        probs._take(dp)
 
     return probs.tape._record(np.array([[total]]), pull)

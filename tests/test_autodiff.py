@@ -1,4 +1,6 @@
 import tracemalloc
+from itertools import count
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import rgae.autodiff as ad
 from rgae.autodiff import Tape
+from rgae.cli import main as cli_main
 from rgae.errors import NonScalarRoot, NumericalOverflow, ReleasedTape, RgaeError, ShapeMismatch
 from rgae.graph import SparseAdjacency, normalize
 
@@ -52,6 +55,89 @@ def two_branch_sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def whole_array_sigmoid_values(x):
+    """The whole-array logistic that the blocked sigmoid forward must repeat entry for entry."""
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    denom = 1.0 + e
+    np.maximum(e, x >= 0, out=e)
+    return np.divide(e, denom, out=e)
+
+
+def whole_array_sigmoid(a):
+    """sigmoid as one whole-array pass each way, accumulating a copy of its gradient."""
+    value = whole_array_sigmoid_values(a.value)
+
+    def pull(g):
+        a._accumulate(g * value * (1.0 - value))
+
+    return a.tape._record(value, pull)
+
+
+def whole_array_gram(a):
+    """gram with its pull through the fresh symmetric array (g + g.T)."""
+    value = a.value @ a.value.T
+
+    def pull(g):
+        a._accumulate((g + g.T) @ a.value)
+
+    return a.tape._record(value, pull)
+
+
+def whole_array_balanced_bce(probs, adj):
+    """balanced_bce with whole-array np.clip, a gradient built from full-size masks, and a copy accumulated."""
+    n = adj.n
+    diag = np.arange(n, dtype=np.int64)
+    t_idx = (np.concatenate([adj.rows, diag]), np.concatenate([adj.col_indices, diag]))
+    positives = adj.nnz + n
+    pos_weight = (n * n - positives) / positives
+    log1m = np.clip(probs.value, ad.CLAMP_EPS, 1.0 - ad.CLAMP_EPS)
+    p_t = log1m[t_idx]
+    np.log1p(np.negative(log1m, out=log1m), out=log1m)
+    total = -(pos_weight * np.sum(np.log(p_t)) + np.sum(log1m) - np.sum(log1m[t_idx]))
+
+    def pull(g):
+        dp = np.clip(probs.value, ad.CLAMP_EPS, 1.0 - ad.CLAMP_EPS)
+        np.divide(1.0, np.subtract(1.0, dp, out=dp), out=dp)
+        dp[t_idx] = -pos_weight / p_t
+        dp *= g[0, 0]
+        dp *= (probs.value > ad.CLAMP_EPS) & (probs.value < 1.0 - ad.CLAMP_EPS)
+        probs._accumulate(dp)
+
+    return probs.tape._record(np.array([[total]]), pull)
+
+
+def use_whole_array_ops(monkeypatch):
+    """Swap in the whole-array decoder ops and make every pull accumulate a copy, as a tape without hand-over does."""
+    monkeypatch.setattr(ad, "sigmoid", whole_array_sigmoid)
+    monkeypatch.setattr(ad, "gram", whole_array_gram)
+    monkeypatch.setattr(ad, "balanced_bce", whole_array_balanced_bce)
+    monkeypatch.setattr(ad.Tensor, "_take", ad.Tensor._accumulate)
+
+
+def seed_gradient(t, g):
+    """A 1x1 node whose pull hands t a copy of g, so backward from it starts t from exactly g."""
+    return t.tape._record(np.zeros((1, 1)), lambda _: t._take(g.copy()))
+
+
+def wide_range_values(shape, rng):
+    """Entries of both signs from 1e-8 to 1e8 in size, with +0.0 and -0.0 mixed in."""
+    g = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+    g[rng.random(shape) < 0.1] = 0.0
+    g[rng.random(shape) < 0.1] = -0.0
+    return g
+
+
+BLOCK = ad._BLOCK_ELEMENTS
+# rows of one block at width 1000, the train-large width; row counts 1, R-1, R, R+1, 2R+1 and 300 cross its edges
+ROWS_AT_1000 = BLOCK // 1000
+WIDE_SHAPES = [(r, 1000) for r in (1, ROWS_AT_1000 - 1, ROWS_AT_1000, ROWS_AT_1000 + 1, 2 * ROWS_AT_1000 + 1, 300)]
+# n-by-n sizes: one entry, one block just under and exactly at the budget, a full block plus a short one,
+# a last block of one row, and the n = 300 of the training check
+ONE_ROW_TAIL = next(n for n in count(isqrt(BLOCK) + 2) if n % (BLOCK // n) == 1)
+SQUARE_SIZES = (1, isqrt(BLOCK) - 1, isqrt(BLOCK), isqrt(BLOCK) + 1, ONE_ROW_TAIL, 300)
 
 
 class TestForwardValues:
@@ -275,9 +361,9 @@ class TestBalancedBce:
         assert np.allclose(p.grad[on_target], -2.0 * (4 / 5))
         assert np.allclose(p.grad[~on_target], 2.0)
 
-    def test_matches_dense_reference(self):
+    @pytest.mark.parametrize("n", (60,) + SQUARE_SIZES)
+    def test_matches_dense_reference(self, n):
         rng = np.random.default_rng(21)
-        n = 60
         iu, ju = np.triu_indices(n, k=1)
         mask = rng.random(iu.size) < 0.1
         adj = SparseAdjacency.from_edges(n, np.stack([iu[mask], ju[mask]], axis=1))
@@ -286,17 +372,25 @@ class TestBalancedBce:
         # drive the clamp on both sides, on target and non-target entries alike
         for on in (dense > 0, dense == 0):
             rows, cols = np.nonzero(on)
-            pick = rng.choice(rows.size, size=8, replace=False)
+            pick = rng.choice(rows.size, size=min(8, rows.size), replace=False)
             probs[rows[pick[:4]], cols[pick[:4]]] = 1.0 - 1e-14
             probs[rows[pick[4:]], cols[pick[4:]]] = 1e-14
         ref_loss, ref_grad = dense_bce_reference(probs, adj)
-        assert np.count_nonzero(ref_grad == 0.0) == 16
+        on_target = np.count_nonzero(dense)
+        assert np.count_nonzero(ref_grad == 0.0) == min(8, on_target) + min(8, n * n - on_target)
         tape = Tape()
         p = tape.leaf(probs)
         loss = ad.balanced_bce(p, adj)
         tape.backward(loss)
         assert np.array_equal(p.grad, ref_grad)
         assert abs(loss.value[0, 0] - ref_loss) <= 1e-12 * abs(ref_loss)
+        # and bit for bit the whole-array op, loss included
+        tape = Tape()
+        q = tape.leaf(probs)
+        ref = whole_array_balanced_bce(q, adj)
+        tape.backward(ref)
+        assert loss.value.tobytes() == ref.value.tobytes()
+        assert p.grad.tobytes() == q.grad.tobytes()
 
     def test_forward_keeps_no_square_array(self):
         # the pull closure lives as long as the tape, so it may hold the O(nnz) target values only
@@ -314,6 +408,126 @@ class TestBalancedBce:
         tape.backward(loss)
         ref_loss, ref_grad = dense_bce_reference(p.value, adj)
         assert np.array_equal(p.grad, ref_grad)
+
+
+class TestBlockedDecoderOps:
+    """sigmoid, the gram pull and balanced_bce in row blocks give the whole-array ops' bytes."""
+
+    def test_sizes_cross_the_block_edges(self):
+        assert [len(ad._row_blocks(shape)) for shape in WIDE_SHAPES] == [1, 1, 1, 2, 3, 5]
+        assert [len(ad._row_blocks((n, n))) for n in SQUARE_SIZES] == [1, 1, 1, 2, 6, 2]
+        assert ad._row_blocks((ONE_ROW_TAIL, ONE_ROW_TAIL))[-1].start == ONE_ROW_TAIL - 1
+
+    @pytest.mark.parametrize("shape", WIDE_SHAPES + [(n, n) for n in SQUARE_SIZES], ids=str)
+    def test_sigmoid(self, shape):
+        rng = np.random.default_rng(shape[0])
+        x0 = wide_range_values(shape, rng)
+        # half the entries where the logistic does not saturate
+        middle = rng.random(shape) < 0.5
+        x0[middle] = rng.uniform(-40.0, 40.0, size=np.count_nonzero(middle))
+        g0 = wide_range_values(shape, rng)
+
+        def run(op):
+            tape = Tape()
+            x = tape.leaf(x0)
+            s = op(x)
+            tape.backward(seed_gradient(s, g0))
+            return s.value.tobytes(), x.grad.tobytes()
+
+        assert run(ad.sigmoid) == run(whole_array_sigmoid)
+
+    @pytest.mark.parametrize("n", SQUARE_SIZES)
+    def test_gram_pull(self, n):
+        rng = np.random.default_rng(n)
+        x0 = wide_range_values((n, 8), rng)
+        g0 = wide_range_values((n, n), rng)
+
+        def run(op):
+            tape = Tape()
+            x = tape.leaf(x0)
+            gm = op(x)
+            tape.backward(seed_gradient(gm, g0))
+            return gm.value.tobytes(), x.grad.tobytes()
+
+        assert run(ad.gram) == run(whole_array_gram)
+
+    @pytest.mark.parametrize(
+        "generate_args, train_args",
+        [
+            (["--n", "60", "--communities", "20,20,20", "--views", "2", "--p-in", "0.3", "--p-out", "0.02",
+              "--unique-frac", "0.5", "--seed", "7"],
+             ["--dim", "32", "--layers", "32", "--alpha", "0.5", "--beta", "0.5", "--gamma", "5", "--lr", "0.01",
+              "--epochs", "500", "--patience", "inf", "--tol", "0", "--seed", "0"]),
+            (["--n", "300", "--communities", "100,100,100", "--views", "3", "--p-in", "0.1", "--p-out", "0.005",
+              "--seed", "3"],
+             ["--dim", "32", "--layers", "16,8", "--epochs", "40", "--lambda-every", "3", "--seed", "2"]),
+        ],
+        ids=["criterion-5-n60-one-block", "3-view-n300-two-blocks"],
+    )
+    def test_training_outputs_equal_the_whole_array_tape(self, tmp_path, monkeypatch, generate_args, train_args):
+        data = tmp_path / "data"
+        assert cli_main(["generate", "--out", str(data)] + generate_args) == 0
+
+        def outputs(run):
+            assert cli_main(["train", "--data", str(data), "--out", str(tmp_path / run)] + train_args) == 0
+            return [(tmp_path / run / name).read_bytes() for name in ("embeddings.txt", "history.tsv")]
+
+        got = outputs("blocked")
+        use_whole_array_ops(monkeypatch)
+        assert got == outputs("whole-array")
+
+
+FANOUT_ADJ = SparseAdjacency.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 5)])
+
+
+def fanout_graph(case, tape, x0, y0, c0):
+    """(leaves, interior nodes, root) of a small graph in which one node feeds several consumers."""
+    x, y, c = tape.leaf(x0), tape.leaf(y0), tape.leaf(c0)
+    if case == "sigmoid-two-consumers":
+        s = ad.sigmoid(ad.gram(x))
+        interior = [s, ad.sq_frobenius(ad.row_dot(s, c)), ad.sq_frobenius(ad.scale(s, 3.0))]
+    elif case == "gram-two-consumers":
+        gm = ad.gram(ad.concat_cols(x, y))
+        interior = [gm, ad.balanced_bce(ad.sigmoid(gm), FANOUT_ADJ), ad.sq_frobenius(ad.scale(gm, -0.5))]
+    elif case == "add-one-node-twice":
+        s = ad.sigmoid(ad.gram(x))
+        interior = [s, ad.balanced_bce(ad.scale(ad.add(s, s), 0.5), FANOUT_ADJ), ad.sq_frobenius(y)]
+    elif case == "add-two-sigmoids":
+        s, t = ad.sigmoid(ad.gram(x)), ad.sigmoid(ad.gram(y))
+        interior = [s, t, ad.sq_frobenius(ad.row_dot(ad.add(s, t), c)), ad.sq_frobenius(c)]
+    else:  # the probabilities feed balanced_bce and another op
+        p = ad.sigmoid(ad.gram(ad.concat_cols(x, y)))
+        interior = [p, ad.balanced_bce(p, FANOUT_ADJ), ad.sq_frobenius(ad.row_dot(p, c))]
+    root = ad.add(interior[-2], interior[-1])
+    return [x, y, c], interior, root
+
+
+class TestGradientOwnership:
+    """Fan-out, shared operands and copy-free hand-over give the leaf gradients of a tape that copies everything."""
+
+    CASES = [
+        "sigmoid-two-consumers", "gram-two-consumers", "add-one-node-twice", "add-two-sigmoids", "bce-probs-and-row-dot",
+    ]
+
+    def run(self, case):
+        rng = np.random.default_rng(4)
+        tape = Tape()
+        leaves, interior, root = fanout_graph(
+            case, tape, rng.normal(size=(6, 3)), rng.normal(size=(6, 3)), rng.normal(size=(6, 6))
+        )
+        tape.backward(root)
+        return leaves, interior
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_leaf_gradients_match_a_copying_tape(self, case, monkeypatch):
+        leaves, interior = self.run(case)
+        with monkeypatch.context() as m:
+            use_whole_array_ops(m)
+            ref_leaves, _ = self.run(case)
+        assert [t.grad.tobytes() for t in leaves] == [t.grad.tobytes() for t in ref_leaves]
+        assert all(t.grad is None for t in interior)
+        for i, a in enumerate(leaves):
+            assert not any(np.shares_memory(a.grad, b.grad) for b in leaves[i + 1 :])
 
 
 class TestBackwardContract:

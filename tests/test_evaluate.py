@@ -8,6 +8,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import rgae.autodiff as autodiff
 import rgae.evaluate as evaluate
 from rgae.autodiff import _sigmoid_values
 from rgae.errors import (
@@ -396,6 +397,17 @@ class TestStackedSeeds:
         x = rng.normal(size=(50, 6))
         y = (rng.normal(size=(50,) + shape) + x[:, :1] > 0).astype(np.float64)
         assert np.array_equal(_fit_binary_logistic(x, y), _reference_fit(x, y))
+
+    def test_one_logistic_call_per_step_on_a_stack_over_the_block_budget(self, monkeypatch):
+        # the decoder ops walk row blocks; the logistic itself runs each descent step's stack in one call
+        calls = []
+        monkeypatch.setattr(evaluate, "_sigmoid_values", lambda z: calls.append(z.size) or _sigmoid_values(z))
+        monkeypatch.setattr(evaluate, "FIT_ITERATIONS", 3)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(4, 200, 5))
+        y = (rng.random((4, 200, 100)) < 0.5).astype(np.float64)
+        _fit_binary_logistic(x, y)
+        assert calls == [4 * 200 * 100] * 3 and calls[0] > autodiff._BLOCK_ELEMENTS
 
 
 def _reference_f1(pred, truth):
