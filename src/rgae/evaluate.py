@@ -94,28 +94,47 @@ class LinkPredTask:
             raise LengthMismatch("positives and negatives must have equal counts")
 
 
+def _view_positives(view: SparseAdjacency) -> np.ndarray:
+    """The view's edges as pairs u < v in code order: the positives of every link task on the view."""
+    codes = edge_pair_codes(view)
+    return np.stack([codes // view.n, codes % view.n], axis=1)
+
+
 def build_linkpred_task(net: MultiViewNetwork, target_view: int, seed: int) -> LinkPredTask:
     view = net.view(target_view)
-    codes = edge_pair_codes(view)
-    positives = np.stack([codes // net.n, codes % net.n], axis=1)
-    negatives = sample_negatives(view, positives.shape[0], seed)
-    return LinkPredTask(positives=positives, negatives=negatives)
+    positives = _view_positives(view)
+    return LinkPredTask(positives=positives, negatives=sample_negatives(view, positives.shape[0], seed))
 
 
 def cosine_features(embeddings, pairs) -> np.ndarray:
-    """Cosine similarity per node pair; zero-norm rows give feature 0 with a warning."""
-    y = np.asarray(embeddings, dtype=np.float64)
+    """Cosine similarity per node pair from one norm per embedding row; zero-norm rows give feature 0 with a warning."""
+    # in C order each row's norm sums as a gathered copy of the row would; Fortran order sums differently
+    y = np.ascontiguousarray(embeddings, dtype=np.float64)
     pairs = np.asarray(pairs, dtype=np.int64)
-    u = y[pairs[:, 0]]
-    v = y[pairs[:, 1]]
-    dots = np.sum(u * v, axis=1)
-    norms = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+    dots = np.sum(y[pairs[:, 0]] * y[pairs[:, 1]], axis=1)
+    row_norms = np.linalg.norm(y, axis=1)
+    norms = row_norms[pairs[:, 0]] * row_norms[pairs[:, 1]]
     ok = norms > 0
     if not np.all(ok):
         warnings.warn("zero-norm embedding rows; cosine features set to 0", ZeroVector)
     out = np.zeros(dots.shape[0])
     out[ok] = dots[ok] / norms[ok]
     return out
+
+
+def _embedding_rows(embeddings, n: int) -> np.ndarray:
+    """Float64 embeddings with one finite row per item, a 1-D input as one column; typed errors otherwise."""
+    y = np.asarray(embeddings, dtype=np.float64)
+    if y.ndim == 1:
+        y = y[:, None]
+    if y.ndim != 2:
+        raise ConfigError(f"embeddings must be one row per item, got shape {y.shape}")
+    if y.shape[0] != n:
+        raise LengthMismatch(f"{y.shape[0]} embedding rows for {n} items")
+    bad = ~np.all(np.isfinite(y), axis=1)
+    if np.any(bad):
+        raise ConfigError(f"embedding row {int(np.argmax(bad))} is not finite")
+    return y
 
 
 def _fit_binary_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -252,14 +271,14 @@ def average_precision(scores, labels) -> float:
     return float(np.sum(precision * hits) / n_pos)
 
 
-def link_predict(embeddings, task: LinkPredTask, split: SplitSpec):
+def link_predict(positive_cosines, negative_cosines, split: SplitSpec):
     """ROC-AUC and AP of the held-out pairs ranked by cosine times the sign of the training side's cov(cosine, label).
 
+    The pairs are the positives then the negatives, scored by their cosines; the split is drawn over that order.
     A logistic fit on the cosine ranks alike: its slope has that sign, or stays 0 when the covariance is 0.
     """
-    pairs = np.concatenate([task.positives, task.negatives])
-    y = np.concatenate([np.ones(len(task.positives)), np.zeros(len(task.negatives))])
-    feats = cosine_features(embeddings, pairs)
+    feats = np.concatenate([positive_cosines, negative_cosines])
+    y = np.concatenate([np.ones(len(positive_cosines)), np.zeros(len(negative_cosines))])
     strat = y if split.stratified else None
     train_idx, test_idx = make_split(len(y), split, labels=strat)
     x_train, y_train = feats[train_idx], y[train_idx]
@@ -288,8 +307,8 @@ def classification_report(features, labels, ratios=(0.1, 0.3, 0.5), seeds=tuple(
     Splits leave unlabeled items out and are stratified by class unless the data is multi-label.
     """
     _require_seeds(seeds)
-    x = np.asarray(features, dtype=np.float64)
     labels = LabelMatrix.of(labels)
+    x = _embedding_rows(features, labels.y.shape[0])
     labeled = np.flatnonzero(labels.y.any(axis=1))
     strat = not labels.multilabel
     strat_index = labels.y[labeled].argmax(axis=1) if strat else None
@@ -304,10 +323,18 @@ def classification_report(features, labels, ratios=(0.1, 0.3, 0.5), seeds=tuple(
 
 
 def link_prediction_report(net, embeddings, target_view, ratio=0.5, seeds=tuple(range(10))):
-    """ROC-AUC and average precision per seed plus their means, same row layout as classification."""
+    """ROC-AUC and average precision per seed plus their means, same row layout as classification.
+
+    The view's edges and their cosines are computed once per report; each seed draws and scores only its negatives.
+    """
     _require_seeds(seeds)
+    view = net.view(target_view)
+    y = _embedding_rows(embeddings, net.n)
+    positives = _view_positives(view)
+    positive_cosines = cosine_features(y, positives)
     results = []
     for seed in seeds:
-        task = build_linkpred_task(net, target_view, seed)
-        results.append(link_predict(embeddings, task, SplitSpec(train_ratio=ratio, seed=seed, stratified=True)))
+        negatives = sample_negatives(view, positives.shape[0], seed)
+        split = SplitSpec(train_ratio=ratio, seed=seed, stratified=True)
+        results.append(link_predict(positive_cosines, cosine_features(y, negatives), split))
     return _report_rows("link_prediction", ratio, seeds, results, ("roc_auc", "average_precision"))

@@ -237,7 +237,8 @@ def test_criterion_7_link_prediction():
     for seed in range(10):
         _, embeds, _ = train(train_net, c5_train_config(seed))
         task = build_linkpred_task(net, target, seed)
-        auc, ap = link_predict(embeds.final, task, SplitSpec(0.5, seed, stratified=True))
+        cosines = cosine_features(embeds.final, task.positives), cosine_features(embeds.final, task.negatives)
+        auc, ap = link_predict(*cosines, SplitSpec(0.5, seed, stratified=True))
         aucs.append(auc)
         aps.append(ap)
         # control: same protocol with the pair labels shuffled

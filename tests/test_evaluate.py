@@ -36,6 +36,7 @@ from rgae.evaluate import (
     sample_negatives,
 )
 from rgae.graph import MultiViewNetwork, SparseAdjacency, edge_pair_codes
+from rgae.synth import SynthConfig, generate
 
 
 class TestMakeSplit:
@@ -142,6 +143,12 @@ def _random_view(n, density, graph_seed) -> SparseAdjacency:
     iu, ju = np.triu_indices(n, k=1)
     pick = np.random.default_rng(graph_seed).random(iu.size) < density
     return SparseAdjacency.from_edges(n, np.stack([iu[pick], ju[pick]], axis=1))
+
+
+def _three_view_net(n, seed):
+    """Three planted communities in three views, about 15 neighbours per node like the benchmark graphs."""
+    sizes = (n - 2 * (n // 3), n // 3, n // 3)
+    return generate(SynthConfig(n=n, communities=sizes, views=3, p_in=24 / n, p_out=6 / n, seed=seed))
 
 
 def _reference_negatives(view, count, seed):
@@ -550,6 +557,55 @@ class TestRankMetrics:
         assert roc_auc(s, labels) == u / (n_pos * (s.size - n_pos))
 
 
+def gathered_cosine_features(embeddings, pairs) -> np.ndarray:
+    """Two row norms over gathered copies of every pair's rows: the reference for the per-node norms."""
+    y = np.asarray(embeddings, dtype=np.float64)
+    pairs = np.asarray(pairs, dtype=np.int64)
+    u = y[pairs[:, 0]]
+    v = y[pairs[:, 1]]
+    dots = np.sum(u * v, axis=1)
+    norms = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+    ok = norms > 0
+    if not np.all(ok):
+        warnings.warn("zero-norm embedding rows; cosine features set to 0", ZeroVector)
+    out = np.zeros(dots.shape[0])
+    out[ok] = dots[ok] / norms[ok]
+    return out
+
+
+def task_link_predict(embeddings, task, split):
+    """Score one whole task from the embeddings, cosines of all its pairs in one call: the reference scoring."""
+    pairs = np.concatenate([task.positives, task.negatives])
+    y = np.concatenate([np.ones(len(task.positives)), np.zeros(len(task.negatives))])
+    feats = gathered_cosine_features(embeddings, pairs)
+    strat = y if split.stratified else None
+    train_idx, test_idx = make_split(len(y), split, labels=strat)
+    x_train, y_train = feats[train_idx], y[train_idx]
+    scores = np.sign(np.mean((x_train - x_train.mean()) * (y_train - y_train.mean()))) * feats[test_idx]
+    return roc_auc(scores, y[test_idx]), average_precision(scores, y[test_idx])
+
+
+def per_seed_link_report(net, embeddings, target_view, ratio=0.5, seeds=tuple(range(10))):
+    """Rebuild each seed's whole task, positives included, and score it from the embeddings: the reference report."""
+    view = net.view(target_view)
+    codes = edge_pair_codes(view)
+    results = []
+    for seed in seeds:
+        positives = np.stack([codes // net.n, codes % net.n], axis=1)
+        task = LinkPredTask(positives, sample_negatives(view, positives.shape[0], seed))
+        results.append(task_link_predict(embeddings, task, SplitSpec(train_ratio=ratio, seed=seed, stratified=True)))
+    return evaluate._report_rows("link_prediction", ratio, seeds, results, ("roc_auc", "average_precision"))
+
+
+def task_cosines(embeddings, task):
+    return cosine_features(embeddings, task.positives), cosine_features(embeddings, task.negatives)
+
+
+def _wide_range_rows(rng, n, d):
+    """Rows of both signs scaled from 1e-150 to 1e150, entries within a row spread over six decades."""
+    return rng.normal(size=(n, d)) * 10.0 ** rng.integers(-150, 151, size=(n, 1)) * 10.0 ** rng.uniform(-3, 3, (n, d))
+
+
 class TestCosineFeatures:
     def test_values(self):
         y = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
@@ -564,6 +620,22 @@ class TestCosineFeatures:
             feats = cosine_features(y, np.array([[0, 1]]))
         assert feats[0] == 0.0
 
+    @pytest.mark.filterwarnings("ignore::rgae.errors.ZeroVector")
+    @pytest.mark.parametrize("layout", ["rows", "zero rows", "d=1", "fortran", "column slice", "d=300"])
+    def test_matches_gathered_norms(self, layout):
+        rng = np.random.default_rng(12)
+        y = _wide_range_rows(rng, 80, 300 if layout == "d=300" else 9)
+        if layout == "zero rows":
+            y[::7] = 0.0
+        elif layout == "d=1":
+            y = y[:, :1]
+        elif layout == "fortran":
+            y = np.asfortranarray(y)
+        elif layout == "column slice":
+            y = y[:, 1::2]
+        pairs = rng.integers(0, 80, size=(500, 2))
+        assert cosine_features(y, pairs).tobytes() == gathered_cosine_features(y, pairs).tobytes()
+
 
 class TestLinkPredict:
     def test_separable_embeddings(self):
@@ -576,7 +648,7 @@ class TestLinkPredict:
         pos = [(i, j) for i in range(10) for j in range(i + 1, 10)]
         neg = [(i, 10 + j) for i in range(10) for j in range(5)][: len(pos)]
         task = LinkPredTask(np.array(pos), np.array(neg))
-        auc, ap = link_predict(y, task, SplitSpec(0.5, seed=0, stratified=True))
+        auc, ap = link_predict(*task_cosines(y, task), SplitSpec(0.5, seed=0, stratified=True))
         assert auc > 0.95 and ap > 0.95
 
     def test_deterministic(self):
@@ -586,7 +658,8 @@ class TestLinkPredict:
         neg = np.array([(0, 2), (1, 3), (5, 8), (9, 10)])
         task = LinkPredTask(pos, neg)
         spec = SplitSpec(0.5, seed=2, stratified=True)
-        assert link_predict(y, task, spec) == link_predict(y, task, spec)
+        assert link_predict(*task_cosines(y, task), spec) == link_predict(*task_cosines(y, task), spec)
+        assert link_predict(*task_cosines(y, task), spec) == task_link_predict(y, task, spec)
 
 
 def _fit_link_predict(embeddings, task, split):
@@ -619,7 +692,7 @@ class TestRankScoringMatchesFit:
     def _assert_same(y, task):
         for seed in range(5):
             spec = SplitSpec(0.5, seed=seed, stratified=True)
-            assert link_predict(y, task, spec) == _fit_link_predict(y, task, spec)
+            assert link_predict(*task_cosines(y, task), spec) == _fit_link_predict(y, task, spec)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_informative_embeddings(self, seed):
@@ -629,14 +702,14 @@ class TestRankScoringMatchesFit:
     def test_swapped_labels_negative_covariance(self):
         task, y = self._case(3)
         swapped = LinkPredTask(task.negatives, task.positives)
-        auc, _ = link_predict(y, swapped, SplitSpec(0.5, seed=0, stratified=True))
+        auc, _ = link_predict(*task_cosines(y, swapped), SplitSpec(0.5, seed=0, stratified=True))
         assert auc > 0.5
         self._assert_same(y, swapped)
 
     def test_equal_rows_zero_covariance(self):
         task, y = self._case(4)
         equal = np.ones_like(y)
-        assert link_predict(equal, task, SplitSpec(0.5, seed=0, stratified=True))[0] == 0.5
+        assert link_predict(*task_cosines(equal, task), SplitSpec(0.5, seed=0, stratified=True))[0] == 0.5
         self._assert_same(equal, task)
 
     def test_zero_norm_rows(self):
@@ -733,14 +806,106 @@ class TestReports:
         pick = rng.random(iu.size) < 0.15
         view = SparseAdjacency.from_edges(n, np.stack([iu[pick], ju[pick]], axis=1))
         net = MultiViewNetwork(n=n, views=[view, view])
-        tasks = []
-        monkeypatch.setattr(evaluate, "link_predict", lambda y, task, spec: tasks.append(task) or (0.5, 0.5))
+        y = rng.normal(size=(n, 4))
+        draws, scored, cosined = [], [], []
+        sample, cosine = evaluate.sample_negatives, evaluate.cosine_features
+
+        def recorded_sample(*args):
+            draws.append((args, sample(*args)))
+            return draws[-1][1]
+
+        def recorded_cosine(embeddings, pairs):
+            cosined.append(pairs)
+            return cosine(embeddings, pairs)
+
+        monkeypatch.setattr(evaluate, "sample_negatives", recorded_sample)
+        monkeypatch.setattr(evaluate, "cosine_features", recorded_cosine)
+        monkeypatch.setattr(evaluate, "link_predict", lambda pos, neg, spec: scored.append((pos, neg, spec)) or (0.5, 0.5))
         seeds = (0, 3, 7)
-        link_prediction_report(net, rng.normal(size=(n, 4)), 1, seeds=seeds)
+        link_prediction_report(net, y, 1, seeds=seeds)
         monkeypatch.undo()
-        for seed, task in zip(seeds, tasks, strict=True):
-            assert np.array_equal(task.negatives, sample_negatives(view, view.nnz // 2, seed))
-            assert np.array_equal(task.positives, build_linkpred_task(net, 1, seed).positives)
+        assert len(draws) == len(scored) == len(seeds)
+        positives = cosined[0]
+        for seed, (args, negatives), (pos, neg, spec) in zip(seeds, draws, scored, strict=True):
+            assert args == (view, view.nnz // 2, seed)
+            assert np.array_equal(negatives, sample_negatives(view, view.nnz // 2, seed))
+            task = build_linkpred_task(net, 1, seed)
+            assert np.array_equal(positives, task.positives)
+            assert spec == SplitSpec(0.5, seed=seed, stratified=True)
+            assert (pos.tobytes(), neg.tobytes()) == tuple(c.tobytes() for c in task_cosines(y, task))
+
+    def test_link_prediction_report_scores_the_positives_once(self, monkeypatch):
+        net = _three_view_net(90, seed=4)
+        y = np.random.default_rng(1).normal(size=(net.n, 6))
+        positives = build_linkpred_task(net, 2, 0).positives
+        calls, cosine = [], evaluate.cosine_features
+        monkeypatch.setattr(evaluate, "cosine_features", lambda e, pairs: calls.append(pairs) or cosine(e, pairs))
+        seeds = (0, 1, 2, 5)
+        link_prediction_report(net, y, 2, seeds=seeds)
+        assert len(calls) == 1 + len(seeds)
+        assert sum(np.array_equal(pairs, positives) for pairs in calls) == 1
+
+    def test_link_prediction_report_matches_per_seed_tasks_at_n1000(self):
+        # the benchmark's eval shape: 32 columns, 10 seeds
+        net = _three_view_net(1000, seed=9)
+        y = _wide_range_rows(np.random.default_rng(2), net.n, 32)
+        assert link_prediction_report(net, y, 2) == per_seed_link_report(net, y, 2)
+        y = np.random.default_rng(3).normal(size=(net.n, 32))
+        assert link_prediction_report(net, y, 1, ratio=0.3) == per_seed_link_report(net, y, 1, ratio=0.3)
+
+    @given(
+        n=st.integers(4, 40),
+        density=st.floats(0.05, 0.6),
+        graph_seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 6),
+        zero_every=st.integers(0, 5),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    )
+    def test_link_prediction_report_matches_per_seed_tasks(self, n, density, graph_seed, d, zero_every, seeds):
+        view = _random_view(n, density, graph_seed)
+        assume(2 <= view.num_edges <= n * (n - 1) // 2 - view.num_edges)
+        net = MultiViewNetwork(n=n, views=[view, view])
+        y = _wide_range_rows(np.random.default_rng(graph_seed), n, d)
+        if zero_every:
+            y[::zero_every] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroVector)
+            assert link_prediction_report(net, y, 1, seeds=seeds) == per_seed_link_report(net, y, 1, seeds=seeds)
+
+    def test_link_prediction_report_warns_on_zero_rows(self):
+        net = _three_view_net(60, seed=2)
+        y = np.random.default_rng(4).normal(size=(net.n, 3))
+        y[::5] = 0.0
+        with pytest.warns(ZeroVector):
+            rows = link_prediction_report(net, y, 2, seeds=(0, 1))
+        with pytest.warns(ZeroVector):
+            assert rows == per_seed_link_report(net, y, 2, seeds=(0, 1))
+
+    @pytest.mark.parametrize("rows", [59, 61])
+    def test_link_prediction_report_rejects_a_row_count(self, rows):
+        net = _three_view_net(60, seed=2)
+        y = np.random.default_rng(4).normal(size=(rows, 3))
+        with pytest.raises(LengthMismatch, match=f"^{rows} embedding rows for 60 items$"):
+            link_prediction_report(net, y, 2, seeds=(0,))
+
+    def test_reports_take_1d_embeddings_as_one_column(self):
+        net = _three_view_net(60, seed=2)
+        y = np.random.default_rng(4).normal(size=net.n)
+        rows = link_prediction_report(net, y, 2, seeds=(0, 1))
+        assert rows == link_prediction_report(net, y[:, None], 2, seeds=(0, 1))
+        assert rows == per_seed_link_report(net, y[:, None], 2, seeds=(0, 1))
+        labels = [0, 1, 2] * 20
+        assert classification_report(y, labels, seeds=(0,)) == classification_report(y[:, None], labels, seeds=(0,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_reports_reject_non_finite_embeddings(self, bad):
+        net = _three_view_net(60, seed=2)
+        y = np.random.default_rng(4).normal(size=(net.n, 3))
+        y[17, 2] = y[40, 0] = bad
+        with pytest.raises(ConfigError, match="^embedding row 17 is not finite$"):
+            link_prediction_report(net, y, 2, seeds=(0,))
+        with pytest.raises(ConfigError, match="^embedding row 17 is not finite$"):
+            classification_report(y, [0, 1, 2] * 20, ratios=(0.5,), seeds=(0,))
 
     @pytest.mark.parametrize("target_view", [2, -1])
     def test_link_prediction_report_rejects_a_missing_view(self, target_view):
