@@ -1,18 +1,20 @@
-"""Minimal reverse-mode tape over dense float64 matrices.
+"""Minimal reverse-mode tape over dense float64 matrices, with the seven ops of the RGAE loss.
 
-Every operation computes its value eagerly, checks it is finite, and records
-a closure that routes the incoming gradient to its operands. backward() walks
-the tape once in strict reverse insertion order, so gradient accumulation is
-deterministic and two identical passes give bit-identical results.
+The ops are graph_conv (an encoder layer), gram (of two joined encoder
+outputs), sigmoid, balanced_bce, row_dot, sq_frobenius and lincomb (every
+weighted sum). Each computes its value eagerly, checks it is finite, and
+records a closure that routes the incoming gradient to its operands.
+backward() walks the tape once in strict reverse insertion order, so two
+identical passes give bit-identical results.
 
-A node's gradient buffer is its own: backward() passes it to the node's pull
-and then drops it, so the pull may overwrite it, and a pull hands an array it
-built or its own buffer to an operand with _take. add and concat_cols share
-one array among operands and copy it with _accumulate. Leaves start from
-zeros, so leaf gradients are unchanged; only an interior gradient may keep a
--0.0 where a copy into zeros would give +0.0. sigmoid, balanced_bce and the
-gram pull walk n-by-n arrays in row blocks with the per-entry arithmetic and
-whole-array sums of whole-array code, so results match it bit for bit.
+Tensor._take is the one hand-over rule. A node's gradient buffer is its own:
+backward() passes it to the node's pull and then drops it, so the pull may
+overwrite it, and a pull hands each operand an array no other operand holds.
+Leaves start from zeros, so leaf gradients equal those of copying every
+contribution; only an interior gradient may keep a -0.0 where a copy into
+zeros would give +0.0. sigmoid, balanced_bce and the gram pull walk n-by-n
+arrays in row blocks with the per-entry arithmetic and whole-array sums of
+whole-array code, so results match it bit for bit.
 """
 
 from __future__ import annotations
@@ -59,13 +61,8 @@ class Tensor:
             raise ReleasedTape("the tape that recorded this node has been released")
         return tape
 
-    def _accumulate(self, g) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
-
     def _take(self, g) -> None:
-        """_accumulate for an array of this node's shape that nothing else holds: the first one becomes the gradient."""
+        """Add an array of this node's shape that no other node holds: the first one becomes the gradient."""
         self.grad = g if self.grad is None else np.add(self.grad, g, out=self.grad)
 
     @property
@@ -106,7 +103,7 @@ class Tape:
             raise NonScalarRoot(f"backward needs a 1x1 root, got {root.shape}")
         for node in self._nodes:
             node.grad = np.zeros_like(node.value) if node._pull is None else None
-        root._accumulate(np.ones((1, 1)))
+        root._take(np.ones((1, 1)))
         for node in reversed(self._nodes[: root.index + 1]):
             if node._pull is not None and node.grad is not None:
                 node._pull(node.grad)
@@ -127,39 +124,54 @@ def _same_tape(*tensors) -> Tape:
     return tape
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    value = a.value @ b.value
+def graph_conv(norm: NormalizedAdjacency, h: Tensor, w: Tensor | None = None) -> Tensor:
+    """One encoder layer, relu(spmm(norm, h) @ w), or relu(spmm(norm, h)) for a first layer on identity features.
+
+    The pre-activation is checked too, so an overflow that relu would turn into 0 still raises.
+    """
+    tape = h.tape if w is None else _same_tape(h, w)
+    if h.shape[0] != norm.n:
+        raise ShapeMismatch(f"dense operand must have {norm.n} rows, got {h.shape[0]}")
+    if w is not None and h.shape[1] != w.shape[0]:
+        raise ShapeMismatch(f"cannot multiply {h.shape} by {w.shape}")
+    x = _graph.spmm(norm, h.value)
+    pre = x if w is None else x @ w.value
+    if not np.all(np.isfinite(pre)):
+        raise NumericalOverflow("non-finite pre-activation entering the tape")
+    value = np.maximum(pre, 0.0)
 
     def pull(g):
-        a._take(g @ b.value.T)
-        b._take(a.value.T @ g)
+        g = g * (value > 0.0)
+        if w is not None:
+            w._take(x.T @ g)
+            g = g @ w.value.T
+        # the normalized matrix is symmetric, so its transpose product reuses spmm
+        h._take(_graph.spmm(norm, g))
 
     return tape._record(value, pull)
 
 
-def spmm(norm: NormalizedAdjacency, b: Tensor) -> Tensor:
-    """Sparse-dense product with the sparse operand held constant."""
-    if b.shape[0] != norm.n:
-        raise ShapeMismatch(f"dense operand must have {norm.n} rows, got {b.shape[0]}")
-    value = _graph.spmm(norm, b.value)
+def gram(a: Tensor, b: Tensor) -> Tensor:
+    """Z Z^T for Z = [a | b], the columns of the two operands joined."""
+    tape = _same_tape(a, b)
+    if a.shape[0] != b.shape[0]:
+        raise ShapeMismatch(f"cannot join the columns of {a.shape} and {b.shape}")
+    z = np.concatenate([a.value, b.value], axis=1)
+    split = a.shape[1]
+    value = z @ z.T
 
     def pull(g):
-        # the normalized matrix is symmetric, so its transpose product reuses spmm
-        b._take(_graph.spmm(norm, g))
+        # g += g.T in place by row bands; band r reads and writes only row r and column r from i on
+        for r in _row_blocks(g.shape):
+            i = r.start
+            t = g[r, i:] + g[i:, r].T
+            g[r, i:] = t
+            g[i:, r] = t.T
+        gz = g @ z
+        a._take(gz[:, :split])
+        b._take(gz[:, split:])
 
-    return b.tape._record(value, pull)
-
-
-def relu(a: Tensor) -> Tensor:
-    value = np.maximum(a.value, 0.0)
-
-    def pull(g):
-        a._take(g * (a.value > 0.0))
-
-    return a.tape._record(value, pull)
+    return tape._record(value, pull)
 
 
 def _sigmoid_values(x: np.ndarray, out=None) -> np.ndarray:
@@ -187,35 +199,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return a.tape._record(value, pull)
 
 
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
-    if a.shape[0] != b.shape[0]:
-        raise ShapeMismatch(f"cannot concatenate {a.shape} with {b.shape}")
-    value = np.concatenate([a.value, b.value], axis=1)
-    split = a.shape[1]
-
-    def pull(g):
-        a._accumulate(g[:, :split])
-        b._accumulate(g[:, split:])
-
-    return tape._record(value, pull)
-
-
-def gram(a: Tensor) -> Tensor:
-    value = a.value @ a.value.T
-
-    def pull(g):
-        # g += g.T in place by row bands; band b reads and writes only row b and column b from i on
-        for b in _row_blocks(g.shape):
-            i = b.start
-            t = g[b, i:] + g[i:, b].T
-            g[b, i:] = t
-            g[i:, b] = t.T
-        a._take(g @ a.value)
-
-    return a.tape._record(value, pull)
-
-
 def row_dot(a: Tensor, b: Tensor) -> Tensor:
     """Row-wise inner product, returned as a column vector."""
     tape = _same_tape(a, b)
@@ -239,40 +222,23 @@ def sq_frobenius(a: Tensor) -> Tensor:
     return a.tape._record(value, pull)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"cannot subtract {b.shape} from {a.shape}")
-    value = a.value - b.value
+def lincomb(terms, coeffs) -> Tensor:
+    """The sum of coeffs[i] * terms[i] from left to right; weights 1 and -1 are exact, so (1, -1) gives a - b."""
+    terms, coeffs = list(terms), [float(c) for c in coeffs]
+    tape = _same_tape(*terms)
+    if len(coeffs) != len(terms):
+        raise ShapeMismatch(f"{len(coeffs)} coefficients for {len(terms)} terms")
+    if any(t.shape != terms[0].shape for t in terms):
+        raise ShapeMismatch(f"cannot add shapes {[t.shape for t in terms]}")
+    value = coeffs[0] * terms[0].value
+    for c, t in zip(coeffs[1:], terms[1:]):
+        value += c * t.value
 
     def pull(g):
-        a._take(g)
-        b._take(-g)
+        for c, t in zip(coeffs, terms):
+            t._take(c * g)
 
     return tape._record(value, pull)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"cannot add {a.shape} and {b.shape}")
-    value = a.value + b.value
-
-    def pull(g):
-        a._accumulate(g)
-        b._accumulate(g)
-
-    return tape._record(value, pull)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    value = c * a.value
-
-    def pull(g):
-        a._take(c * g)
-
-    return a.tape._record(value, pull)
 
 
 def _clamp(x, out=None):

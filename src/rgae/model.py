@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -86,9 +85,9 @@ def bind_params(tape: Tape, params: RgaeParams) -> RgaeParams:
 
 def encode(norm: NormalizedAdjacency, weights: list) -> Tensor:
     """Run one encoder stack; identity input features fold the first layer into its weight matrix."""
-    h = ad.relu(ad.spmm(norm, weights[0]))
+    h = ad.graph_conv(norm, weights[0])
     for w in weights[1:]:
-        h = ad.relu(ad.matmul(ad.spmm(norm, h), w))
+        h = ad.graph_conv(norm, h, w)
     return h
 
 
@@ -105,7 +104,7 @@ def encode_views(net: MultiViewNetwork, bound: RgaeParams):
 
 def decode(ys: Tensor, yp: Tensor) -> Tensor:
     """Inner-product decoder: reconstruction probabilities from one view's joined encoder outputs."""
-    return ad.sigmoid(ad.gram(ad.concat_cols(ys, yp)))
+    return ad.sigmoid(ad.gram(ys, yp))
 
 
 def _view_powers(lam, gamma: float, n_views: int) -> np.ndarray:
@@ -117,11 +116,6 @@ def _view_powers(lam, gamma: float, n_views: int) -> np.ndarray:
     return lam**gamma
 
 
-def _sum(terms) -> Tensor:
-    """Left fold of the terms with add, recorded in iteration order."""
-    return reduce(ad.add, terms)
-
-
 def consistent_embedding(shared: list, lam, gamma: float) -> Tensor:
     """Weighted mean of the shared outputs with weights lam**gamma, normalized.
 
@@ -131,7 +125,7 @@ def consistent_embedding(shared: list, lam, gamma: float) -> Tensor:
     total = w.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise DegenerateWeights("view weights vanished under the exponent")
-    return _sum(ad.scale(t, c) for c, t in zip(w / total, shared))
+    return ad.lincomb(shared, w / total)
 
 
 def disagreements(shared: list, y_con: Tensor) -> list:
@@ -139,13 +133,12 @@ def disagreements(shared: list, y_con: Tensor) -> list:
 
     similarity_loss weights these nodes; the closed-form view-weight update reads their values.
     """
-    return [ad.sq_frobenius(ad.sub(y_con, t)) for t in shared]
+    return [ad.sq_frobenius(ad.lincomb([y_con, t], (1, -1))) for t in shared]
 
 
 def similarity_loss(shared: list, y_con: Tensor, lam, gamma: float) -> Tensor:
     """Sum over views of lam_i**gamma times the squared distance to the consistent embedding."""
-    w = _view_powers(lam, gamma, len(shared))
-    return _sum(ad.scale(d, wi) for wi, d in zip(w, disagreements(shared, y_con)))
+    return ad.lincomb(disagreements(shared, y_con), _view_powers(lam, gamma, len(shared)))
 
 
 def difference_loss(shared_view: Tensor, private_view: Tensor) -> Tensor:
@@ -190,11 +183,13 @@ def run_model(
     y_con = consistent_embedding(shared_out, params.lam, gamma)
     sim = similarity_loss(shared_out, y_con, params.lam, gamma)
     dif = [difference_loss(ys, yp) for ys, yp in zip(shared_out, private_out)]
-    loss = _sum(rec)
+    # summed as ((rec_0 + rec_1 + ...) + alpha * sim) + beta * (dif_0 + dif_1 + ...), the order outputs depend on
+    terms, coeffs = list(rec), [1.0] * len(rec)
     if use_sim:
-        loss = ad.add(loss, ad.scale(sim, alpha))
+        terms, coeffs = terms + [sim], coeffs + [alpha]
     if use_dif:
-        loss = ad.add(loss, ad.scale(_sum(dif), beta))
+        terms, coeffs = terms + [ad.lincomb(dif, [1.0] * len(dif))], coeffs + [beta]
+    loss = ad.lincomb(terms, coeffs)
     return ModelOutput(
         loss=loss,
         rec=rec,

@@ -14,6 +14,8 @@ from rgae.cli import main as cli_main
 from rgae.errors import NonScalarRoot, NumericalOverflow, ReleasedTape, RgaeError, ShapeMismatch
 from rgae.graph import SparseAdjacency, normalize
 
+import reference_ops as ref
+
 
 def numeric_grad(f, x, h=1e-5):
     """Central finite differences of a scalar function over every entry of x."""
@@ -57,64 +59,13 @@ def two_branch_sigmoid(x):
     return out
 
 
-def whole_array_sigmoid_values(x):
-    """The whole-array logistic that the blocked sigmoid forward must repeat entry for entry."""
-    e = np.abs(x)
-    np.exp(np.negative(e, out=e), out=e)
-    denom = 1.0 + e
-    np.maximum(e, x >= 0, out=e)
-    return np.divide(e, denom, out=e)
+def identity(n):
+    """The normalized adjacency of n nodes without edges, the n-by-n identity: graph_conv(identity(n), h) is relu(h)."""
+    return normalize(SparseAdjacency.from_edges(n, []))
 
 
-def whole_array_sigmoid(a):
-    """sigmoid as one whole-array pass each way, accumulating a copy of its gradient."""
-    value = whole_array_sigmoid_values(a.value)
-
-    def pull(g):
-        a._accumulate(g * value * (1.0 - value))
-
-    return a.tape._record(value, pull)
-
-
-def whole_array_gram(a):
-    """gram with its pull through the fresh symmetric array (g + g.T)."""
-    value = a.value @ a.value.T
-
-    def pull(g):
-        a._accumulate((g + g.T) @ a.value)
-
-    return a.tape._record(value, pull)
-
-
-def whole_array_balanced_bce(probs, adj):
-    """balanced_bce with whole-array np.clip, a gradient built from full-size masks, and a copy accumulated."""
-    n = adj.n
-    diag = np.arange(n, dtype=np.int64)
-    t_idx = (np.concatenate([adj.rows, diag]), np.concatenate([adj.col_indices, diag]))
-    positives = adj.nnz + n
-    pos_weight = (n * n - positives) / positives
-    log1m = np.clip(probs.value, ad.CLAMP_EPS, 1.0 - ad.CLAMP_EPS)
-    p_t = log1m[t_idx]
-    np.log1p(np.negative(log1m, out=log1m), out=log1m)
-    total = -(pos_weight * np.sum(np.log(p_t)) + np.sum(log1m) - np.sum(log1m[t_idx]))
-
-    def pull(g):
-        dp = np.clip(probs.value, ad.CLAMP_EPS, 1.0 - ad.CLAMP_EPS)
-        np.divide(1.0, np.subtract(1.0, dp, out=dp), out=dp)
-        dp[t_idx] = -pos_weight / p_t
-        dp *= g[0, 0]
-        dp *= (probs.value > ad.CLAMP_EPS) & (probs.value < 1.0 - ad.CLAMP_EPS)
-        probs._accumulate(dp)
-
-    return probs.tape._record(np.array([[total]]), pull)
-
-
-def use_whole_array_ops(monkeypatch):
-    """Swap in the whole-array decoder ops and make every pull accumulate a copy, as a tape without hand-over does."""
-    monkeypatch.setattr(ad, "sigmoid", whole_array_sigmoid)
-    monkeypatch.setattr(ad, "gram", whole_array_gram)
-    monkeypatch.setattr(ad, "balanced_bce", whole_array_balanced_bce)
-    monkeypatch.setattr(ad.Tensor, "_take", ad.Tensor._accumulate)
+CYCLE4 = normalize(SparseAdjacency.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+PATH5 = normalize(SparseAdjacency.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
 
 
 def seed_gradient(t, g):
@@ -142,27 +93,43 @@ SQUARE_SIZES = (1, isqrt(BLOCK) - 1, isqrt(BLOCK), isqrt(BLOCK) + 1, ONE_ROW_TAI
 
 class TestForwardValues:
     def test_relu_value_and_grad(self):
+        # graph_conv on a graph without edges is the relu alone
         tape = Tape()
         x = tape.leaf([[-1.0, 2.0]])
-        y = ad.relu(x)
+        y = ad.graph_conv(identity(1), x)
         assert np.array_equal(y.value, [[0.0, 2.0]])
         ones = tape.leaf([[1.0], [1.0]])
-        tape.backward(ad.matmul(y, ones))
+        tape.backward(ad.graph_conv(identity(1), y, ones))
         assert np.array_equal(x.grad, [[0.0, 1.0]])
 
     def test_relu_subgradient_at_zero_is_zero(self):
         tape = Tape()
         x = tape.leaf([[0.0]])
-        y = ad.relu(x)
-        tape.backward(ad.sq_frobenius(ad.add(y, tape.leaf([[1.0]]))))
+        y = ad.graph_conv(identity(1), x)
+        tape.backward(ad.sq_frobenius(ad.lincomb([y, tape.leaf([[1.0]])], (1, 1))))
         assert x.grad[0, 0] == 0.0
+
+    def test_graph_conv_values(self):
+        tape = Tape()
+        h0 = np.arange(8, dtype=float).reshape(4, 2) - 3.0
+        w0 = np.array([[1.0, -2.0, 0.5], [-1.0, 0.25, 2.0]])
+        first = ad.graph_conv(CYCLE4, tape.leaf(h0))
+        assert np.allclose(first.value, np.maximum(CYCLE4.to_dense() @ h0, 0.0), rtol=1e-12, atol=1e-12)
+        layer = ad.graph_conv(CYCLE4, tape.leaf(h0), tape.leaf(w0))
+        assert np.allclose(layer.value, np.maximum(CYCLE4.to_dense() @ h0 @ w0, 0.0), rtol=1e-12, atol=1e-12)
+
+    def test_lincomb_values(self):
+        tape = Tape()
+        a, b, c = (tape.leaf(v) for v in ([[1.0, 2.0]], [[0.5, -1.0]], [[3.0, 3.0]]))
+        assert np.array_equal(ad.lincomb([a, b, c], (1, -1, 2.0)).value, [[6.5, 9.0]])
+        assert np.array_equal(ad.lincomb([a], (-0.5,)).value, [[-0.5, -1.0]])
 
     def test_sigmoid_at_zero(self):
         tape = Tape()
         x = tape.leaf([[0.0]])
         s = ad.sigmoid(x)
         assert s.value[0, 0] == pytest.approx(0.5)
-        tape.backward(ad.matmul(s, tape.leaf([[1.0]])))
+        tape.backward(ad.lincomb([s], (1.0,)))
         assert x.grad[0, 0] == pytest.approx(0.25)
 
     def test_sigmoid_extreme_inputs_stay_finite(self):
@@ -193,12 +160,15 @@ class TestForwardValues:
         assert np.array_equal(w.grad, [[2.0, 4.0]])
 
     def test_concat_and_gram_shapes(self):
+        # gram joins the columns of its operands: the Gram matrix of the 3-by-3 [a | b]
         tape = Tape()
-        a = tape.leaf(np.arange(6, dtype=float).reshape(3, 2))
+        a0 = np.arange(6, dtype=float).reshape(3, 2)
+        a = tape.leaf(a0)
         b = tape.leaf(np.ones((3, 1)))
-        c = ad.concat_cols(a, b)
-        assert c.shape == (3, 3)
-        assert ad.gram(c).shape == (3, 3)
+        gm = ad.gram(a, b)
+        assert gm.shape == (3, 3)
+        z = np.concatenate([a0, np.ones((3, 1))], axis=1)
+        assert np.array_equal(gm.value, z @ z.T)
 
     def test_row_dot_is_column(self):
         tape = Tape()
@@ -219,77 +189,59 @@ class TestFiniteDifferences:
         tape.backward(ad.sq_frobenius(fn(leaf)))
         assert_close_grad(leaf.grad, numeric_grad(scalarize(fn), x.copy()))
 
+    def check_pair(self, op, a0, b0):
+        """Gradients of sq_frobenius(op(a, b)) against central differences in both operands."""
+        tape = Tape()
+        a = tape.leaf(a0)
+        b = tape.leaf(b0)
+        tape.backward(ad.sq_frobenius(op(a, b)))
+
+        def fa(x):
+            t = Tape()
+            return float(ad.sq_frobenius(op(t.leaf(x), t.leaf(b0))).value[0, 0])
+
+        def fb(x):
+            t = Tape()
+            return float(ad.sq_frobenius(op(t.leaf(a0), t.leaf(x))).value[0, 0])
+
+        assert_close_grad(a.grad, numeric_grad(fa, a0.copy()))
+        assert_close_grad(b.grad, numeric_grad(fb, b0.copy()))
+
     def test_relu(self):
         x = self.rng.normal(size=(4, 3))
         x[np.abs(x) < 1e-3] = 0.1
-        self.check(ad.relu, x)
+        self.check(lambda t: ad.graph_conv(identity(4), t), x)
 
     def test_sigmoid(self):
         self.check(ad.sigmoid, self.rng.normal(size=(4, 3)))
 
     def test_matmul_both_sides(self):
-        a0 = self.rng.normal(size=(4, 3))
-        b0 = self.rng.normal(size=(3, 2))
-        tape = Tape()
-        a = tape.leaf(a0)
-        b = tape.leaf(b0)
-        tape.backward(ad.sq_frobenius(ad.matmul(a, b)))
-
-        def fa(x):
-            t = Tape()
-            return float(ad.sq_frobenius(ad.matmul(t.leaf(x), t.leaf(b0))).value[0, 0])
-
-        def fb(x):
-            t = Tape()
-            return float(ad.sq_frobenius(ad.matmul(t.leaf(a0), t.leaf(x))).value[0, 0])
-
-        assert_close_grad(a.grad, numeric_grad(fa, a0.copy()))
-        assert_close_grad(b.grad, numeric_grad(fb, b0.copy()))
+        # a hidden layer: the gradients reach both the layer input and the weight
+        self.check_pair(lambda h, w: ad.graph_conv(CYCLE4, h, w), self.rng.normal(size=(4, 3)), self.rng.normal(size=(3, 2)))
 
     def test_gram(self):
-        self.check(ad.gram, self.rng.normal(size=(4, 3)))
+        self.check_pair(ad.gram, self.rng.normal(size=(4, 3)), self.rng.normal(size=(4, 2)))
+        self.check(lambda t: ad.gram(t, t), self.rng.normal(size=(4, 3)))
 
     def test_scale(self):
-        self.check(lambda t: ad.scale(t, -1.7), self.rng.normal(size=(3, 3)))
+        self.check(lambda t: ad.lincomb([t], (-1.7,)), self.rng.normal(size=(3, 3)))
 
     def test_add_sub_row_dot_concat(self):
         a0 = self.rng.normal(size=(4, 3))
         b0 = self.rng.normal(size=(4, 3))
         ops = {
-            "add": lambda x, y: ad.add(x, y),
-            "sub": lambda x, y: ad.sub(x, y),
+            "add": lambda x, y: ad.lincomb([x, y], (1, 1)),
+            "sub": lambda x, y: ad.lincomb([x, y], (1, -1)),
+            "weighted": lambda x, y: ad.lincomb([x, y, x], (0.3, -2.5, 1.1)),
             "row_dot": lambda x, y: ad.row_dot(x, y),
-            "concat": lambda x, y: ad.concat_cols(x, y),
+            "joined gram": lambda x, y: ad.gram(x, y),
         }
-        for name, op in ops.items():
-            tape = Tape()
-            a = tape.leaf(a0)
-            b = tape.leaf(b0)
-            tape.backward(ad.sq_frobenius(op(a, b)))
-
-            def fa(x, op=op):
-                t = Tape()
-                return float(ad.sq_frobenius(op(t.leaf(x), t.leaf(b0))).value[0, 0])
-
-            def fb(x, op=op):
-                t = Tape()
-                return float(ad.sq_frobenius(op(t.leaf(a0), t.leaf(x))).value[0, 0])
-
-            assert_close_grad(a.grad, numeric_grad(fa, a0.copy()))
-            assert_close_grad(b.grad, numeric_grad(fb, b0.copy()))
+        for op in ops.values():
+            self.check_pair(op, a0, b0)
 
     def test_spmm(self):
-        norm = normalize(SparseAdjacency.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
-        x0 = self.rng.normal(size=(4, 3))
-        tape = Tape()
-        x = tape.leaf(x0)
-        tape.backward(ad.sq_frobenius(ad.spmm(norm, x)))
-
-        def f(x):
-            t = Tape()
-            return float(ad.sq_frobenius(ad.spmm(norm, t.leaf(x))).value[0, 0])
-
-        assert_close_grad(x.grad, numeric_grad(f, x0.copy()))
+        # a first layer on identity features: relu(spmm(norm, h))
+        self.check(lambda t: ad.graph_conv(CYCLE4, t), self.rng.normal(size=(4, 3)))
 
     def test_balanced_bce(self):
         adj = SparseAdjacency.from_edges(4, [(0, 1), (2, 3)])
@@ -387,9 +339,9 @@ class TestBalancedBce:
         # and bit for bit the whole-array op, loss included
         tape = Tape()
         q = tape.leaf(probs)
-        ref = whole_array_balanced_bce(q, adj)
-        tape.backward(ref)
-        assert loss.value.tobytes() == ref.value.tobytes()
+        whole = ref.whole_array_balanced_bce(q, adj)
+        tape.backward(whole)
+        assert loss.value.tobytes() == whole.value.tobytes()
         assert p.grad.tobytes() == q.grad.tobytes()
 
     def test_forward_keeps_no_square_array(self):
@@ -411,7 +363,10 @@ class TestBalancedBce:
 
 
 class TestBlockedDecoderOps:
-    """sigmoid, the gram pull and balanced_bce in row blocks give the whole-array ops' bytes."""
+    """sigmoid, the gram pull and balanced_bce in row blocks give the whole-array ops' bytes.
+
+    Whole training runs give the bytes of the reference composition, whole-array decoder ops included.
+    """
 
     def test_sizes_cross_the_block_edges(self):
         assert [len(ad._row_blocks(shape)) for shape in WIDE_SHAPES] == [1, 1, 1, 2, 3, 5]
@@ -434,22 +389,23 @@ class TestBlockedDecoderOps:
             tape.backward(seed_gradient(s, g0))
             return s.value.tobytes(), x.grad.tobytes()
 
-        assert run(ad.sigmoid) == run(whole_array_sigmoid)
+        assert run(ad.sigmoid) == run(ref.whole_array_sigmoid)
 
     @pytest.mark.parametrize("n", SQUARE_SIZES)
     def test_gram_pull(self, n):
         rng = np.random.default_rng(n)
         x0 = wide_range_values((n, 8), rng)
+        y0 = wide_range_values((n, 5), rng)
         g0 = wide_range_values((n, n), rng)
 
         def run(op):
             tape = Tape()
-            x = tape.leaf(x0)
-            gm = op(x)
+            x, y = tape.leaf(x0), tape.leaf(y0)
+            gm = op(x, y)
             tape.backward(seed_gradient(gm, g0))
-            return gm.value.tobytes(), x.grad.tobytes()
+            return gm.value.tobytes(), x.grad.tobytes(), y.grad.tobytes()
 
-        assert run(ad.gram) == run(whole_array_gram)
+        assert run(ad.gram) == run(ref.joined_gram)
 
     @pytest.mark.parametrize(
         "generate_args, train_args",
@@ -473,32 +429,84 @@ class TestBlockedDecoderOps:
             return [(tmp_path / run / name).read_bytes() for name in ("embeddings.txt", "history.tsv")]
 
         got = outputs("blocked")
-        use_whole_array_ops(monkeypatch)
+        ref.use_reference_ops(monkeypatch)
         assert got == outputs("whole-array")
 
 
+class TestMatchesReferenceOps:
+    """graph_conv and lincomb give the values and leaf gradients of the primitive ops they replace, byte for byte."""
+
+    @pytest.mark.parametrize("with_weight", [False, True], ids=["first-layer", "hidden-layer"])
+    @pytest.mark.parametrize("n", [5, 300])
+    def test_graph_conv(self, n, with_weight):
+        rng = np.random.default_rng(n)
+        iu, ju = np.triu_indices(n, k=1)
+        mask = rng.random(iu.size) < 0.2
+        norm = normalize(SparseAdjacency.from_edges(n, np.stack([iu[mask], ju[mask]], axis=1)))
+        h0 = wide_range_values((n, 6), rng)
+        w0 = rng.normal(size=(6, 4)) if with_weight else None
+        g0 = wide_range_values((n, 4 if with_weight else 6), rng)
+
+        def run(op):
+            tape = Tape()
+            h = tape.leaf(h0)
+            w = None if w0 is None else tape.leaf(w0)
+            out = op(norm, h, w)
+            tape.backward(seed_gradient(out, g0))
+            return [out.value.tobytes()] + [t.grad.tobytes() for t in (h, w) if t is not None]
+
+        assert run(ad.graph_conv) == run(ref.graph_conv)
+
+    def test_lincomb(self):
+        rng = np.random.default_rng(5)
+        leaves = [wide_range_values((7, 3), rng) for _ in range(4)]
+        g0 = wide_range_values((7, 3), rng)
+        for coeffs in [(1.0,), (1, -1), (1, 1, 0.7, -2.5), (0.1, 0.2, 0.3, 0.4)]:
+
+            def run(op, coeffs=coeffs):
+                tape = Tape()
+                ts = [tape.leaf(v) for v in leaves[: len(coeffs)]]
+                # the first leaf twice: its two contributions meet in one gradient
+                out = op(ts + ts[:1], coeffs + (1.5,))
+                tape.backward(seed_gradient(out, g0))
+                return [out.value.tobytes()] + [t.grad.tobytes() for t in ts]
+
+            assert run(ad.lincomb) == run(ref.lincomb)
+        # 1.0 and -1.0 give a + b and a - b exactly, the old add and sub
+        tape = Tape()
+        a, b = tape.leaf(leaves[0]), tape.leaf(leaves[1])
+        assert ad.lincomb([a, b], (1, 1)).value.tobytes() == ref.add(a, b).value.tobytes()
+        assert ad.lincomb([a, b], (1, -1)).value.tobytes() == ref.sub(a, b).value.tobytes()
+
+
 FANOUT_ADJ = SparseAdjacency.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 5)])
+FANOUT_NORM = normalize(FANOUT_ADJ)
 
 
 def fanout_graph(case, tape, x0, y0, c0):
     """(leaves, interior nodes, root) of a small graph in which one node feeds several consumers."""
     x, y, c = tape.leaf(x0), tape.leaf(y0), tape.leaf(c0)
     if case == "sigmoid-two-consumers":
-        s = ad.sigmoid(ad.gram(x))
-        interior = [s, ad.sq_frobenius(ad.row_dot(s, c)), ad.sq_frobenius(ad.scale(s, 3.0))]
+        s = ad.sigmoid(ad.gram(x, x))
+        interior = [s, ad.sq_frobenius(ad.row_dot(s, c)), ad.sq_frobenius(ad.lincomb([s], (3.0,)))]
     elif case == "gram-two-consumers":
-        gm = ad.gram(ad.concat_cols(x, y))
-        interior = [gm, ad.balanced_bce(ad.sigmoid(gm), FANOUT_ADJ), ad.sq_frobenius(ad.scale(gm, -0.5))]
+        gm = ad.gram(x, y)
+        interior = [gm, ad.balanced_bce(ad.sigmoid(gm), FANOUT_ADJ), ad.sq_frobenius(ad.lincomb([gm], (-0.5,)))]
     elif case == "add-one-node-twice":
-        s = ad.sigmoid(ad.gram(x))
-        interior = [s, ad.balanced_bce(ad.scale(ad.add(s, s), 0.5), FANOUT_ADJ), ad.sq_frobenius(y)]
+        s = ad.sigmoid(ad.gram(x, x))
+        interior = [s, ad.balanced_bce(ad.lincomb([s, s], (0.5, 0.5)), FANOUT_ADJ), ad.sq_frobenius(y)]
     elif case == "add-two-sigmoids":
-        s, t = ad.sigmoid(ad.gram(x)), ad.sigmoid(ad.gram(y))
-        interior = [s, t, ad.sq_frobenius(ad.row_dot(ad.add(s, t), c)), ad.sq_frobenius(c)]
+        s, t = ad.sigmoid(ad.gram(x, y)), ad.sigmoid(ad.gram(y, x))
+        interior = [s, t, ad.sq_frobenius(ad.row_dot(ad.lincomb([s, t], (1, 1)), c)), ad.sq_frobenius(c)]
+    elif case == "graph-conv-shared-weight":
+        # c is a layer input once and a weight twice; gm feeds a layer as its input
+        gm = ad.gram(x, y)
+        hidden = ad.graph_conv(FANOUT_NORM, ad.graph_conv(FANOUT_NORM, c), c)
+        interior = [gm, hidden, ad.sq_frobenius(ad.graph_conv(FANOUT_NORM, gm, c)), ad.sq_frobenius(hidden)]
     else:  # the probabilities feed balanced_bce and another op
-        p = ad.sigmoid(ad.gram(ad.concat_cols(x, y)))
+        p = ad.sigmoid(ad.gram(x, y))
         interior = [p, ad.balanced_bce(p, FANOUT_ADJ), ad.sq_frobenius(ad.row_dot(p, c))]
-    root = ad.add(interior[-2], interior[-1])
+    root = ad.lincomb([interior[-2], interior[-1]], (1, 1))
     return [x, y, c], interior, root
 
 
@@ -507,6 +515,7 @@ class TestGradientOwnership:
 
     CASES = [
         "sigmoid-two-consumers", "gram-two-consumers", "add-one-node-twice", "add-two-sigmoids", "bce-probs-and-row-dot",
+        "graph-conv-shared-weight",
     ]
 
     def run(self, case):
@@ -522,7 +531,7 @@ class TestGradientOwnership:
     def test_leaf_gradients_match_a_copying_tape(self, case, monkeypatch):
         leaves, interior = self.run(case)
         with monkeypatch.context() as m:
-            use_whole_array_ops(m)
+            ref.use_reference_ops(m)
             ref_leaves, _ = self.run(case)
         assert [t.grad.tobytes() for t in leaves] == [t.grad.tobytes() for t in ref_leaves]
         assert all(t.grad is None for t in interior)
@@ -540,7 +549,7 @@ class TestBackwardContract:
             tape = Tape()
             x = tape.leaf(x0)
             w = tape.leaf(w0)
-            loss = ad.sq_frobenius(ad.sigmoid(ad.matmul(ad.relu(x), w)))
+            loss = ad.sq_frobenius(ad.sigmoid(ad.graph_conv(identity(5), ad.graph_conv(PATH5, x), w)))
             tape.backward(loss)
             return x.grad.copy(), w.grad.copy()
 
@@ -559,7 +568,7 @@ class TestBackwardContract:
     def test_repeated_backward_matches(self):
         tape = Tape()
         x = tape.leaf([[1.0, -2.0]])
-        root = ad.sq_frobenius(ad.relu(x))
+        root = ad.sq_frobenius(ad.graph_conv(identity(1), x))
         tape.backward(root)
         first = x.grad.copy()
         tape.backward(root)
@@ -568,7 +577,7 @@ class TestBackwardContract:
     def test_fanout_accumulates(self):
         tape = Tape()
         x = tape.leaf([[2.0]])
-        root = ad.sq_frobenius(ad.add(x, x))
+        root = ad.sq_frobenius(ad.lincomb([x, x], (1, 1)))
         tape.backward(root)
         # d/dx (2x)^2 = 8x
         assert x.grad[0, 0] == pytest.approx(16.0)
@@ -583,17 +592,35 @@ class TestBackwardContract:
         tape = Tape()
         a = tape.leaf(np.ones((2, 3)))
         b = tape.leaf(np.ones((2, 3)))
-        with pytest.raises(ShapeMismatch):
-            ad.matmul(a, b)
-        with pytest.raises(ShapeMismatch):
-            ad.add(a, tape.leaf(np.ones((3, 2))))
+        with pytest.raises(ShapeMismatch, match="multiply"):
+            ad.graph_conv(identity(2), a, b)
+        with pytest.raises(ShapeMismatch, match="rows"):
+            ad.graph_conv(identity(3), a)
+        with pytest.raises(ShapeMismatch, match="add"):
+            ad.lincomb([a, tape.leaf(np.ones((3, 2)))], (1, 1))
+        with pytest.raises(ShapeMismatch, match="coefficients"):
+            ad.lincomb([a, b], (1.0,))
+        with pytest.raises(ShapeMismatch, match="join"):
+            ad.gram(a, tape.leaf(np.ones((3, 2))))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_detected(self):
         tape = Tape()
         x = tape.leaf([[1e308]])
         with pytest.raises(NumericalOverflow):
-            ad.scale(x, 10.0)
+            ad.lincomb([x], (10.0,))
+        with pytest.raises(NumericalOverflow):
+            ad.graph_conv(identity(1), x, tape.leaf([[10.0]]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_graph_conv_raises_on_negative_infinite_pre_activation(self):
+        # relu would turn the -inf of spmm(norm, h) @ w into 0; the pre-activation check raises first
+        tape = Tape()
+        h = tape.leaf([[-1e308], [-1e308]])
+        w = tape.leaf([[10.0]])
+        with pytest.raises(NumericalOverflow):
+            ad.graph_conv(normalize(SparseAdjacency.from_edges(2, [(0, 1)])), h, w)
+        assert len(tape) == 2
 
     def test_non_finite_leaf_rejected(self):
         tape = Tape()
@@ -605,15 +632,19 @@ class TestBackwardContract:
         a = t1.leaf([[1.0]])
         b = t2.leaf([[1.0]])
         with pytest.raises(ShapeMismatch):
-            ad.add(a, b)
+            ad.lincomb([a, b], (1, 1))
+        with pytest.raises(ShapeMismatch):
+            ad.gram(a, b)
+        with pytest.raises(ShapeMismatch):
+            ad.graph_conv(identity(1), a, b)
 
     def test_only_leaves_keep_gradients(self):
         tape = Tape()
         x = tape.leaf([[1.0, -2.0]])
         unused = tape.leaf([[5.0]])
-        hidden = ad.relu(ad.scale(x, 3.0))
+        hidden = ad.graph_conv(identity(1), ad.lincomb([x], (3.0,)))
         root = ad.sq_frobenius(hidden)
-        after_root = ad.scale(root, 2.0)
+        after_root = ad.lincomb([root], (2.0,))
         tape.backward(root)
         assert hidden.grad is None and root.grad is None and after_root.grad is None
         assert np.array_equal(x.grad, [[18.0, 0.0]])
@@ -623,7 +654,7 @@ class TestBackwardContract:
         x = Tape().leaf([[1.0]])
         assert issubclass(ReleasedTape, RgaeError)
         with pytest.raises(ReleasedTape):
-            ad.relu(x)
+            ad.graph_conv(identity(1), x)
         with pytest.raises(ReleasedTape):
             Tape().backward(x)
         assert np.array_equal(x.value, [[1.0]])

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+import rgae.autodiff as ad
 from rgae.autodiff import Tape, scalar
 from rgae.errors import ConfigError, DegenerateWeights, InvalidGamma, ShapeMismatch
 from rgae.graph import MultiViewNetwork, SparseAdjacency
@@ -324,12 +325,7 @@ class TestTotalLoss:
 
         t2 = Tape()
         out2 = run_model(net, params, 1.0, 1.0, 2.0, t2)
-        rec_total = out2.rec[0]
-        import rgae.autodiff as ad
-
-        for r in out2.rec[1:]:
-            rec_total = ad.add(rec_total, r)
-        t2.backward(rec_total)
+        t2.backward(ad.lincomb(out2.rec, [1.0] * len(out2.rec)))
         rec_grads = out2.params.gradients()
         for g1, g2 in zip(ablated, rec_grads):
             assert np.array_equal(g1, g2)

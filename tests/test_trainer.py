@@ -9,12 +9,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rgae.autodiff as ad
-from rgae.autodiff import Tape
+import rgae.trainer as trainer
+from rgae.autodiff import Tape, scalar
 from rgae.errors import ConfigError, InvalidGamma, NumericalOverflow, ShapeMismatch
 from rgae.graph import MultiViewNetwork, SparseAdjacency
-from rgae.model import RgaeParams, bind_params, embed_dim, encode, run_model
+from rgae.model import RgaeParams, bind_params, consistent_embedding, disagreements, embed_dim, run_model
 from rgae.synth import SynthConfig, generate
-from rgae.trainer import AdamState, TrainConfig, _refresh_lambda, adam_step, train, update_lambda
+from rgae.trainer import (
+    LAMBDA_FLOOR,
+    AdamState,
+    TrainConfig,
+    _refresh_lambda,
+    adam_step,
+    train,
+    update_lambda,
+)
+
+import reference_ops as ref
 
 
 class TestUpdateLambda:
@@ -58,6 +69,27 @@ class TestUpdateLambda:
         lam = update_lambda(np.array(b), gamma)
         assert np.all(np.isfinite(lam)) and np.all(lam >= 0)
         assert abs(lam.sum() - 1.0) <= 1e-12
+
+    @given(
+        gamma=st.one_of(st.floats(0.2, 0.8), st.floats(1.5, 8.0)),
+        size=st.floats(1e-3, 0.5),
+        sign=st.sampled_from([1.0, -1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_two_view_log_ratio_grows_by_the_fixed_factor(self, gamma, size, sign, seed):
+        # with w = lam**gamma normalized and y* = w0 y0 + w1 y1, b0 = w1^2 D and b1 = w0^2 D for
+        # D = |y0 - y1|^2, so the update maps r = log(lam0 / lam1) to r * 2 gamma / (gamma - 1)
+        r = sign * size
+        lam = np.array([np.exp(r / 2), np.exp(-r / 2)])
+        lam /= lam.sum()
+        rng = np.random.default_rng(seed)
+        tape = Tape()
+        shared = [tape.leaf(rng.normal(size=(6, 3))) for _ in range(2)]
+        b = [scalar(d) for d in disagreements(shared, consistent_embedding(shared, lam, gamma))]
+        assert min(b) > LAMBDA_FLOOR
+        new = update_lambda(b, gamma)
+        want = r * 2.0 * gamma / (gamma - 1.0)
+        assert abs(np.log(new[0] / new[1]) - want) <= 1e-9 * abs(want)
 
     def test_invalid_gamma(self):
         for gamma in (1.0, 0.0, -3.0, math.inf, math.nan):
@@ -204,6 +236,34 @@ class TestTrain:
         accuracy = np.mean(labels[nearest] == labels)
         assert accuracy > 0.9
 
+    def test_collapsed_weights_are_set_by_the_floor(self, monkeypatch):
+        # the criterion-5 run: the 2-view update drives lambda to a vertex, the winning view's b
+        # underflows below LAMBDA_FLOOR, and the floor alone then fixes the losing weight
+        net = generate(SynthConfig(n=60, communities=(20, 20, 20), views=2, p_in=0.3, p_out=0.02,
+                                   unique_frac=0.5, seed=7))
+        cfg = TrainConfig(dim=32, layer_sizes=(32,), alpha=0.5, beta=0.5, gamma=5.0, lr=0.01,
+                          max_epochs=100, patience=math.inf, tol=0.0, seed=0)
+        refreshes = []
+
+        def spy(b, gamma):
+            lam = update_lambda(b, gamma)
+            refreshes.append((np.array(b, dtype=np.float64), lam))
+            return lam
+
+        monkeypatch.setattr(trainer, "update_lambda", spy)
+        _, _, history = train(net, cfg)
+        assert len(refreshes) == 100
+        floored = [i for i, (b, _) in enumerate(refreshes) if b.min() < LAMBDA_FLOOR]
+        # measured: from refresh 46 on, with every later refresh floored too
+        assert floored and floored[0] < 60 and floored == list(range(floored[0], 100))
+        b, lam = refreshes[-1]
+        win = int(np.argmax(lam))
+        lose = 1 - win
+        assert b[win] < LAMBDA_FLOOR <= b[lose]
+        want = (LAMBDA_FLOOR / b[lose]) ** (1.0 / (cfg.gamma - 1.0))
+        assert abs(lam[lose] / lam[win] - want) <= 1e-12 * want
+        assert history[-1].lam == tuple(lam)
+
     def test_config_validation(self):
         net = two_node_net()
         with pytest.raises(ConfigError):
@@ -295,18 +355,20 @@ class TestMemory:
 
 # ---------------------------------------------------------------------------
 # The loss and view-weight compositions as they were before model.py gained
-# one fold, one view-weight power, one disagreement definition and one encoder
-# pass: each view's encoders and decoder recorded together, the interleaved
-# scale/add consistent embedding, the per-view similarity loop, separate
-# reconstruction and difference folds, and the numpy disagreements.
+# one fold, one view-weight power, one disagreement definition, one encoder
+# pass and the layer, joined-Gram and weighted-sum ops: each view's encoders
+# (spmm, matmul and relu nodes) and decoder (concat_cols, gram) recorded
+# together, the interleaved scale/add consistent embedding, the per-view
+# sub/scale similarity loop, separate reconstruction and difference add folds,
+# and the numpy disagreements.
 # ---------------------------------------------------------------------------
 
 def reference_consistent(shared, lam, gamma):
     w = lam**gamma
     coef = w / w.sum()
-    acc = ad.scale(shared[0], coef[0])
+    acc = ref.scale(shared[0], coef[0])
     for c, t in zip(coef[1:], shared[1:]):
-        acc = ad.add(acc, ad.scale(t, c))
+        acc = ref.add(acc, ref.scale(t, c))
     return acc
 
 
@@ -314,35 +376,35 @@ def reference_loss(net, params, cfg, tape):
     bound = bind_params(tape, params)
     shared, private, rec = [], [], []
     for i, view in enumerate(net.views):
-        ys = encode(view.normalized(), bound.shared)
-        yp = encode(view.normalized(), bound.private[i])
-        a_hat = ad.sigmoid(ad.gram(ad.concat_cols(ys, yp)))
+        ys = ref.encode(view.normalized(), bound.shared)
+        yp = ref.encode(view.normalized(), bound.private[i])
+        a_hat = ad.sigmoid(ref.gram(ref.concat_cols(ys, yp)))
         shared.append(ys)
         private.append(yp)
         rec.append(ad.balanced_bce(a_hat, view))
     y_con = reference_consistent(shared, params.lam, cfg.gamma)
     sim = None
     for wi, t in zip(params.lam**cfg.gamma, shared):
-        term = ad.scale(ad.sq_frobenius(ad.sub(y_con, t)), wi)
-        sim = term if sim is None else ad.add(sim, term)
+        term = ref.scale(ad.sq_frobenius(ref.sub(y_con, t)), wi)
+        sim = term if sim is None else ref.add(sim, term)
     dif = [ad.sq_frobenius(ad.row_dot(ys, yp)) for ys, yp in zip(shared, private)]
     loss = rec[0]
     for r in rec[1:]:
-        loss = ad.add(loss, r)
+        loss = ref.add(loss, r)
     if cfg.use_sim:
-        loss = ad.add(loss, ad.scale(sim, cfg.alpha))
+        loss = ref.add(loss, ref.scale(sim, cfg.alpha))
     if cfg.use_dif:
         dif_total = dif[0]
         for d in dif[1:]:
-            dif_total = ad.add(dif_total, d)
-        loss = ad.add(loss, ad.scale(dif_total, cfg.beta))
+            dif_total = ref.add(dif_total, d)
+        loss = ref.add(loss, ref.scale(dif_total, cfg.beta))
     return loss, bound
 
 
 def reference_refresh(net, params, gamma):
     tape = Tape()
     nodes = [tape.leaf(w) for w in params.shared]
-    outs = [encode(view.normalized(), nodes) for view in net.views]
+    outs = [ref.encode(view.normalized(), nodes) for view in net.views]
     y_con = reference_consistent(outs, params.lam, gamma)
     b = np.array([np.sum((y_con.value - o.value) ** 2) for o in outs])
     return update_lambda(b, gamma)
@@ -370,13 +432,13 @@ class TestMatchesReferenceComposition:
             ref_loss, ref_bound = reference_loss(net, params, cfg, ref_tape)
             tape.backward(out.loss)
             ref_tape.backward(ref_loss)
-            assert np.array_equal(out.loss.value, ref_loss.value)
+            assert out.loss.value.tobytes() == ref_loss.value.tobytes()
             for got, want in zip(out.params.gradients(), ref_bound.gradients(), strict=True):
-                assert np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes()
             adam_step(params.weights(), out.params.gradients(), state, cfg.lr)
             if (epoch + 1) % cfg.lambda_update_every == 0:
                 lam = _refresh_lambda(net, params, cfg.gamma)
-                assert np.array_equal(lam, reference_refresh(net, params, cfg.gamma))
+                assert lam.tobytes() == reference_refresh(net, params, cfg.gamma).tobytes()
                 refreshed += not np.array_equal(lam, params.lam)
                 params.lam = lam
         assert refreshed >= 2
