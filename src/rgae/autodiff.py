@@ -14,7 +14,9 @@ Leaves start from zeros, so leaf gradients equal those of copying every
 contribution; only an interior gradient may keep a -0.0 where a copy into
 zeros would give +0.0. sigmoid, balanced_bce and the gram pull walk n-by-n
 arrays in row blocks with the per-entry arithmetic and whole-array sums of
-whole-array code, so results match it bit for bit.
+whole-array code, so results match it bit for bit. Each view's decoder is one node
+(model.reconstruction_loss): gram, sigmoid and balanced_bce run forward and backward on a private
+tape that dies with it, so at most two n-by-n arrays live at once, whatever the view count.
 """
 
 from __future__ import annotations
@@ -93,14 +95,15 @@ class Tape:
         return node
 
     def backward(self, root: Tensor) -> None:
-        """Fill every leaf's gradient with d(root)/d(leaf); root must be 1x1.
-
-        An interior node's gradient comes from its first contribution and is dropped after its pull.
-        """
+        """Fill every leaf's gradient with d(root)/d(leaf); root must be 1x1."""
         if root.tape is not self:
             raise ShapeMismatch("root was recorded on a different tape")
         if root.shape != (1, 1):
             raise NonScalarRoot(f"backward needs a 1x1 root, got {root.shape}")
+        self._backprop(root)
+
+    def _backprop(self, root: Tensor) -> None:
+        """backward() unchecked: an interior node's gradient is its first contribution, dropped after its pull."""
         for node in self._nodes:
             node.grad = np.zeros_like(node.value) if node._pull is None else None
         root._take(np.ones((1, 1)))

@@ -293,7 +293,8 @@ def cmd_train(args) -> int:
     write_text_atomic(out_dir / "history.tsv", "\n".join([HISTORY_HEADER] + [h.line() for h in history]) + "\n")
     _write_manifest(out_dir / "manifest.json", args, cfg, [data_dir], ["embeddings.txt", "history.tsv"])
     final = history[-1].total if history else float("nan")
-    print(f"trained {len(history)} epochs (final loss {final:.6g}); embeddings in {out_dir}")
+    stop = "max epochs" if len(history) >= tc.max_epochs else f"a patience streak of {np.ceil(tc.patience):.0f} epochs"
+    print(f"trained {len(history)} epochs (final loss {final:.6g}, stopped by {stop}); embeddings in {out_dir}")
     return 0
 
 

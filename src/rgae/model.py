@@ -9,7 +9,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import ConfigError, DegenerateWeights, InvalidGamma, ShapeMismatch
-from .graph import MultiViewNetwork, NormalizedAdjacency
+from .graph import MultiViewNetwork, NormalizedAdjacency, SparseAdjacency
 
 
 def check_gamma(gamma: float) -> None:
@@ -107,6 +107,27 @@ def decode(ys: Tensor, yp: Tensor) -> Tensor:
     return ad.sigmoid(ad.gram(ys, yp))
 
 
+def reconstruction_loss(ys: Tensor, yp: Tensor, view: SparseAdjacency) -> Tensor:
+    """balanced_bce(decode(ys, yp), view) as one node that keeps the 1x1 loss and two n x d operand gradients.
+
+    The decoder runs forward and backward on a private tape over copies of ys and yp, so its n x n arrays die here.
+    """
+    inner = Tape()
+    a, b = inner.leaf(ys.value), inner.leaf(yp.value)
+    logits = ad.gram(a, b)
+    probs = ad.sigmoid(logits)
+    logits.value = None  # no pull reads it
+    loss = ad.balanced_bce(probs, view)
+    inner._backprop(loss)
+    ga, gb = a.grad, b.grad
+
+    def pull(g):
+        ys._take(g[0, 0] * ga)  # a fresh product, so a repeated backward never hands out ga itself
+        yp._take(g[0, 0] * gb)
+
+    return ad._same_tape(ys, yp)._record(loss.value, pull)
+
+
 def _view_powers(lam, gamma: float, n_views: int) -> np.ndarray:
     """lam**gamma, after checking gamma and that there is one weight per view."""
     check_gamma(gamma)
@@ -179,7 +200,7 @@ def run_model(
         raise ConfigError("loss weights must be nonnegative")
     bound = bind_params(tape, params)
     shared_out, private_out = encode_views(net, bound)
-    rec = [ad.balanced_bce(decode(ys, yp), view) for ys, yp, view in zip(shared_out, private_out, net.views)]
+    rec = [reconstruction_loss(ys, yp, view) for ys, yp, view in zip(shared_out, private_out, net.views)]
     y_con = consistent_embedding(shared_out, params.lam, gamma)
     sim = similarity_loss(shared_out, y_con, params.lam, gamma)
     dif = [difference_loss(ys, yp) for ys, yp in zip(shared_out, private_out)]

@@ -22,9 +22,12 @@ from rgae.graph import NormalizedAdjacency, SparseAdjacency
 
 
 def _accumulate(self, g) -> None:
-    """The copying hand-over rule: the gradient starts from zeros and adds a copy of every contribution."""
+    """The copying hand-over rule: the gradient starts from zeros and adds a copy of every contribution.
+
+    The zeros take their shape from the contribution, since a node's value may be released (the decoder's gram).
+    """
     if self.grad is None:
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros_like(g)
     self.grad += g
 
 

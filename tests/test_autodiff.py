@@ -13,6 +13,7 @@ from rgae.autodiff import Tape
 from rgae.cli import main as cli_main
 from rgae.errors import NonScalarRoot, NumericalOverflow, ReleasedTape, RgaeError, ShapeMismatch
 from rgae.graph import SparseAdjacency, normalize
+from rgae.model import reconstruction_loss
 
 import reference_ops as ref
 
@@ -431,6 +432,78 @@ class TestBlockedDecoderOps:
         got = outputs("blocked")
         ref.use_reference_ops(monkeypatch)
         assert got == outputs("whole-array")
+
+
+class TestReconstructionLoss:
+    """model.reconstruction_loss, one node per view, gives the bytes of the decoder recorded on the caller's tape."""
+
+    @staticmethod
+    def operands(n):
+        rng = np.random.default_rng(n)
+        ys, yp = rng.normal(scale=0.5, size=(n, 4)), rng.normal(scale=0.5, size=(n, 3))
+        # rows 0 and 1 point opposite ways: Gram entries near +49 and -49 clamp probabilities on both sides
+        ys[0, 0], ys[1, 0] = 7.0, -7.0
+        pairs = rng.integers(0, n, size=(2 * n, 2))
+        return ys, yp, SparseAdjacency.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
+
+    @pytest.mark.parametrize("n", [5, 300], ids=["one-block", "two-blocks"])
+    def test_matches_the_decoder_on_one_tape(self, n):
+        ys0, yp0, adj = self.operands(n)
+        assert len(ad._row_blocks((n, n))) == (1 if n == 5 else 2)
+        tape = Tape()
+        ys, yp = tape.leaf(ys0), tape.leaf(yp0)
+        loss = reconstruction_loss(ys, yp, adj)
+        assert len(tape) == 3
+        tape.backward(loss)
+
+        ref_tape = Tape()
+        a, b = ref_tape.leaf(ys0), ref_tape.leaf(yp0)
+        probs = ad.sigmoid(ad.gram(a, b))
+        assert (probs.value < ad.CLAMP_EPS).any() and (probs.value > 1.0 - ad.CLAMP_EPS).any()
+        ref_loss = ad.balanced_bce(probs, adj)
+        ref_tape.backward(ref_loss)
+        assert loss.value.tobytes() == ref_loss.value.tobytes()
+        assert ys.grad.tobytes() == a.grad.tobytes()
+        assert yp.grad.tobytes() == b.grad.tobytes()
+
+    def test_repeated_backward_matches(self):
+        # h's other consumer comes first on the tape, so its pull adds into what the node handed h
+        ys0, yp0, adj = self.operands(5)
+        tape = Tape()
+        x, yp = tape.leaf(ys0), tape.leaf(yp0)
+        h = ad.lincomb([x], (1.0,))
+        root = ad.lincomb([ad.sq_frobenius(h), reconstruction_loss(h, yp, adj)], (1.0, 1.0))
+        tape.backward(root)
+        first = x.grad.tobytes(), yp.grad.tobytes()
+        tape.backward(root)
+        assert (x.grad.tobytes(), yp.grad.tobytes()) == first
+
+    def test_finite_differences_under_a_scaled_gradient(self):
+        rng = np.random.default_rng(8)
+        ys0, yp0 = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+        adj = SparseAdjacency.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        tape = Tape()
+        ys, yp = tape.leaf(ys0), tape.leaf(yp0)
+        # the node's pull gets -2.5, not the unit seed
+        tape.backward(ad.lincomb([reconstruction_loss(ys, yp, adj)], (-2.5,)))
+
+        def f(x, y):
+            t = Tape()
+            return -2.5 * ad.scalar(reconstruction_loss(t.leaf(x), t.leaf(y), adj))
+
+        assert_close_grad(ys.grad, numeric_grad(lambda x: f(x, yp0), ys0.copy()))
+        assert_close_grad(yp.grad, numeric_grad(lambda y: f(ys0, y), yp0.copy()))
+
+    def test_cross_tape_and_released_tape_raise(self):
+        adj = SparseAdjacency.from_edges(2, [(0, 1)])
+        t1, t2 = Tape(), Tape()
+        a, b = t1.leaf(np.ones((2, 1))), t2.leaf(np.ones((2, 1)))
+        with pytest.raises(ShapeMismatch):
+            reconstruction_loss(a, b, adj)
+        assert len(t1) == 1 and len(t2) == 1
+        released = Tape().leaf(np.ones((2, 1)))
+        with pytest.raises(ReleasedTape):
+            reconstruction_loss(released, released, adj)
 
 
 class TestMatchesReferenceOps:

@@ -229,6 +229,24 @@ class TestTrainEval(object):
         for r in rows:
             float(r[4])
 
+    @pytest.mark.parametrize(
+        "flags, epochs, reason",
+        [
+            (["--epochs", "5"], 5, "max epochs"),
+            # tol 1e9 counts every epoch after the first toward the streak
+            (["--epochs", "50", "--patience", "2", "--tol", "1e9"], 3, "a patience streak of 2 epochs"),
+            (["--epochs", "50", "--patience", "1.5", "--tol", "1e9"], 3, "a patience streak of 2 epochs"),
+            (["--epochs", "3", "--patience", "2", "--tol", "1e9"], 3, "max epochs"),
+        ],
+    )
+    def test_summary_names_the_stop_reason(self, dataset, tmp_path, capsys, flags, epochs, reason):
+        out = tmp_path / "run"
+        assert run("train", "--data", str(dataset), "--out", str(out), "--dim", "9", "--layers", "8", *flags) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.startswith(f"trained {epochs} epochs (final loss ")
+        assert summary.endswith(f", stopped by {reason}); embeddings in {out}")
+        assert len((out / "history.tsv").read_text().splitlines()) == epochs + 1
+
     def test_history_columns(self, dataset, tmp_path):
         out = tmp_path / "run"
         run("train", "--data", str(dataset), "--out", str(out), "--dim", "9",

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,27 @@ class TestTotalLoss:
         params = RgaeParams.init(4, (2,), 1, seed=0)
         with pytest.raises(ConfigError):
             run_model(net, params, -0.1, 0.0, 2.0, Tape())
+
+
+class TestTrainingMemory:
+    def test_peak_does_not_grow_by_a_square_array_per_view(self):
+        # each view's decoder arrays die inside its reconstruction node, so two more views add no n x n array
+        n = 300
+
+        def peak(n_views):
+            net = random_net(n, n_views, seed=21, p=0.02)
+            params = RgaeParams.init(n, (8, 4), n_views, seed=0)
+            for view in net.views:
+                view.normalized()
+            tracemalloc.start()
+            try:
+                tape = Tape()
+                tape.backward(run_model(net, params, 0.5, 0.5, 5.0, tape).loss)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3) - peak(1) < 8 * n * n
 
 
 class TestEmbed:
