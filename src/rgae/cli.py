@@ -8,7 +8,8 @@ import json
 import platform
 import sys
 from dataclasses import fields
-from itertools import product
+from itertools import chain, count, product
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,10 @@ from .evaluate import _require_seeds, classification_report, link_prediction_rep
 from .graph import (
     MultiViewNetwork,
     jaccard_consistency,
+    leading_floats,
     load_dataset,
     read_text,
+    require_readable_names,
     save_dataset,
     text_lines,
     write_text_atomic,
@@ -80,6 +83,7 @@ def _write_table(args, cfg: dict, header, rows, inputs: list) -> None:
 
 def save_embeddings(path, names, embeddings, n_views, block_dim) -> None:
     """Text format: header "n d_total n_views d", then one node per line at full float precision."""
+    require_readable_names(names)
     y = np.asarray(embeddings, dtype=np.float64)
     row_format = " ".join(["%.17g"] * y.shape[1])
     lines = [f"{len(names)} {y.shape[1]} {n_views} {block_dim}"]
@@ -103,22 +107,28 @@ def load_embeddings(path):
         raise ParseError(f"{path}:1: negative value in header {lines[0]!r}")
     if len(lines) != n + 1:
         raise ParseError(f"{path}: expected {n} node lines, found {len(lines) - 1}")
+    fields = [line.split() for line in lines[1:]]
+    del lines  # the file's text is held once, as lines and then as tokens
+    stop, message = n, None
+    bad = np.flatnonzero(np.fromiter(map(len, fields), np.int64, n) != d_total + 1)
+    if bad.size:
+        stop, message = bad[0], f"expected a name and {d_total} values"
     first_line = {}
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != d_total + 1:
-            raise ParseError(f"{path}:{i}: expected a name and {d_total} values")
-        if parts[0] in first_line:
-            raise ParseError(f"{path}:{i}: node {parts[0]!r} is already on line {first_line[parts[0]]}")
-        first_line[parts[0]] = i
-        try:
-            rows.append([float(x) for x in parts[1:]])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{i}: bad value") from exc
-        if not np.all(np.isfinite(rows[-1])):
-            raise ParseError(f"{path}:{i}: value is not finite")
-    return list(first_line), np.array(rows, dtype=np.float64).reshape(n, d_total), n_views, d
+    firsts = np.fromiter(map(first_line.setdefault, map(itemgetter(0), fields[:stop]), count(2)), np.int64, stop)
+    bad = np.flatnonzero(firsts != np.arange(2, stop + 2))
+    if bad.size:
+        stop, message = bad[0], f"node {fields[bad[0]][0]!r} is already on line {firsts[bad[0]]}"
+    tokens = list(chain.from_iterable(fields[:stop]))
+    del fields, tokens[:: d_total + 1]
+    values = leading_floats(tokens)
+    if values.size < len(tokens):
+        stop, message = values.size // d_total, "bad value"
+    bad = np.flatnonzero(~np.isfinite(values[: stop * d_total]))
+    if bad.size:
+        stop, message = bad[0] // d_total, "value is not finite"
+    if message is not None:
+        raise ParseError(f"{path}:{stop + 2}: {message}")
+    return list(first_line), values.reshape(n, d_total), n_views, d
 
 
 def _parse_bool(s: str) -> bool:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import eq, itemgetter, length_hint
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +65,7 @@ class _Csr:
         if not np.all(np.isfinite(values)) or np.any(values <= 0):
             raise ConfigError("edge weights must be finite and positive")
         self._check_diagonal()
-        order = np.lexsort((rows, cols))
+        order = np.argsort(cols * n + rows, kind="stable")
         if not (
             np.array_equal(cols[order], rows)
             and np.array_equal(rows[order], cols)
@@ -80,7 +82,7 @@ class _Csr:
         ends = np.concatenate([rows, cols])
         if np.any((ends < 0) | (ends >= n)):
             raise IndexOutOfRange(f"node index {ends[(ends < 0) | (ends >= n)][0]} out of range for {n} nodes")
-        order = np.lexsort((cols, rows))
+        order = np.argsort(rows * n + cols, kind="stable")
         rows, cols, vals = rows[order], cols[order], vals[order]
         first = np.ones(rows.size, dtype=bool)
         first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
@@ -347,7 +349,7 @@ def read_text(path) -> str:
 def text_lines(path) -> list:
     """(lineno, stripped line) for each non-blank line of a UTF-8 file that does not start with '#'."""
     lines = enumerate(map(str.strip, read_text(path).splitlines()), 1)
-    return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+    return [(lineno, line) for lineno, line in lines if line and line[0] != "#"]
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -358,39 +360,50 @@ def write_text_atomic(path, text: str) -> None:
     tmp.replace(path)
 
 
+def leading_floats(tokens: list) -> np.ndarray:
+    """float() of each token up to the first one it rejects; the result's length is that token's position."""
+    rest = iter(tokens)
+    try:
+        return np.fromiter(map(float, rest), np.float64, len(tokens))
+    except ValueError:
+        stop = len(tokens) - length_hint(rest) - 1
+        return np.fromiter(map(float, tokens[:stop]), np.float64, stop)
+
+
 def _read_view(path, index: dict) -> SparseAdjacency:
     """Read one view file of "src dst [weight]" lines over the nodes of index (name -> position).
 
     '#' starts a comment line. Self-loop lines are skipped. Duplicate edges
-    collapse keeping the max weight. An edge naming a node outside index is a
-    ParseError.
+    collapse keeping the max weight. The first malformed line is a ParseError,
+    checked for its field count, then its weight, then its nodes unless it is a self-loop.
     """
-    edges = []
-    weights = []
-    for lineno, line in text_lines(path):
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise ParseError(f"{path}:{lineno}: expected 'src dst [weight]'")
-        u, v = parts[0], parts[1]
-        if len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
-            if not np.isfinite(w) or w <= 0:
-                raise ParseError(f"{path}:{lineno}: weight must be finite and positive")
-        else:
-            w = 1.0
-        if u == v:
-            continue
-        try:
-            edges.append((index[u], index[v]))
-        except KeyError as exc:
-            raise ParseError(f"{path}:{lineno}: node {exc.args[0]!r} is not in the node list") from None
-        weights.append(w)
-    if not edges:
+    numbered = text_lines(path)
+    fields = [line.split() for _, line in numbered]
+    counts = np.fromiter(map(len, fields), np.int64, len(fields))
+    stop, message = len(fields), None
+    bad = np.flatnonzero((counts < 2) | (counts > 3))
+    if bad.size:
+        stop, message = bad[0], "expected 'src dst [weight]'"
+    weighted = np.flatnonzero(counts[:stop] == 3)
+    weights = leading_floats([fields[i][2] for i in weighted.tolist()])
+    if weights.size < weighted.size:
+        stop, message = weighted[weights.size], f"bad weight {fields[weighted[weights.size]][2]!r}"
+    bad = np.flatnonzero(~np.isfinite(weights) | (weights <= 0))
+    if bad.size:
+        stop, message = weighted[bad[0]], "weight must be finite and positive"
+    us, vs = list(map(itemgetter(0), fields[:stop])), list(map(itemgetter(1), fields[:stop]))
+    src, dst = (np.fromiter(map(index.get, names, repeat(-1)), np.int64, stop) for names in (us, vs))
+    loop = np.fromiter(map(eq, us, vs), bool, stop)
+    bad = np.flatnonzero(((src < 0) | (dst < 0)) & ~loop)
+    if bad.size:
+        stop, message = bad[0], f"node {us[bad[0]] if src[bad[0]] < 0 else vs[bad[0]]!r} is not in the node list"
+    if message is not None:
+        raise ParseError(f"{path}:{numbered[stop][0]}: {message}")
+    if loop.all():
         raise EmptyView(f"{path}: no edges")
-    return SparseAdjacency.from_edges(len(index), edges, weights)
+    w = np.ones(stop)
+    w[weighted] = weights
+    return SparseAdjacency.from_edges(len(index), np.column_stack([src, dst])[~loop], w[~loop])
 
 
 def load_label_file(path, node_names) -> list:
@@ -408,8 +421,16 @@ def load_label_file(path, node_names) -> list:
     return labels
 
 
+def require_readable_names(names) -> None:
+    """ConfigError for a node name the readers cannot read back: empty, holding whitespace or starting with '#'."""
+    for name in names:
+        if name.split() != [name] or name.startswith("#"):
+            raise ConfigError(f"node name {name!r} must be nonempty, hold no whitespace and not start with '#'")
+
+
 def save_dataset(net: MultiViewNetwork, directory) -> list:
     """Write nodes.txt, one view_<i>.txt per view, and labels.txt when labels exist."""
+    require_readable_names(net.node_names)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
@@ -463,6 +484,8 @@ def load_dataset(directory) -> MultiViewNetwork:
         raise FileError(f"{nodes_path}: missing node list")
     first_line = {}
     for lineno, name in text_lines(nodes_path):
+        if len(name.split()) > 1:
+            raise ParseError(f"{nodes_path}:{lineno}: node name {name!r} holds whitespace")
         if name in first_line:
             raise ParseError(f"{nodes_path}:{lineno}: node {name!r} is already on line {first_line[name]}")
         first_line[name] = lineno

@@ -5,11 +5,15 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rgae
 from rgae import __version__
@@ -29,7 +33,8 @@ from rgae.cli import (
     main,
     save_embeddings,
 )
-from rgae.errors import ParseError
+from rgae.errors import ConfigError, ParseError, RgaeError
+from rgae.graph import read_text
 from rgae.synth import SynthConfig
 from rgae.trainer import TrainConfig
 
@@ -376,7 +381,7 @@ class TestEmbeddingsFormat:
                 [0.1, 1.0 / 3.0, -np.pi, 1e16, 123456789.0, 2.0**-1074 * 3],
             ]
         )
-        names = ["a", "node b"]
+        names = ["a", "node_b"]
         path = tmp_path / "emb.txt"
         save_embeddings(path, names, y, 2, 2)
         lines = ["2 6 2 2"] + [name + " " + " ".join(f"{v:.17g}" for v in row) for name, row in zip(names, y)]
@@ -408,6 +413,117 @@ class TestEmbeddingsFormat:
         path.write_bytes(b"2 1 1 1\na 0\nb\xff 1\n")
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: not UTF-8"):
             load_embeddings(path)
+
+    def test_huge_width_sizes_no_array_from_the_header(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("1 100000000000 1 1\na 1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: expected a name and 100000000000 values"):
+                load_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("name", ["", "b c", "b\tc", "b ", "#b"])
+    def test_unreadable_name_rejected_before_writing(self, tmp_path, name):
+        path = tmp_path / "emb.txt"
+        with pytest.raises(ConfigError, match="node name"):
+            save_embeddings(path, ["a", name], np.zeros((2, 2)), 1, 1)
+        assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# The embeddings reader as it was before it parsed whole files, one line at a
+# time: kept as the reference the whole-file reader must match, error for error
+# ---------------------------------------------------------------------------
+
+def reference_load_embeddings(path):
+    path = Path(path)
+    lines = read_text(path).splitlines()
+    if not lines:
+        raise ParseError(f"{path}:1: empty embeddings file")
+    header = lines[0].split()
+    if len(header) != 4:
+        raise ParseError(f"{path}:1: expected 'n d_total n_views d'")
+    try:
+        n, d_total, n_views, d = (int(x) for x in header)
+    except ValueError as exc:
+        raise ParseError(f"{path}:1: bad header {lines[0]!r}") from exc
+    if min(n, d_total, n_views, d) < 0:
+        raise ParseError(f"{path}:1: negative value in header {lines[0]!r}")
+    if len(lines) != n + 1:
+        raise ParseError(f"{path}: expected {n} node lines, found {len(lines) - 1}")
+    first_line = {}
+    rows = []
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if len(parts) != d_total + 1:
+            raise ParseError(f"{path}:{i}: expected a name and {d_total} values")
+        if parts[0] in first_line:
+            raise ParseError(f"{path}:{i}: node {parts[0]!r} is already on line {first_line[parts[0]]}")
+        first_line[parts[0]] = i
+        try:
+            rows.append([float(x) for x in parts[1:]])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{i}: bad value") from exc
+        if not np.all(np.isfinite(rows[-1])):
+            raise ParseError(f"{path}:{i}: value is not finite")
+    return list(first_line), np.array(rows, dtype=np.float64).reshape(n, d_total), n_views, d
+
+
+def outcome(read, path):
+    """What read returns, arrays as bytes, or the type and message of what it raises."""
+    try:
+        result = read(path)
+    except RgaeError as exc:
+        return type(exc), str(exc)
+    return [(a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in result]
+
+
+EMBEDDING_NAMES = ["a", "b", "n7", "#c", "d,"]
+good_value = st.one_of(
+    st.sampled_from(["0", "-0", "1e-320", "+2.5", "1_0", "-1.5E10", "3."]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+bad_value = st.sampled_from(["x", "1..2", "0x1", "1,5", "--1"])
+non_finite_value = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "-Infinity"])
+
+
+@st.composite
+def embeddings_texts(draw):
+    """An embeddings file with up to three faults: a wrong field count, a repeated name, a bad or non-finite value.
+
+    A value that does not parse outranks a non-finite one earlier on its line, as every value is parsed first.
+    """
+    d = draw(st.integers(0, 3))
+    names = draw(st.permutations(EMBEDDING_NAMES))[: draw(st.integers(0, len(EMBEDDING_NAMES)))]
+    rows = [[name, *draw(st.lists(good_value, min_size=d, max_size=d))] for name in names]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        fault = draw(st.sampled_from(["count", "repeat", "bad", "non-finite", "non-finite-then-bad"]))
+        if fault == "non-finite-then-bad" and len(row) > 2:
+            row[1:] = [draw(non_finite_value), *row[2:-1], draw(bad_value)]
+        elif fault == "count":
+            row.pop() if row and draw(st.booleans()) else row.append("1")
+        elif fault == "repeat" and row and len(names) > 1:
+            row[0] = draw(st.sampled_from(names[:i] + names[i + 1 :]))
+        elif len(row) > 1:
+            row[draw(st.integers(1, len(row) - 1))] = draw(bad_value if fault == "bad" else non_finite_value)
+    sep = draw(st.sampled_from([" ", "\t", " \t "]))
+    return f"{len(rows)} {d} 2 1\n" + "".join(sep.join(row) + "\n" for row in rows)
+
+
+class TestEmbeddingsReaderEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(embeddings_texts())
+    def test_reader_matches_the_line_loop(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "emb.txt"
+            path.write_text(text, encoding="utf-8")
+            assert outcome(load_embeddings, path) == outcome(reference_load_embeddings, path)
 
 
 class TestErrorReporting:

@@ -15,6 +15,7 @@ from rgae.errors import (
     IndexOutOfRange,
     NonSymmetric,
     ParseError,
+    RgaeError,
     ShapeMismatch,
     SingleView,
 )
@@ -341,6 +342,33 @@ class TestLoadEdgeLists:
         with pytest.raises(FileError):
             text_lines(tmp_path / "absent.txt")
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("a b\na z\na b x\n", ":2: node 'z'"),
+            ("a b nan\nz b\n", ":1: weight must be finite and positive"),
+            ("a b\nb c 0x1\na b c d\n", ":2: bad weight '0x1'"),
+            ("z z 1\na b c d\nz b\n", ":2: expected 'src dst [weight]'"),
+            ("z z\ny z\n", ":2: node 'y'"),
+        ],
+        ids=["unknown-node-before-bad-weight", "weight-before-unknown-node", "bad-weight-before-field-count",
+             "field-count-before-unknown-node", "two-unknown-nodes"],
+    )
+    def test_earlier_of_two_faults_wins(self, tmp_path, text, where):
+        with pytest.raises(ParseError) as info:
+            load_dataset(write_dataset(tmp_path, ["a", "b", "c"], text))
+        assert str(info.value).startswith(f"{tmp_path / 'view_0.txt'}{where}")
+
+    def test_self_loop_of_unknown_node_skipped(self, tmp_path):
+        net = load_dataset(write_dataset(tmp_path, "ab", "z z\nz z 2\na b\n"))
+        assert net.views[0].num_edges == 1
+
+    def test_node_name_with_inner_whitespace(self, tmp_path):
+        write_dataset(tmp_path, ["a", "b c", "d"], "a d\n")
+        with pytest.raises(ParseError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value).startswith(f"{tmp_path / 'nodes.txt'}:2: node name 'b c'")
+
     def test_empty_view(self, tmp_path):
         with pytest.raises(EmptyView):
             load_dataset(write_dataset(tmp_path, "ab", "a b\n", "# nothing here\n"))
@@ -379,6 +407,13 @@ class TestDatasetRoundTrip:
         (tmp_path / stray).write_text("0 1\n")
         with pytest.raises(FileError, match=re.escape(stray)):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name", ["", "b c", "b\tc", " b", "#b"])
+    def test_unreadable_node_name_rejected_before_writing(self, tmp_path, name):
+        v = SparseAdjacency.from_edges(2, [(0, 1)])
+        with pytest.raises(ConfigError, match="node name"):
+            save_dataset(MultiViewNetwork(2, [v], node_names=["a", name]), tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
 
     def test_edge_to_unlisted_node_names_file_and_line(self, tmp_path):
         (tmp_path / "nodes.txt").write_text("a\nb\nc\n")
@@ -524,3 +559,103 @@ class TestCsrProperties:
         assert again.labels == labels
         for got, expected in zip(csr_arrays(again.views[0]), csr_arrays(net.views[0]), strict=True):
             assert np.array_equal(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# The view reader as it was before it parsed whole files, one line at a time:
+# kept as the reference the whole-file reader must match, error for error
+# ---------------------------------------------------------------------------
+
+def reference_read_view(path, index):
+    edges = []
+    weights = []
+    for lineno, line in text_lines(path):
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ParseError(f"{path}:{lineno}: expected 'src dst [weight]'")
+        u, v = parts[0], parts[1]
+        if len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: bad weight {parts[2]!r}") from exc
+            if not np.isfinite(w) or w <= 0:
+                raise ParseError(f"{path}:{lineno}: weight must be finite and positive")
+        else:
+            w = 1.0
+        if u == v:
+            continue
+        try:
+            edges.append((index[u], index[v]))
+        except KeyError as exc:
+            raise ParseError(f"{path}:{lineno}: node {exc.args[0]!r} is not in the node list") from None
+        weights.append(w)
+    if not edges:
+        raise EmptyView(f"{path}: no edges")
+    return SparseAdjacency.from_edges(len(index), edges, weights)
+
+
+def outcome(read, *args):
+    """The CSR array bytes of the adjacency read returns, or the type and message of what it raises."""
+    try:
+        result = read(*args)
+    except RgaeError as exc:
+        return type(exc), str(exc)
+    return [a.tobytes() for a in csr_arrays(result)]
+
+
+VIEW_NODES = ["a", "b", "c", "n10"]
+known = st.sampled_from(VIEW_NODES)
+unknown = st.sampled_from(["zz", "A", "a,"])
+good_weight = st.one_of(
+    st.sampled_from(["1", "2.5", "1e3", "0.25", "+7", "1_0", "3."]),
+    st.floats(1e-300, 1e300).map(repr),
+)
+bad_weight = st.sampled_from(["nan", "-nan", "0", "-0.0", "-1", "inf", "1e-400", "1e400", "x", "1..2", "0x1", "1,5"])
+
+
+def text_line(*tokens):
+    """One line of the given tokens, joined by one of a few whitespace separators."""
+    return st.tuples(*tokens).flatmap(lambda ts: st.sampled_from([" ", "\t", " \t "]).map(lambda sep: sep.join(ts)))
+
+
+clean_view_line = st.one_of(
+    text_line(known, known),
+    text_line(known, known, good_weight),
+    st.sampled_from(["", "   ", "#", "# a b", "  #c d 1", "\t", " a  b "]),
+)
+faulty_view_line = st.one_of(
+    known,
+    unknown,
+    st.lists(st.one_of(known, good_weight), min_size=4, max_size=5).map(" ".join),
+    text_line(known, known, bad_weight),
+    text_line(unknown, known),
+    text_line(known, unknown, st.one_of(good_weight, bad_weight)),
+    text_line(unknown, unknown),
+    text_line(unknown, unknown, bad_weight),
+    st.sampled_from(["zz zz", "zz zz 1", "a a", "a a nan"]),
+)
+
+
+@st.composite
+def view_texts(draw):
+    """A view file over VIEW_NODES with up to three injected lines, each with a fault the reader reports.
+
+    Self-loop lines are among them: a self-loop is skipped, even of an unknown node, but its weight is checked.
+    """
+    lines = draw(st.lists(clean_view_line, max_size=10))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(faulty_view_line))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+class TestReaderEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(view_texts(), st.permutations(VIEW_NODES))
+    def test_view_reader_matches_the_line_loop(self, text, order):
+        index = {name: i for i, name in enumerate(order)}
+        with tempfile.TemporaryDirectory() as directory:
+            path = f"{directory}/view_0.txt"
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+            assert outcome(graph._read_view, path, index) == outcome(reference_read_view, path, index)
