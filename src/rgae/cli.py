@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ParseError, RgaeError
-from .evaluate import _require_seeds, classification_report, link_prediction_report
+from .evaluate import _embedding_rows, _require_seeds, classification_report, link_prediction_report
 from .graph import (
     MultiViewNetwork,
     jaccard_consistency,
@@ -84,7 +84,7 @@ def _write_table(args, cfg: dict, header, rows, inputs: list) -> None:
 def save_embeddings(path, names, embeddings, n_views, block_dim) -> None:
     """Text format: header "n d_total n_views d", then one node per line at full float precision."""
     require_readable_names(names)
-    y = np.asarray(embeddings, dtype=np.float64)
+    y = _embedding_rows(embeddings, len(names))
     row_format = " ".join(["%.17g"] * y.shape[1])
     lines = [f"{len(names)} {y.shape[1]} {n_views} {block_dim}"]
     lines += [name + " " + row_format % tuple(row) for name, row in zip(names, y.tolist())]
@@ -193,7 +193,7 @@ def _require(cfg, key):
     return cfg[key]
 
 
-FIELD_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "tuple": _parse_ints, "float | None": float}
+FIELD_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "tuple": _parse_ints}
 
 
 def _field_keys(cls, skip=(), rename=None, **defaults) -> dict:
@@ -215,6 +215,8 @@ GENERATE_KEYS = {"out": (str, None), **_field_keys(SynthConfig, n=60, communitie
 # CLI names of the TrainConfig fields they differ from; config files and manifests use the CLI names.
 MODEL_FIELDS = {"layers": "layer_sizes", "epochs": "max_epochs", "lambda_every": "lambda_update_every"}
 MODEL_KEYS = _field_keys(TrainConfig, skip=("use_sim", "use_dif", "verbose"), rename=MODEL_FIELDS)
+# sweep's grid keys and the model keys they replace
+GRID_KEYS = {"alphas": "alpha", "betas": "beta", "gammas": "gamma", "dims": "dim"}
 
 TRAIN_KEYS = {
     "data": (str, None),
@@ -243,11 +245,11 @@ ANALYZE_KEYS = {
 SWEEP_KEYS = {
     "data": (str, None),
     "out": (str, None),
-    "alphas": (_parse_floats, None),
-    "betas": (_parse_floats, None),
-    "gammas": (_parse_floats, None),
-    "dims": (_parse_ints, None),
-    **MODEL_KEYS,
+    "alphas": (_parse_floats, (TrainConfig.alpha,)),
+    "betas": (_parse_floats, (TrainConfig.beta,)),
+    "gammas": (_parse_floats, (TrainConfig.gamma,)),
+    "dims": (_parse_ints, (TrainConfig.dim,)),
+    **{key: spec for key, spec in MODEL_KEYS.items() if key not in GRID_KEYS.values()},
     "train_ratio": (float, 0.5),
     "seeds": (_parse_ints, (0, 1, 2)),
 }
@@ -323,6 +325,8 @@ def cmd_eval(args) -> int:
     net = load_dataset(data_dir)
     y = _aligned_embeddings(net, emb_path)
     if cfg["task"] == "classification":
+        if cfg["target_view"] is not None:
+            raise ConfigError("--target-view applies to --task linkpred only")
         if net.labels is None:
             raise ConfigError(f"{data_dir}: dataset has no labels.txt")
         ratios = (cfg["train_ratio"],) if cfg["train_ratio"] is not None else (0.1, 0.3, 0.5)
@@ -355,24 +359,22 @@ def cmd_sweep(args) -> int:
     data_dir = Path(_require(cfg, "data"))
     out_path = Path(_require(cfg, "out"))
     _require_seeds(cfg["seeds"])
+    for grid in GRID_KEYS:
+        if not cfg[grid]:
+            raise ConfigError(f"{_flag(grid)} needs at least one value")
     net = load_dataset(data_dir)
     if net.labels is None or not any(net.labels):
         raise ConfigError(f"{data_dir}: sweeps evaluate classification and need a labels.txt that labels a node")
-    alphas = cfg["alphas"] or (cfg["alpha"],)
-    betas = cfg["betas"] or (cfg["beta"],)
-    gammas = cfg["gammas"] or (cfg["gamma"],)
-    dims = cfg["dims"] or (cfg["dim"],)
     rows = []
-    for alpha, beta, gamma, dim in product(alphas, betas, gammas, dims):
-        tc = _train_config({**cfg, "alpha": alpha, "beta": beta, "gamma": gamma, "dim": dim})
-        params, embeds, _ = train(net, tc)
+    for point in product(*(cfg[grid] for grid in GRID_KEYS)):
+        params, embeds, _ = train(net, _train_config({**cfg, **dict(zip(GRID_KEYS.values(), point))}))
         report = classification_report(
             embeds.final, net.labels, ratios=(cfg["train_ratio"],), seeds=cfg["seeds"]
         )
         means = {m: v for _, _, s, m, v in report if s == "mean"}
         lam = params.lam
         rows.append(
-            (alpha, beta, gamma, dim, means["micro_f1"], means["macro_f1"],
+            (*point, means["micro_f1"], means["macro_f1"],
              float(lam.min()), float(lam.max()), float(lam.max() - lam.min()))
         )
     header = "alpha beta gamma dim micro_f1 macro_f1 lambda_min lambda_max lambda_spread".split()
@@ -405,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("sweep", SWEEP_KEYS, cmd_sweep, "train and evaluate over hyper-parameter grids"),
     ]
     for name, keys, func, help_text in specs:
-        s = sub.add_parser(name, help=help_text)
+        s = sub.add_parser(name, help=help_text, allow_abbrev=False)
         _add_common(s, keys)
         s.set_defaults(func=func)
     return parser

@@ -422,15 +422,23 @@ def load_label_file(path, node_names) -> list:
 
 
 def require_readable_names(names) -> None:
-    """ConfigError for a node name the readers cannot read back: empty, holding whitespace or starting with '#'."""
+    """ConfigError for a node name no reader reads back: empty, holding whitespace, starting with '#' or repeated."""
+    seen = set()
     for name in names:
         if name.split() != [name] or name.startswith("#"):
             raise ConfigError(f"node name {name!r} must be nonempty, hold no whitespace and not start with '#'")
+        if name in seen:
+            raise ConfigError(f"node name {name!r} is repeated")
+        seen.add(name)
 
 
 def save_dataset(net: MultiViewNetwork, directory) -> list:
     """Write nodes.txt, one view_<i>.txt per view, and labels.txt when labels exist."""
     require_readable_names(net.node_names)
+    for labs in net.labels or ():
+        for lab in map(str, labs):
+            if lab.split() != [lab]:
+                raise ConfigError(f"label {lab!r} must be nonempty and hold no whitespace")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []

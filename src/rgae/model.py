@@ -104,7 +104,10 @@ def encode_views(net: MultiViewNetwork, bound: RgaeParams):
 
 def decode(ys: Tensor, yp: Tensor) -> Tensor:
     """Inner-product decoder: reconstruction probabilities from one view's joined encoder outputs."""
-    return ad.sigmoid(ad.gram(ys, yp))
+    logits = ad.gram(ys, yp)
+    probs = ad.sigmoid(logits)
+    logits.value = None  # no pull reads it
+    return probs
 
 
 def reconstruction_loss(ys: Tensor, yp: Tensor, view: SparseAdjacency) -> Tensor:
@@ -114,10 +117,7 @@ def reconstruction_loss(ys: Tensor, yp: Tensor, view: SparseAdjacency) -> Tensor
     """
     inner = Tape()
     a, b = inner.leaf(ys.value), inner.leaf(yp.value)
-    logits = ad.gram(a, b)
-    probs = ad.sigmoid(logits)
-    logits.value = None  # no pull reads it
-    loss = ad.balanced_bce(probs, view)
+    loss = ad.balanced_bce(decode(a, b), view)
     inner._backprop(loss)
     ga, gb = a.grad, b.grad
 

@@ -17,9 +17,8 @@ class SynthConfig:
     Every view contains the same block-model backbone. On top of it each
     view receives unique_frac * |backbone| extra edges drawn under a
     view-specific shuffle of the community assignment, so the unique part is
-    structured but unaligned with the true labels. When overlap is set it
-    overrides unique_frac with the fraction whose expected pairwise edge
-    overlap matches it.
+    structured but unaligned with the true labels. To aim at an expected
+    pairwise edge overlap o, set unique_frac = (1/o - 1)/2.
     """
 
     n: int
@@ -28,7 +27,6 @@ class SynthConfig:
     p_in: float = 0.3
     p_out: float = 0.02
     unique_frac: float = 0.5
-    overlap: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -41,8 +39,6 @@ class SynthConfig:
             raise ConfigError("need 0 <= p_out < p_in <= 1")
         if not 0.0 <= self.unique_frac < float("inf"):
             raise ConfigError(f"unique_frac must be finite and nonnegative, got {self.unique_frac}")
-        if self.overlap is not None and not (0.0 < self.overlap <= 1.0):
-            raise ConfigError("overlap must be in (0, 1]")
 
 
 def generate(cfg: SynthConfig) -> MultiViewNetwork:
@@ -56,10 +52,7 @@ def generate(cfg: SynthConfig) -> MultiViewNetwork:
     backbone_idx = np.flatnonzero(backbone)
     if backbone_idx.size == 0:
         raise ConfigError("the backbone came out empty; increase p_in or n")
-    unique_frac = cfg.unique_frac
-    if cfg.overlap is not None:
-        unique_frac = (1.0 / cfg.overlap - 1.0) / 2.0
-    n_unique = int(round(unique_frac * backbone_idx.size))
+    n_unique = int(round(cfg.unique_frac * backbone_idx.size))
     candidates = np.flatnonzero(~backbone)
     views = []
     for _ in range(cfg.views):

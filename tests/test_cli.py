@@ -2,6 +2,7 @@ import json
 import os
 import platform
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 import rgae
 from rgae import __version__
 from rgae.cli import (
+    ANALYZE_KEYS,
+    EVAL_KEYS,
     GENERATE_KEYS,
     MODEL_FIELDS,
     MODEL_KEYS,
@@ -33,7 +36,7 @@ from rgae.cli import (
     main,
     save_embeddings,
 )
-from rgae.errors import ConfigError, ParseError, RgaeError
+from rgae.errors import ConfigError, LengthMismatch, ParseError, RgaeError
 from rgae.graph import read_text
 from rgae.synth import SynthConfig
 from rgae.trainer import TrainConfig
@@ -86,7 +89,6 @@ SURFACE = {
         "p_in": (float, 0.3),
         "p_out": (float, 0.02),
         "unique_frac": (float, 0.5),
-        "overlap": (float, None),
         "seed": (int, 7),
     },
     "train": {
@@ -100,11 +102,11 @@ SURFACE = {
     "sweep": {
         "data": (str, None),
         "out": (str, None),
-        "alphas": (_parse_floats, None),
-        "betas": (_parse_floats, None),
-        "gammas": (_parse_floats, None),
-        "dims": (_parse_ints, None),
-        **MODEL_SURFACE,
+        "alphas": (_parse_floats, (0.5,)),
+        "betas": (_parse_floats, (0.5,)),
+        "gammas": (_parse_floats, (5.0,)),
+        "dims": (_parse_ints, (32,)),
+        **{k: v for k, v in MODEL_SURFACE.items() if k not in ("alpha", "beta", "gamma", "dim")},
         "train_ratio": (float, 0.5),
         "seeds": (_parse_ints, (0, 1, 2)),
     },
@@ -115,6 +117,32 @@ SAMPLE = {str: "x", int: "3", float: "0.25", _parse_ints: "4,5", _parse_floats: 
 
 def resolve_defaults(command):
     return _resolve(_build_parser().parse_args([command]), KEYS[command])
+
+
+def readme_commands():
+    """Every `rgae ...` command in README.md's code blocks, continuation lines joined, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("rgae "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+README_COMMANDS = readme_commands()
+ALL_KEYS = {**KEYS, "eval": EVAL_KEYS, "analyze": ANALYZE_KEYS}
+
+
+class TestReadmeCommands:
+    def test_readme_shows_every_command(self):
+        assert {argv[0] for argv in README_COMMANDS} == set(ALL_KEYS)
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=[f"{i}-{argv[0]}" for i, argv in enumerate(README_COMMANDS)])
+    def test_resolves(self, argv):
+        # an unknown or misspelled flag exits the parser, a bad value fails to parse; nothing is run
+        args = _build_parser().parse_args(argv)
+        _resolve(args, ALL_KEYS[args.command])
 
 
 class TestSurface:
@@ -144,6 +172,15 @@ class TestSurface:
         cli_own = {"n": 60, "communities": (20, 20, 20), "seed": 7}
         for f in fields(SynthConfig):
             assert resolved[f.name] == cli_own.get(f.name, f.default)
+
+    @pytest.mark.parametrize(
+        "command,flag", [("generate", "--overlap"), *(("sweep", f) for f in ("--alpha", "--beta", "--gamma", "--dim"))]
+    )
+    def test_removed_flag_is_unknown(self, command, flag, capsys):
+        # nor is it taken as an abbreviation of --alphas and the other grids
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args([command, flag, "0.3"])
+        assert f"unrecognized arguments: {flag} 0.3" in capsys.readouterr().err
 
     def test_every_model_field_reachable(self):
         reached = {MODEL_FIELDS.get(key, key) for key in MODEL_KEYS}
@@ -183,7 +220,6 @@ MANIFEST_GOLDEN = """{
     ],
     "n": 60,
     "out": "ds",
-    "overlap": null,
     "p_in": 0.3,
     "p_out": 0.02,
     "seed": 7,
@@ -348,7 +384,7 @@ class TestSweep:
         out = tmp_path / "sweep.tsv"
         code = run(
             "sweep", "--data", str(data), "--out", str(out),
-            "--gammas", "0.05,5,500", "--dim", "16", "--layers", "16",
+            "--gammas", "0.05,5,500", "--dims", "16", "--layers", "16",
             "--epochs", "60", "--lambda-every", "60", "--seeds", "0",
         )
         assert code == 0
@@ -361,6 +397,45 @@ class TestSweep:
         by_gamma = sorted(rows, key=lambda r: float(r[gamma_col]))
         spreads = [float(r[spread_col]) for r in by_gamma]
         assert spreads[0] > spreads[1] > spreads[2]
+
+
+class TestSweepKeys:
+    def test_model_key_in_config_file_is_unknown(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("alpha=0.3\n")
+        out = tmp_path / "sweep.tsv"
+        assert run("sweep", "--config", str(cfg), "--data", str(dataset), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "ConfigError: unknown config keys: alpha\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["--alphas", "--betas", "--gammas", "--dims"])
+    def test_empty_grid_rejected(self, dataset, tmp_path, capsys, grid):
+        out = tmp_path / "sweep.tsv"
+        assert run("sweep", "--data", str(dataset), "--out", str(out), grid, "") == 1
+        assert capsys.readouterr().err == f"ConfigError: {grid} needs at least one value\n"
+        assert not out.exists()
+
+    def test_manifest_records_the_grids_that_ran(self, dataset, tmp_path):
+        out = tmp_path / "sweep.tsv"
+        argv = ["--data", str(dataset), "--out", str(out), "--layers", "8", "--epochs", "2", "--seeds", "0"]
+        assert run("sweep", *argv, "--dims", "9") == 0
+        config = json.loads((tmp_path / "sweep.manifest.json").read_text())["config"]
+        assert {k: config[k] for k in ("alphas", "betas", "gammas", "dims")} == {
+            "alphas": [0.5], "betas": [0.5], "gammas": [5.0], "dims": [9]
+        }
+        assert not {"alpha", "beta", "gamma", "dim"} & set(config)
+        rows = [line.split("\t") for line in out.read_text().splitlines()]
+        assert rows[1][:4] == ["0.5", "0.5", "5", "9"]
+
+
+class TestEvalKeys:
+    def test_target_view_rejected_for_classification(self, dataset, embeddings, tmp_path, capsys):
+        out = tmp_path / "metrics.tsv"
+        code = run("eval", "--embeddings", str(embeddings), "--data", str(dataset), "--out", str(out),
+                   "--task", "classification", "--target-view", "1")
+        assert code == 1
+        assert capsys.readouterr().err == "ConfigError: --target-view applies to --task linkpred only\n"
+        assert not out.exists()
 
 
 class TestEmbeddingsFormat:
@@ -431,6 +506,24 @@ class TestEmbeddingsFormat:
         path = tmp_path / "emb.txt"
         with pytest.raises(ConfigError, match="node name"):
             save_embeddings(path, ["a", name], np.zeros((2, 2)), 1, 1)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "names, rows, error, message",
+        [
+            # load_embeddings would read a 2-node file and drop the third row
+            (["a", "b"], np.zeros((3, 2)), LengthMismatch, "3 embedding rows for 2 items"),
+            # load_embeddings would fail with "expected 4 node lines, found 3"
+            (["a", "b", "c", "d"], np.zeros((3, 2)), LengthMismatch, "3 embedding rows for 4 items"),
+            (["a", "b", "c"], np.array([[0, 1], [np.nan, 0], [1, 1]]), ConfigError, "embedding row 1 is not finite"),
+            (["a", "b", "a"], np.zeros((3, 2)), ConfigError, "node name 'a' is repeated"),
+        ],
+        ids=["fewer-names", "more-names", "nan-row", "repeated-name"],
+    )
+    def test_unreadable_file_rejected_before_writing(self, tmp_path, names, rows, error, message):
+        path = tmp_path / "emb.txt"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            save_embeddings(path, names, rows, 1, 1)
         assert not path.exists()
 
 
@@ -630,7 +723,7 @@ class TestErrorReporting:
     def test_sweep_empty_seed_list(self, dataset, tmp_path, capsys):
         out = tmp_path / "sweep.tsv"
         code = run("sweep", "--data", str(dataset), "--out", str(out), "--seeds", "",
-                   "--dim", "6", "--layers", "4", "--epochs", "2")
+                   "--dims", "6", "--layers", "4", "--epochs", "2")
         assert code == 1
         assert capsys.readouterr().err.startswith("ConfigError:")
         assert not out.exists()

@@ -415,6 +415,15 @@ class TestDatasetRoundTrip:
             save_dataset(MultiViewNetwork(2, [v], node_names=["a", name]), tmp_path / "ds")
         assert not (tmp_path / "ds").exists()
 
+    @pytest.mark.parametrize("label", ["", "x y", "x\ty", " x"])
+    def test_unreadable_label_rejected_before_writing(self, tmp_path, label):
+        # load_dataset would fail at labels.txt:2 with "expected 'node label'"
+        v = SparseAdjacency.from_edges(2, [(0, 1)])
+        net = MultiViewNetwork(2, [v], labels=[{"x"}, {label}], node_names=["a", "b"])
+        with pytest.raises(ConfigError, match="label"):
+            save_dataset(net, tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+
     def test_edge_to_unlisted_node_names_file_and_line(self, tmp_path):
         (tmp_path / "nodes.txt").write_text("a\nb\nc\n")
         (tmp_path / "view_0.txt").write_text("a b\n# note\nb z\n")

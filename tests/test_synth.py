@@ -71,7 +71,7 @@ class TestGenerate:
 
     def test_overlap_parameter_overrides_unique_frac(self):
         base = dict(n=60, communities=(30, 30), views=2, p_in=0.4, p_out=0.05, seed=3)
-        net = generate(SynthConfig(unique_frac=9.9, overlap=0.5, **base))
+        net = generate(SynthConfig(unique_frac=(1 / 0.5 - 1) / 2, **base))
         j = jaccard_consistency(net)[0, 1]
         assert abs(j - 0.5) < 0.15
 
@@ -85,8 +85,6 @@ class TestGenerate:
         for value in (math.nan, math.inf):
             with pytest.raises(ConfigError, match="unique_frac"):
                 SynthConfig(n=10, communities=(5, 5), unique_frac=value)
-        with pytest.raises(ConfigError):
-            SynthConfig(n=10, communities=(5, 5), overlap=1.5)
         with pytest.raises(ConfigError, match="seed"):
             SynthConfig(n=10, communities=(5, 5), seed=-1)
 
