@@ -26,7 +26,7 @@ import weakref
 import numpy as np
 
 from . import graph as _graph
-from .errors import NonScalarRoot, NumericalOverflow, ReleasedTape, ShapeMismatch
+from .errors import NonScalarRoot, NumericalOverflow, ShapeMismatch
 from .graph import NormalizedAdjacency, SparseAdjacency
 
 CLAMP_EPS = 1e-12
@@ -41,27 +41,18 @@ def _row_blocks(shape) -> list:
 
 
 class Tensor:
-    """One tape node: a dense matrix value, a gradient slot, and a weak reference to its tape.
+    """One tape node: a dense matrix value, a gradient slot, and the tape that recorded it, kept alive.
 
     After backward() the slot holds a gradient on every leaf and None on every interior node.
     """
 
-    __slots__ = ("value", "grad", "_tape", "index", "_pull")
+    __slots__ = ("value", "grad", "tape", "_pull", "__weakref__")
 
-    def __init__(self, value, tape, index, pull):
+    def __init__(self, value, tape, pull):
         self.value = value
         self.grad = None
-        self._tape = weakref.ref(tape)
-        self.index = index
+        self.tape = tape
         self._pull = pull
-
-    @property
-    def tape(self) -> "Tape":
-        """The recording tape; every op and backward() raise ReleasedTape once it is gone."""
-        tape = self._tape()
-        if tape is None:
-            raise ReleasedTape("the tape that recorded this node has been released")
-        return tape
 
     def _take(self, g) -> None:
         """Add an array of this node's shape that no other node holds: the first one becomes the gradient."""
@@ -73,10 +64,10 @@ class Tensor:
 
 
 class Tape:
-    """Append-only operation record, sole owner of its nodes; operands precede their consumers."""
+    """Append-only record of weakly held nodes, operands before their consumers; len() counts dropped ones too."""
 
     def __init__(self):
-        self._nodes: list[Tensor] = []
+        self._nodes: list[weakref.ref] = []
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -90,8 +81,8 @@ class Tape:
     def _record(self, value, pull) -> Tensor:
         if not np.all(np.isfinite(value)):
             raise NumericalOverflow("non-finite value entering the tape")
-        node = Tensor(value, self, len(self._nodes), pull)
-        self._nodes.append(node)
+        node = Tensor(value, self, pull)
+        self._nodes.append(weakref.ref(node))
         return node
 
     def backward(self, root: Tensor) -> None:
@@ -104,10 +95,11 @@ class Tape:
 
     def _backprop(self, root: Tensor) -> None:
         """backward() unchecked: an interior node's gradient is its first contribution, dropped after its pull."""
-        for node in self._nodes:
+        nodes = [node for node in (ref() for ref in self._nodes) if node is not None]
+        for node in nodes:
             node.grad = np.zeros_like(node.value) if node._pull is None else None
         root._take(np.ones((1, 1)))
-        for node in reversed(self._nodes[: root.index + 1]):
+        for node in reversed(nodes):
             if node._pull is not None and node.grad is not None:
                 node._pull(node.grad)
                 node.grad = None

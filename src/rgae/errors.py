@@ -39,10 +39,6 @@ class NonScalarRoot(RgaeError):
     """backward() was called on a node that is not 1x1."""
 
 
-class ReleasedTape(RgaeError):
-    """A tape node was used after the tape that recorded it was released."""
-
-
 class NumericalOverflow(RgaeError):
     """A non-finite value appeared during computation."""
 

@@ -115,6 +115,7 @@ def reconstruction_loss(ys: Tensor, yp: Tensor, view: SparseAdjacency) -> Tensor
 
     The decoder runs forward and backward on a private tape over copies of ys and yp, so its n x n arrays die here.
     """
+    tape = ad._same_tape(ys, yp)
     inner = Tape()
     a, b = inner.leaf(ys.value), inner.leaf(yp.value)
     loss = ad.balanced_bce(decode(a, b), view)
@@ -125,7 +126,7 @@ def reconstruction_loss(ys: Tensor, yp: Tensor, view: SparseAdjacency) -> Tensor
         ys._take(g[0, 0] * ga)  # a fresh product, so a repeated backward never hands out ga itself
         yp._take(g[0, 0] * gb)
 
-    return ad._same_tape(ys, yp)._record(loss.value, pull)
+    return tape._record(loss.value, pull)
 
 
 def _view_powers(lam, gamma: float, n_views: int) -> np.ndarray:
@@ -243,8 +244,7 @@ def aggregate(embeds: EmbeddingSet) -> np.ndarray:
 
 def embed(net: MultiViewNetwork, params: RgaeParams, gamma: float) -> EmbeddingSet:
     """The embeddings of run_model's encoder outputs, without running a decoder or a loss."""
-    tape = Tape()  # held here: the leaves refer to it only weakly
-    shared, private = encode_views(net, bind_params(tape, params))
+    shared, private = encode_views(net, bind_params(Tape(), params))
     y_con = consistent_embedding(shared, params.lam, gamma)
     es = EmbeddingSet([t.value for t in shared], [t.value for t in private], y_con.value)
     es.final = aggregate(es)

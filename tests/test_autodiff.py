@@ -1,6 +1,9 @@
+import gc
 import tracemalloc
+import weakref
 from itertools import count
 from math import isqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import rgae.autodiff as ad
 from rgae.autodiff import Tape
 from rgae.cli import main as cli_main
-from rgae.errors import NonScalarRoot, NumericalOverflow, ReleasedTape, RgaeError, ShapeMismatch
+from rgae.errors import NonScalarRoot, NumericalOverflow, ShapeMismatch
 from rgae.graph import SparseAdjacency, normalize
 from rgae.model import reconstruction_loss
 
@@ -494,16 +497,24 @@ class TestReconstructionLoss:
         assert_close_grad(ys.grad, numeric_grad(lambda x: f(x, yp0), ys0.copy()))
         assert_close_grad(yp.grad, numeric_grad(lambda y: f(ys0, y), yp0.copy()))
 
-    def test_cross_tape_and_released_tape_raise(self):
-        adj = SparseAdjacency.from_edges(2, [(0, 1)])
+    def test_cross_tape_raises_first_and_an_unheld_tape_differentiates(self, monkeypatch):
+        ys0, yp0, adj = self.operands(5)
+        gram = mock.Mock(wraps=ad.gram)
+        monkeypatch.setattr(ad, "gram", gram)
         t1, t2 = Tape(), Tape()
-        a, b = t1.leaf(np.ones((2, 1))), t2.leaf(np.ones((2, 1)))
         with pytest.raises(ShapeMismatch):
-            reconstruction_loss(a, b, adj)
-        assert len(t1) == 1 and len(t2) == 1
-        released = Tape().leaf(np.ones((2, 1)))
-        with pytest.raises(ReleasedTape):
-            reconstruction_loss(released, released, adj)
+            reconstruction_loss(t1.leaf(ys0), t2.leaf(yp0), adj)
+        assert gram.call_count == 0 and len(t1) == 1 and len(t2) == 1
+        # nothing holds the Tape() but its nodes
+        ys = Tape().leaf(ys0)
+        yp = ys.tape.leaf(yp0)
+        loss = reconstruction_loss(ys, yp, adj)
+        loss.tape.backward(loss)
+        tape = Tape()
+        held_ys, held_yp = tape.leaf(ys0), tape.leaf(yp0)
+        tape.backward(reconstruction_loss(held_ys, held_yp, adj))
+        assert gram.call_count == 2
+        assert (ys.grad.tobytes(), yp.grad.tobytes()) == (held_ys.grad.tobytes(), held_yp.grad.tobytes())
 
 
 class TestMatchesReferenceOps:
@@ -723,11 +734,16 @@ class TestBackwardContract:
         assert np.array_equal(x.grad, [[18.0, 0.0]])
         assert np.array_equal(unused.grad, [[0.0]])
 
-    def test_released_tape_raises_typed_error(self):
-        x = Tape().leaf([[1.0]])
-        assert issubclass(ReleasedTape, RgaeError)
-        with pytest.raises(ReleasedTape):
-            ad.graph_conv(identity(1), x)
-        with pytest.raises(ReleasedTape):
-            Tape().backward(x)
-        assert np.array_equal(x.value, [[1.0]])
+    def test_a_node_keeps_its_tape_alive(self):
+        gc.disable()
+        try:
+            x = Tape().leaf([[1.0, -2.0]])
+            root = ad.sq_frobenius(ad.graph_conv(identity(1), x))
+            root.tape.backward(root)
+            assert np.array_equal(x.grad, [[2.0, 0.0]])
+            probe = weakref.ref(x.tape)
+            del x, root
+            # the tape refers to its nodes weakly, so no cycle outlives them
+            assert probe() is None
+        finally:
+            gc.enable()

@@ -887,7 +887,7 @@ class TestUnlabeledData:
 
 
 class TestFreshProcessDeterminism:
-    """generate, train and eval in new interpreters write the same bytes under different hash seeds."""
+    """generate, train, eval and analyze in new interpreters write the same bytes under different hash seeds."""
 
     COMMANDS = [
         ["generate", "--out", "data", "--n", "40", "--communities", "20,20", "--views", "3", "--seed", "4"],
@@ -896,16 +896,17 @@ class TestFreshProcessDeterminism:
         ["eval", "--embeddings", "run/embeddings.txt", "--data", "data", "--out", "class.tsv", "--seeds", "0,1"],
         ["eval", "--embeddings", "run/embeddings.txt", "--data", "data", "--out", "link.tsv", "--seeds", "0,1",
          "--task", "linkpred", "--target-view", "2"],
+        ["analyze", "--data", "data", "--out", "analyze.tsv"],
     ]
 
-    def outputs(self, directory, hash_seed):
+    def outputs(self, directory, hash_seed, blas_threads=1):
         env = {
             **os.environ,
             "PYTHONPATH": str(Path(rgae.__file__).parents[1]),
             "PYTHONHASHSEED": str(hash_seed),
-            "OPENBLAS_NUM_THREADS": "1",
-            "OMP_NUM_THREADS": "1",
-            "MKL_NUM_THREADS": "1",
+            "OPENBLAS_NUM_THREADS": str(blas_threads),
+            "OMP_NUM_THREADS": str(blas_threads),
+            "MKL_NUM_THREADS": str(blas_threads),
         }
         directory.mkdir()
         for argv in self.COMMANDS:
@@ -916,5 +917,20 @@ class TestFreshProcessDeterminism:
     def test_hash_seed_does_not_reach_any_output(self, tmp_path):
         first = self.outputs(tmp_path / "a", 1)
         second = self.outputs(tmp_path / "b", 2)
-        assert {"run/embeddings.txt", "run/history.tsv", "class.tsv", "link.tsv", "data/labels.txt"} <= set(first)
+        assert {"run/embeddings.txt", "run/history.tsv", "class.tsv", "link.tsv", "data/labels.txt",
+                "analyze.tsv"} <= set(first)
         assert first == second
+
+    def test_two_blas_threads_keep_the_outputs_that_call_no_blas(self, tmp_path):
+        # the contract stops at one BLAS thread: training and scoring bytes may move, so only their finiteness is checked
+        one = self.outputs(tmp_path / "a", 1)
+        two = self.outputs(tmp_path / "b", 1, blas_threads=2)
+        blas_free = sorted(name for name in one if name.startswith(("data/", "analyze.")))
+        assert {"data/labels.txt", "data/view_2.txt", "analyze.tsv", "analyze.manifest.json"} <= set(blas_free)
+        assert [two[name] for name in blas_free] == [one[name] for name in blas_free]
+        _, values, _, _ = load_embeddings(tmp_path / "b" / "run" / "embeddings.txt")
+        assert np.isfinite(values).all()
+        # the numeric columns: history's from rec on (lambda joins its weights with commas), the reports' value
+        for table, first_numeric in (("run/history.tsv", 1), ("class.tsv", 4), ("link.tsv", 4)):
+            fields = [f for line in two[table].decode().splitlines()[1:] for f in line.split("\t")[first_numeric:]]
+            assert fields and np.isfinite([float(x) for f in fields for x in f.split(",")]).all()

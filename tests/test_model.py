@@ -1,10 +1,12 @@
 import copy
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import rgae.autodiff as ad
+from rgae import SynthConfig, generate
 from rgae.autodiff import Tape, scalar
 from rgae.errors import ConfigError, DegenerateWeights, InvalidGamma, ShapeMismatch
 from rgae.graph import MultiViewNetwork, SparseAdjacency
@@ -330,6 +332,19 @@ class TestTotalLoss:
         rec_grads = out2.params.gradients()
         for g1, g2 in zip(ablated, rec_grads):
             assert np.array_equal(g1, g2)
+
+    def test_tape_node_count_is_pinned(self):
+        # the benchmark's autodiff.tape_nodes reads len(tape): every node recorded, dropped ones included
+        net = generate(SynthConfig(n=30, communities=(10, 10, 10), views=2, seed=7))
+        tape = Tape()
+        out = run_model(net, RgaeParams.init(30, (4, 2), 2), 0.5, 0.5, 5.0, tape)
+        tape.backward(out.loss)
+        # 6 weight leaves, 8 encoder layers, 2 reconstruction nodes, the consistent embedding, 2 disagreements
+        # of 2 nodes each, the similarity sum, 2 differences of 2 nodes each, their sum and the total
+        assert len(tape) == 28
+        probe = weakref.ref(out.loss)
+        del out
+        assert probe() is None and len(tape) == 28
 
     def test_negative_coefficients_rejected(self):
         net = random_net(4, 1, seed=13)
