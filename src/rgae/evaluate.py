@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import _sigmoid_values
-from .errors import ConfigError, DegenerateClass, InsufficientNodes, LengthMismatch, ZeroVector
+from .errors import ConfigError, DegenerateClass, InsufficientNodes, LengthMismatch, ZeroVector, require_int
 from .graph import MultiViewNetwork, SparseAdjacency, edge_pair_codes
 
 L2_PENALTY = 1e-4
@@ -31,6 +31,7 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.train_ratio < 1.0:
             raise ConfigError(f"train_ratio must be in (0, 1), got {self.train_ratio}")
+        require_int("seed", self.seed, 0)
 
 
 def _round_half_up(x: float) -> int:
@@ -65,21 +66,15 @@ def make_split(n: int, spec: SplitSpec, labels=None):
 def sample_negatives(view: SparseAdjacency, count: int, seed: int) -> np.ndarray:
     """Uniformly sample distinct non-adjacent pairs u < v, in O(edges + count) time and memory.
 
-    The draw picks sorted ranks k among the non-edges in row-major pair order;
-    with pair index p = starts[u] + v - u - 1, rank k is p = k + #{edges j : p_j - j <= k}.
+    The draw picks sorted ranks among the non-edges in row-major pair order, which the view maps to pairs.
     """
     if count < 1:
         raise ConfigError("need a positive number of negatives")
-    n, codes = view.n, edge_pair_codes(view)
-    free = n * (n - 1) // 2 - codes.size
+    require_int("seed", seed, 0)
+    free = view.n * (view.n - 1) // 2 - view.num_edges
     if free < count:
         raise InsufficientNodes(f"only {free} non-edges available, need {count}")
-    ranks = np.sort(np.random.default_rng(seed).choice(free, size=count, replace=False))
-    starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
-    edges = starts[codes // n] + codes % n - codes // n - 1
-    p = ranks + np.searchsorted(edges - np.arange(codes.size), ranks, side="right")
-    u = np.searchsorted(starts, p, side="right") - 1
-    return np.stack([u, p - starts[u] + u + 1], axis=1)
+    return view.non_edges(np.sort(np.random.default_rng(seed).choice(free, size=count, replace=False)))
 
 
 @dataclass(eq=False)
@@ -111,15 +106,14 @@ def cosine_features(embeddings, pairs) -> np.ndarray:
     # in C order each row's norm sums as a gathered copy of the row would; Fortran order sums differently
     y = np.ascontiguousarray(embeddings, dtype=np.float64)
     pairs = np.asarray(pairs, dtype=np.int64)
-    dots = np.sum(y[pairs[:, 0]] * y[pairs[:, 1]], axis=1)
+    u, v = pairs[:, 0], pairs[:, 1]
+    dots = np.sum(y.take(u, axis=0) * y.take(v, axis=0), axis=1)
     row_norms = np.linalg.norm(y, axis=1)
-    norms = row_norms[pairs[:, 0]] * row_norms[pairs[:, 1]]
+    norms = row_norms.take(u) * row_norms.take(v)
     ok = norms > 0
     if not np.all(ok):
         warnings.warn("zero-norm embedding rows; cosine features set to 0", ZeroVector)
-    out = np.zeros(dots.shape[0])
-    out[ok] = dots[ok] / norms[ok]
-    return out
+    return np.divide(dots, norms, out=np.zeros(dots.shape[0]), where=ok)
 
 
 def _embedding_rows(embeddings, n: int) -> np.ndarray:
@@ -242,31 +236,43 @@ def micro_macro_f1(pred, truth):
     return micro, float(np.mean(2.0 * tp[used] / (2 * tp + fp + fn)[used]))
 
 
-def roc_auc(scores, labels) -> float:
-    """Share of positive-negative pairs the scores order correctly; tied pairs count one half."""
+def _scored_labels(scores, labels):
+    """Float64 scores and boolean labels of one shape; a ConfigError for any label other than 0 or 1."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape:
         raise LengthMismatch(f"{s.shape} scores for {y.shape} labels")
-    pos, neg = s[y == 1], np.sort(s[y != 1])
+    positive = y == 1
+    other = ~positive & (y != 0)
+    if np.any(other):
+        raise ConfigError(f"labels must be 0 or 1, got {y[other][0]}")
+    return s, positive
+
+
+def roc_auc(scores, labels) -> float:
+    """Share of positive-negative pairs the scores order correctly; tied pairs count one half."""
+    s, positive = _scored_labels(scores, labels)
+    pos, neg = np.sort(s[positive]), np.sort(s[~positive])
     if pos.size == 0 or neg.size == 0:
         raise ConfigError("AUC needs both positive and negative examples")
+    # sorted keys search the negatives in memory order; each term is a multiple of 0.5, so every partial sum is exact
     below = np.searchsorted(neg, pos, side="left")
     tied = np.searchsorted(neg, pos, side="right") - below
     return float((below + 0.5 * tied).sum() / (pos.size * neg.size))
 
 
 def average_precision(scores, labels) -> float:
-    """Mean of the precision at each positive, scanning by descending score (stable tie order)."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if s.shape != y.shape:
-        raise LengthMismatch(f"{s.shape} scores for {y.shape} labels")
-    n_pos = y.sum()
+    """Mean of the precision at each positive, scanning by descending score; tied scores go in index order."""
+    s, positive = _scored_labels(scores, labels)
+    n_pos = np.count_nonzero(positive)
     if n_pos == 0:
         raise ConfigError("average precision needs at least one positive")
-    order = np.lexsort((np.arange(s.size), -s))
-    hits = y[order]
+    order = np.argsort(-s)
+    ranked = s.take(order)
+    # an unstable sort gives the one descending order when the scores are distinct; ties need the stable sort
+    if not np.all(ranked[:-1] > ranked[1:]):
+        order = np.argsort(-s, kind="stable")
+    hits = positive[order]
     precision = np.cumsum(hits) / np.arange(1, s.size + 1)
     return float(np.sum(precision * hits) / n_pos)
 

@@ -105,12 +105,13 @@ class _Csr:
 class SparseAdjacency(_Csr):
     """CSR adjacency of one view: symmetric storage, no self-loops.
 
-    Immutable after construction; the normalized form is cached on first use.
+    Immutable after construction; the normalized form and the non-edge rank table are cached on first use.
     """
 
     def __post_init__(self):
         super().__post_init__()
         self._normalized = None
+        self._non_edge_table = None
 
     def _check_diagonal(self):
         if np.any(self.rows == self.col_indices):
@@ -139,6 +140,22 @@ class SparseAdjacency(_Csr):
         if self._normalized is None:
             self._normalized = normalize(self)
         return self._normalized
+
+    def non_edges(self, ranks) -> np.ndarray:
+        """Pairs u < v of the non-edges with the given ranks among all non-edges in row-major pair order.
+
+        With pair index p = starts[u] + v - u - 1, rank k is p = k + #{edges j : p_j - j <= k};
+        starts and the offsets p_j - j are built once per adjacency.
+        """
+        if self._non_edge_table is None:
+            n, codes = self.n, edge_pair_codes(self)
+            starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+            offsets = starts[codes // n] + codes % n - codes // n - 1 - np.arange(codes.size)
+            self._non_edge_table = starts, offsets
+        starts, offsets = self._non_edge_table
+        p = ranks + np.searchsorted(offsets, ranks, side="right")
+        u = np.searchsorted(starts, p, side="right") - 1
+        return np.stack([u, p - starts[u] + u + 1], axis=1)
 
 
 class NormalizedAdjacency(_Csr):

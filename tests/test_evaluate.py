@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import rgae.autodiff as autodiff
 import rgae.evaluate as evaluate
+import rgae.graph as graph
 from rgae.autodiff import _sigmoid_values
 from rgae.errors import (
     ConfigError,
@@ -69,6 +70,18 @@ class TestMakeSplit:
         with pytest.raises(ConfigError):
             SplitSpec(1.0)
 
+    def test_negative_seed_raises_config_error(self):
+        # numpy's untyped ValueError came out of make_split
+        with pytest.raises(ConfigError, match="^seed must be an integer of at least 0, got -1$"):
+            make_split(10, SplitSpec(0.5, -1))
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_seed_must_be_an_integer(self, seed):
+        # 1.5 ended in a TypeError at the first split and True was accepted as seed 1
+        with pytest.raises(ConfigError, match="^seed must be an integer"):
+            SplitSpec(0.5, seed)
+        assert SplitSpec(0.5, np.int64(1)) == SplitSpec(0.5, 1)
+
 
 class TestSampleNegatives:
     def test_negatives_are_non_edges(self):
@@ -88,6 +101,26 @@ class TestSampleNegatives:
     def test_deterministic(self):
         adj = SparseAdjacency.from_edges(8, [(0, 1), (1, 2)])
         assert np.array_equal(sample_negatives(adj, 6, seed=3), sample_negatives(adj, 6, seed=3))
+
+    def test_negative_seed_raises_config_error(self):
+        adj = SparseAdjacency.from_edges(8, [(0, 1), (1, 2)])
+        with pytest.raises(ConfigError, match="^seed must be an integer of at least 0, got -3$"):
+            sample_negatives(adj, 5, -3)
+
+    def test_cached_table_draws_as_a_fresh_one(self, monkeypatch):
+        net = _three_view_net(300, seed=2)
+        rest = net.without_view(0)
+        assert rest.view(1) is net.view(2)
+        builds, codes = [], graph.edge_pair_codes
+        monkeypatch.setattr(graph, "edge_pair_codes", lambda adj: builds.append(adj) or codes(adj))
+        for view in (net.view(1), net.view(2), rest.view(1)):
+            for seed in (0, 1, 7, 2**32 - 1):
+                drawn = sample_negatives(view, view.num_edges, seed)
+                fresh = SparseAdjacency(view.n, view.row_offsets, view.col_indices, view.values)
+                assert np.array_equal(drawn, sample_negatives(fresh, view.num_edges, seed))
+                assert np.array_equal(drawn, _reference_negatives(view, view.num_edges, seed))
+        # each view builds its table once and reuses it, reached through without_view too
+        assert builds.count(net.view(1)) == 1 and builds.count(net.view(2)) == 1
 
     def test_task_invariants(self):
         adj = SparseAdjacency.from_edges(8, [(0, 1), (1, 2), (5, 6)])
@@ -539,6 +572,29 @@ class TestRankMetrics:
         with pytest.raises(ConfigError):
             roc_auc(np.array([0.1, 0.2]), np.array([1, 1]))
 
+    @pytest.mark.parametrize("metric", [roc_auc, average_precision])
+    @pytest.mark.parametrize("labels", [[1, 2, 0], [1, 0.5, 0], [1, -1, 0], [1, np.nan, 0]])
+    def test_labels_other_than_0_or_1_rejected(self, metric, labels):
+        # average_precision([0.9, 0.1], [2, 0]) was 2.0 and roc_auc counted 0.5 as a negative
+        with pytest.raises(ConfigError, match="^labels must be 0 or 1, got "):
+            metric(np.array([0.9, 0.5, 0.1]), np.array(labels))
+
+    @pytest.mark.parametrize("metric", [roc_auc, average_precision])
+    def test_boolean_labels_allowed(self, metric):
+        scores = np.array([0.9, 0.5, 0.1, 0.3])
+        assert metric(scores, np.array([True, False, True, False])) == metric(scores, np.array([1, 0, 1, 0]))
+
+    @given(size=st.integers(2, 500), tied=st.booleans(), data=st.data())
+    def test_match_the_references(self, size, tied, data):
+        if tied:
+            s = np.array(data.draw(st.lists(st.sampled_from(TIE_SCORES), min_size=size, max_size=size)))
+        else:
+            s = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=size)
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+        assume(0 < labels.sum() < labels.size)
+        assert roc_auc(s, labels) == reference_roc_auc(s, labels)
+        assert average_precision(s, labels) == reference_average_precision(s, labels)
+
     @given(
         scores=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1e-20, 0.25, 0.5, 3.0]), min_size=2, max_size=60),
         data=st.data(),
@@ -555,6 +611,30 @@ class TestRankMetrics:
         n_pos = int(labels.sum())
         u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
         assert roc_auc(s, labels) == u / (n_pos * (s.size - n_pos))
+
+
+# signed zeros that tie, a tiny and a huge value: ties and extremes for the rank metrics
+TIE_SCORES = (-1.0, -0.0, 0.0, 1e-300, 0.25, 3.0, 1e300)
+
+
+def reference_roc_auc(scores, labels) -> float:
+    """Unsorted positive scores searched in the sorted negatives: the reference for the sorted-key AUC."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    pos, neg = s[y == 1], np.sort(s[y != 1])
+    below = np.searchsorted(neg, pos, side="left")
+    tied = np.searchsorted(neg, pos, side="right") - below
+    return float((below + 0.5 * tied).sum() / (pos.size * neg.size))
+
+
+def reference_average_precision(scores, labels) -> float:
+    """Descending scores with ties in index order by a two-key lexsort: the reference for the AP ordering."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    order = np.lexsort((np.arange(s.size), -s))
+    hits = y[order]
+    precision = np.cumsum(hits) / np.arange(1, s.size + 1)
+    return float(np.sum(precision * hits) / y.sum())
 
 
 def gathered_cosine_features(embeddings, pairs) -> np.ndarray:
@@ -621,7 +701,9 @@ class TestCosineFeatures:
         assert feats[0] == 0.0
 
     @pytest.mark.filterwarnings("ignore::rgae.errors.ZeroVector")
-    @pytest.mark.parametrize("layout", ["rows", "zero rows", "d=1", "fortran", "column slice", "d=300"])
+    @pytest.mark.parametrize(
+        "layout", ["rows", "zero rows", "d=1", "fortran", "column slice", "d=300", "negative indices"]
+    )
     def test_matches_gathered_norms(self, layout):
         rng = np.random.default_rng(12)
         y = _wide_range_rows(rng, 80, 300 if layout == "d=300" else 9)
@@ -633,7 +715,7 @@ class TestCosineFeatures:
             y = np.asfortranarray(y)
         elif layout == "column slice":
             y = y[:, 1::2]
-        pairs = rng.integers(0, 80, size=(500, 2))
+        pairs = rng.integers(0, 80, size=(500, 2)) - (80 if layout == "negative indices" else 0)
         assert cosine_features(y, pairs).tobytes() == gathered_cosine_features(y, pairs).tobytes()
 
 
