@@ -165,17 +165,11 @@ class NormalizedAdjacency(_Csr):
         super().__post_init__()
         if np.any(self.values > 1.0):
             raise ConfigError("normalized values must lie in (0, 1]")
-        self._spmm_plan = None
 
     def _check_diagonal(self):
         diag_per_row = np.bincount(self.rows[self.rows == self.col_indices], minlength=self.n)
         if np.any(diag_per_row != 1):
             raise IndexOutOfRange("every row needs exactly one diagonal entry")
-
-    def spmm_plan(self) -> "_SpmmPlan":
-        if self._spmm_plan is None:
-            self._spmm_plan = _SpmmPlan.build(self)
-        return self._spmm_plan
 
 
 def normalize(adj: SparseAdjacency) -> NormalizedAdjacency:
@@ -191,102 +185,22 @@ def normalize(adj: SparseAdjacency) -> NormalizedAdjacency:
     return NormalizedAdjacency.from_coo(n, rows, cols, scaled)
 
 
-# numpy's pairwise sum splits a run of more values than this into two recursive halves
-_PAIRWISE_BLOCK = 128
-
-
-@dataclass(frozen=True, eq=False)
-class _SpmmPlan:
-    """Where spmm puts each product so that a few vectorised adds repeat np.add.reduceat's sums.
-
-    A row of m + 1 entries has q = m // 8 lane blocks, and rows are sorted by
-    q, largest first. The products are laid out as [tree | tail 0 | ... |
-    tail T-1 | first | lane block 0 | lane block 1 | ... | long-row entries].
-    Each of the slots = T + 2 leading slots holds one product per row, in
-    sorted order; the tree slot is filled per call. Lane block b is
-    lane-major: 8 lanes of the rows with q > b, a prefix of the sorted rows.
-    A pad gathers the -0.0 row appended to the dense operand: -0.0 is the one
-    exact additive identity, as +0.0 turns a sum of -0.0 into +0.0. A long
-    row, of more than _PAIRWISE_BLOCK others, is all pads in the slots, and
-    np.add.reduceat over its entries at the end gives its sum.
-    """
-
-    cols: np.ndarray  # dense row gathered per product, n for a pad
-    values: np.ndarray  # column of the matching matrix values, 1.0 for a pad
-    inverse: np.ndarray  # sorted position of each row
-    slots: int
-    blocks: tuple  # rows in each lane block
-    long_rows: np.ndarray
-    long_starts: np.ndarray  # position of each long row's first product
-
-    @classmethod
-    def build(cls, norm: "NormalizedAdjacency") -> "_SpmmPlan":
-        counts = np.diff(norm.row_offsets)
-        is_long = counts > _PAIRWISE_BLOCK + 1
-        m = np.where(is_long, 0, counts - 1)
-        order = np.argsort(-(m // 8), kind="stable")
-        m = m[order]
-        first = np.where(is_long[order], -1, norm.row_offsets[order])
-        q = m // 8
-        tails = np.where(q > 0, m % 8, m)
-        parts = [np.full(norm.n, -1)]
-        parts += [np.where(j < tails, first + 1 + 8 * q + j, -1) for j in range(tails.max())]
-        parts.append(first)
-        blocks = tuple(int(np.count_nonzero(q > b)) for b in range(q.max()))
-        parts += [(first[:rows] + 1 + 8 * b + np.arange(8)[:, None]).ravel() for b, rows in enumerate(blocks)]
-        long_rows = np.flatnonzero(is_long)
-        parts.append(np.flatnonzero(np.repeat(is_long, counts)))
-        long_starts = sum(p.size for p in parts[:-1]) + np.cumsum(counts[long_rows]) - counts[long_rows]
-        src = np.concatenate(parts)
-        pad = src < 0
-        return cls(
-            cols=np.where(pad, norm.n, norm.col_indices[src]),
-            values=np.where(pad, 1.0, norm.values[src])[:, None],
-            inverse=np.argsort(order),
-            slots=len(parts) - len(blocks) - 1,
-            blocks=blocks,
-            long_rows=long_rows,
-            long_starts=long_starts,
-        )
-
-
 def spmm(norm: NormalizedAdjacency, dense: np.ndarray) -> np.ndarray:
-    """Sparse-dense product whose rows are bit for bit np.add.reduceat's over the CSR products.
+    """Sparse-dense product whose rows are np.add.reduceat's sums of the row's CSR products.
 
-    Row r is its first stored product plus numpy's pairwise sum of its other m
-    products. Below 8 that sum runs in entry order. Up to _PAIRWISE_BLOCK it
-    keeps 8 lane sums over the first 8 * (m // 8) products (lane l adds
-    products l, l + 8, ... in turn), joins them as
-    ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)), and then adds the
-    m % 8 others in order. Longer rows keep np.add.reduceat, which splits
-    them recursively. The tests compare every row with np.add.reduceat byte
-    for byte. The plan behind this is built on the first call and cached on
-    norm.
+    Each row is its first stored product plus numpy's pairwise sum of the
+    others. The products are laid out one operand column per row, so each
+    reduced segment is contiguous. Every segment is non-empty because each
+    normalized row holds its diagonal.
     """
+    if not isinstance(norm, NormalizedAdjacency):
+        raise ConfigError(f"spmm needs a NormalizedAdjacency, got {type(norm).__name__}")
     dense = np.asarray(dense, dtype=np.float64)
     if dense.ndim != 2 or dense.shape[0] != norm.n:
         raise ShapeMismatch(f"dense operand must have shape ({norm.n}, k), got {dense.shape}")
-    plan = norm.spmm_plan()
-    n, k = dense.shape
-    products = np.concatenate([dense, np.full((1, k), -0.0)]).take(plan.cols, axis=0)
-    products *= plan.values
-    head = plan.slots * n
-    if plan.blocks:
-        at = head + 8 * plan.blocks[0]
-        lanes = products[head:at].reshape(8, plan.blocks[0], k)
-        for rows in plan.blocks[1:]:
-            lanes[:, :rows] += products[at : at + 8 * rows].reshape(8, rows, k)
-            at += 8 * rows
-        pairs = lanes[0::2] + lanes[1::2]
-        quads = pairs[0::2] + pairs[1::2]
-        np.add(quads[0], quads[1], out=products[: plan.blocks[0]])
-    # Along the outer axis reduce adds in order, and adding the first product last is exact as +
-    # commutes. Only a 1-by-1 result would be summed pairwise, and its two slots keep the order.
-    slots = products[:head].reshape(plan.slots, n, k)
-    out = np.add.reduce(slots, axis=0, initial=-0.0).take(plan.inverse, axis=0)
-    if plan.long_rows.size:
-        out[plan.long_rows] = np.add.reduceat(products, plan.long_starts, axis=0)
-    return out
+    p = np.ascontiguousarray(dense.T).take(norm.col_indices, axis=1)
+    p *= norm.values
+    return np.add.reduceat(p, norm.row_offsets[:-1], axis=1).T.copy()
 
 
 def edge_pair_codes(adj: SparseAdjacency) -> np.ndarray:

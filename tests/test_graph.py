@@ -126,6 +126,15 @@ class TestSpmm:
         with pytest.raises(ShapeMismatch):
             spmm(normalize(adj), np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("isolated", [1, 3], ids=["middle", "last"])
+    def test_raw_adjacency_rejected(self, isolated):
+        # a bare reduceat over these rows would return row 2's first product for an isolated
+        # node 1, and raise IndexError for an isolated last node
+        edges = [(u, v) for u, v in [(0, 2), (1, 2), (2, 3)] if isolated not in (u, v)]
+        adj = SparseAdjacency.from_edges(4, edges)
+        with pytest.raises(ConfigError, match="NormalizedAdjacency"):
+            spmm(adj, np.ones((4, 2)))
+
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         a = random_symmetric_dense(10, rng, weighted=True)
@@ -160,17 +169,21 @@ class TestSpmmSummationOrder:
 
     # row lengths (with the diagonal) cross 1, 2, 8, 9, 16, 17, 129, 130, 131 and 300
     HUB_DEGREES = (1, 7, 8, 15, 16, 128, 129, 130, 299)
+    # row lengths cross 1,024 and reach 1,230
+    LONG_HUB_DEGREES = (1022, 1023, 1024, 1100, 1229)
 
-    @pytest.mark.parametrize("k", [1, 8, 32])
-    @pytest.mark.parametrize("graph_name", ["hubs", "every-length", "one-short-row"])
+    @pytest.mark.parametrize("k", [1, 8, 32, 33])
+    @pytest.mark.parametrize("graph_name", ["hubs", "every-length", "one-short-row", "long-hubs"])
     def test_bytes_equal_reduceat(self, graph_name, k):
         if graph_name == "hubs":
             norm = hub_graph(self.HUB_DEGREES, seed=k)
         elif graph_name == "every-length":
             # hub j and leaf 299 - j both have degree j + 1, so every length 2..301 occurs twice
             norm = hub_graph(range(1, 301), seed=k)
+        elif graph_name == "long-hubs":
+            norm = hub_graph(self.LONG_HUB_DEGREES, seed=k)
         else:
-            # only node 0 has at most 129 entries; the other rows take the reduceat path
+            # only node 0 has at most 129 entries; every other row is longer
             edges = [(u, v) for u in range(140) for v in range(u + 1, 140) if u > 0 or v <= 15]
             norm = normalize(SparseAdjacency.from_edges(140, edges))
         assert np.diff(norm.row_offsets).max() >= 131
@@ -180,7 +193,7 @@ class TestSpmmSummationOrder:
             assert spmm(norm, dense).tobytes() == reduceat_spmm(norm, dense).tobytes()
 
     @settings(deadline=None)
-    @given(st.lists(st.integers(0, 300), min_size=1, max_size=5), st.sampled_from([1, 8, 32]), st.integers(0, 2**32 - 1))
+    @given(st.lists(st.integers(0, 300), min_size=1, max_size=5), st.sampled_from([1, 8, 32, 33]), st.integers(0, 2**32 - 1))
     def test_random_hubs_bytes_equal_reduceat(self, degrees, k, seed):
         norm = hub_graph(degrees, seed)
         dense = wide_range_operand(norm.n, k, np.random.default_rng(seed))
@@ -207,22 +220,9 @@ class TestSpmmSummationOrder:
             assert cli_main(["train", "--data", str(data), "--out", str(tmp_path / run)] + train_args) == 0
             return [(tmp_path / run / name).read_bytes() for name in ("embeddings.txt", "history.tsv")]
 
-        got = outputs("plan")
+        got = outputs("spmm")
         monkeypatch.setattr(graph, "spmm", reduceat_spmm)
         assert got == outputs("reduceat")
-
-    def test_plan_is_built_once_on_first_product(self, monkeypatch):
-        built = []
-        build = graph._SpmmPlan.build
-        monkeypatch.setattr(graph._SpmmPlan, "build", classmethod(lambda cls, norm: built.append(norm) or build(norm)))
-        adj = SparseAdjacency.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        norm = adj.normalized()
-        normalize(adj)
-        assert built == []
-        x = np.arange(8.0).reshape(4, 2)
-        assert np.array_equal(spmm(norm, x), spmm(norm, x))
-        assert built == [norm]
-        assert norm.spmm_plan() is norm.spmm_plan()
 
 
 class TestCsrValidation:
