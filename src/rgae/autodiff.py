@@ -1,11 +1,12 @@
-"""Minimal reverse-mode tape over dense float64 matrices, with the seven ops of the RGAE loss.
+"""Minimal reverse-mode tape over dense float64 matrices, with the three ops of the decoder and its loss.
 
-The ops are graph_conv (an encoder layer), gram (of two joined encoder
-outputs), sigmoid, balanced_bce, row_dot, sq_frobenius and lincomb (every
-weighted sum). Each computes its value eagerly, checks it is finite, and
-records a closure that routes the incoming gradient to its operands.
-backward() walks the tape once in strict reverse insertion order, so two
-identical passes give bit-identical results.
+The ops are gram (of two joined encoder outputs), sigmoid and balanced_bce.
+Each computes its value eagerly, checks it is finite, and records a closure
+that routes the incoming gradient to its operands. backward() walks the tape
+once in strict reverse insertion order, so two identical passes give
+bit-identical results. The encoders and regularizers are not recorded op by
+op: model.run_model records the weight leaves and one 1x1 loss node whose
+pull is the model's written-out backward.
 
 Tensor._take is the one hand-over rule. A node's gradient buffer is its own:
 backward() passes it to the node's pull and then drops it, so the pull may
@@ -14,9 +15,9 @@ Leaves start from zeros, so leaf gradients equal those of copying every
 contribution; only an interior gradient may keep a -0.0 where a copy into
 zeros would give +0.0. sigmoid, balanced_bce and the gram pull walk n-by-n
 arrays in row blocks with the per-entry arithmetic and whole-array sums of
-whole-array code, so results match it bit for bit. Each view's decoder is one node
-(model.reconstruction_loss): gram, sigmoid and balanced_bce run forward and backward on a private
-tape that dies with it, so at most two n-by-n arrays live at once, whatever the view count.
+whole-array code, so results match it bit for bit. Each view's decoder runs
+forward and backward on a private tape (model.reconstruction_loss) that dies
+with it, so at most two n-by-n arrays live at once, whatever the view count.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ import weakref
 
 import numpy as np
 
-from . import graph as _graph
 from .errors import NonScalarRoot, NumericalOverflow, ShapeMismatch
-from .graph import NormalizedAdjacency, SparseAdjacency
+from .graph import SparseAdjacency
 
 CLAMP_EPS = 1e-12
 # entries per row block of a decoder op: 512 KiB of float64 stays in L2 (65 rows at n = 1000)
@@ -119,33 +119,6 @@ def _same_tape(*tensors) -> Tape:
     return tape
 
 
-def graph_conv(norm: NormalizedAdjacency, h: Tensor, w: Tensor | None = None) -> Tensor:
-    """One encoder layer, relu(spmm(norm, h) @ w), or relu(spmm(norm, h)) for a first layer on identity features.
-
-    The pre-activation is checked too, so an overflow that relu would turn into 0 still raises.
-    """
-    tape = h.tape if w is None else _same_tape(h, w)
-    if h.shape[0] != norm.n:
-        raise ShapeMismatch(f"dense operand must have {norm.n} rows, got {h.shape[0]}")
-    if w is not None and h.shape[1] != w.shape[0]:
-        raise ShapeMismatch(f"cannot multiply {h.shape} by {w.shape}")
-    x = _graph.spmm(norm, h.value)
-    pre = x if w is None else x @ w.value
-    if not np.all(np.isfinite(pre)):
-        raise NumericalOverflow("non-finite pre-activation entering the tape")
-    value = np.maximum(pre, 0.0)
-
-    def pull(g):
-        g = g * (value > 0.0)
-        if w is not None:
-            w._take(x.T @ g)
-            g = g @ w.value.T
-        # the normalized matrix is symmetric, so its transpose product reuses spmm
-        h._take(_graph.spmm(norm, g))
-
-    return tape._record(value, pull)
-
-
 def gram(a: Tensor, b: Tensor) -> Tensor:
     """Z Z^T for Z = [a | b], the columns of the two operands joined."""
     tape = _same_tape(a, b)
@@ -192,48 +165,6 @@ def sigmoid(a: Tensor) -> Tensor:
         a._take(g)
 
     return a.tape._record(value, pull)
-
-
-def row_dot(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise inner product, returned as a column vector."""
-    tape = _same_tape(a, b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"row_dot needs equal shapes, got {a.shape} and {b.shape}")
-    value = np.sum(a.value * b.value, axis=1, keepdims=True)
-
-    def pull(g):
-        a._take(g * b.value)
-        b._take(g * a.value)
-
-    return tape._record(value, pull)
-
-
-def sq_frobenius(a: Tensor) -> Tensor:
-    value = np.array([[np.sum(a.value * a.value)]])
-
-    def pull(g):
-        a._take((2.0 * g[0, 0]) * a.value)
-
-    return a.tape._record(value, pull)
-
-
-def lincomb(terms, coeffs) -> Tensor:
-    """The sum of coeffs[i] * terms[i] from left to right; weights 1 and -1 are exact, so (1, -1) gives a - b."""
-    terms, coeffs = list(terms), [float(c) for c in coeffs]
-    tape = _same_tape(*terms)
-    if len(coeffs) != len(terms):
-        raise ShapeMismatch(f"{len(coeffs)} coefficients for {len(terms)} terms")
-    if any(t.shape != terms[0].shape for t in terms):
-        raise ShapeMismatch(f"cannot add shapes {[t.shape for t in terms]}")
-    value = coeffs[0] * terms[0].value
-    for c, t in zip(coeffs[1:], terms[1:]):
-        value += c * t.value
-
-    def pull(g):
-        for c, t in zip(coeffs, terms):
-            t._take(c * g)
-
-    return tape._record(value, pull)
 
 
 def _clamp(x, out=None):

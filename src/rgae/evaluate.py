@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import _sigmoid_values
 from .errors import ConfigError, DegenerateClass, InsufficientNodes, LengthMismatch, ZeroVector, require_int
-from .graph import MultiViewNetwork, SparseAdjacency, edge_pair_codes
+from .graph import MultiViewNetwork, SparseAdjacency, edge_pair_codes, label_set
 
 L2_PENALTY = 1e-4
 FIT_ITERATIONS = 500
@@ -158,8 +158,8 @@ class LabelMatrix:
 
     @classmethod
     def of(cls, labels) -> "LabelMatrix":
-        """One row per item from label sets, lists or tuples; a bare scalar is a single label."""
-        sets = [set(item) if isinstance(item, (set, frozenset, list, tuple)) else {item} for item in labels]
+        """One row per item, read by graph.label_set: a set, list or tuple of labels, or one bare label."""
+        sets = [label_set(item) for item in labels]
         classes = sorted(set().union(*sets))
         if not classes:
             raise ConfigError("no item has a label")

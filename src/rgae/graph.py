@@ -209,6 +209,11 @@ def edge_pair_codes(adj: SparseAdjacency) -> np.ndarray:
     return adj.rows[mask] * adj.n + adj.col_indices[mask]
 
 
+def label_set(item) -> set:
+    """One node's labels: a set, frozenset, list or tuple holds several; any other item, a string included, is one."""
+    return set(item) if isinstance(item, (set, frozenset, list, tuple)) else {item}
+
+
 @dataclass(eq=False)
 class MultiViewNetwork:
     """A shared node set with one symmetric adjacency per view and optional node label sets."""
@@ -235,7 +240,7 @@ class MultiViewNetwork:
         if self.labels is not None:
             if len(self.labels) != self.n:
                 raise LengthMismatch("one label set per node required")
-            self.labels = [set(s) for s in self.labels]
+            self.labels = [label_set(s) for s in self.labels]
 
     def view(self, k: int) -> SparseAdjacency:
         """View k; a ConfigError names the valid range when there is none."""

@@ -1,14 +1,16 @@
-"""Shared and private graph encoder stacks, inner-product decoder, and the training losses."""
+"""Shared and private graph encoder stacks, inner-product decoder, the training losses and their backward."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import autodiff as ad
+from . import graph as _graph
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, DegenerateWeights, InvalidGamma, ShapeMismatch
+from .errors import ConfigError, DegenerateWeights, InvalidGamma, NumericalOverflow, ShapeMismatch
 from .graph import MultiViewNetwork, NormalizedAdjacency, SparseAdjacency
 
 
@@ -39,7 +41,7 @@ def _glorot_stack(rng, n, sizes) -> list:
 class RgaeParams:
     """Trainable state: one private weight stack per view, one stack shared by all views, view weights.
 
-    The weights are arrays, or tape leaves once bind_params has recorded them for a forward pass.
+    The weights are arrays, or tape leaves once bind_params has recorded them for a backward pass.
     """
 
     private: list
@@ -83,22 +85,55 @@ def bind_params(tape: Tape, params: RgaeParams) -> RgaeParams:
     return RgaeParams(private=private, shared=shared, lam=params.lam.copy())
 
 
-def encode(norm: NormalizedAdjacency, weights: list) -> Tensor:
-    """Run one encoder stack; identity input features fold the first layer into its weight matrix."""
-    h = ad.graph_conv(norm, weights[0])
-    for w in weights[1:]:
-        h = ad.graph_conv(norm, h, w)
-    return h
+def _finite(value, what: str):
+    """value, after checking that it is finite; the NumericalOverflow names what it is."""
+    if not np.all(np.isfinite(value)):
+        raise NumericalOverflow(f"non-finite value in {what}")
+    return value
 
 
-def encode_views(net: MultiViewNetwork, bound: RgaeParams):
-    """(shared, private): each view's shared and private encoder outputs, recorded view by view."""
-    if bound.n_views != len(net.views):
-        raise ShapeMismatch(f"{bound.n_views} private stacks for {len(net.views)} views")
+def encode(norm: NormalizedAdjacency, weights: list, scope: str) -> list:
+    """One encoder stack's layers as (x, h) pairs, x = spmm(norm, input) and h = relu(x @ w); the last h is its output.
+
+    Identity input features fold the first layer into its weight matrix: x = spmm(norm, w) and h = relu(x).
+    Each pre-activation is checked, so an overflow that relu would turn into 0 still raises, naming scope and layer.
+    """
+    x = _graph.spmm(norm, weights[0])
+    layers = [(x, np.maximum(_finite(x, f"{scope} layer 0"), 0.0))]
+    for depth, w in enumerate(weights[1:], 1):
+        x = _graph.spmm(norm, layers[-1][1])
+        if x.shape[1] != w.shape[0]:
+            raise ShapeMismatch(f"{scope} layer {depth}: cannot multiply {x.shape} by {w.shape}")
+        layers.append((x, np.maximum(_finite(x @ w, f"{scope} layer {depth}"), 0.0)))
+    return layers
+
+
+def _encode_backward(norm: NormalizedAdjacency, layers: list, leaves: list, g) -> None:
+    """Hand each weight leaf of one stack its gradient, top layer first, from the gradient g at the stack's output."""
+    for depth in reversed(range(len(layers))):
+        x, h = layers[depth]
+        g = g * (h > 0.0)
+        if depth == 0:
+            leaves[0]._take(_graph.spmm(norm, g))
+        else:
+            leaves[depth]._take(x.T @ g)
+            # the normalized matrix is symmetric, so its transpose product reuses spmm
+            g = _graph.spmm(norm, g @ leaves[depth].value.T)
+
+
+def outputs(stacks: list) -> list:
+    """The output of each encoder stack, the h of its top layer."""
+    return [layers[-1][1] for layers in stacks]
+
+
+def encode_views(net: MultiViewNetwork, params: RgaeParams):
+    """(shared, private): each view's shared and private encoder layers, computed view by view."""
+    if params.n_views != len(net.views):
+        raise ShapeMismatch(f"{params.n_views} private stacks for {len(net.views)} views")
     shared, private = [], []
-    for view, stack in zip(net.views, bound.private):
-        shared.append(encode(view.normalized(), bound.shared))
-        private.append(encode(view.normalized(), stack))
+    for i, (view, stack) in enumerate(zip(net.views, params.private)):
+        shared.append(encode(view.normalized(), params.shared, f"view {i} shared"))
+        private.append(encode(view.normalized(), stack, f"view {i} private"))
     return shared, private
 
 
@@ -110,23 +145,16 @@ def decode(ys: Tensor, yp: Tensor) -> Tensor:
     return probs
 
 
-def reconstruction_loss(ys: Tensor, yp: Tensor, view: SparseAdjacency) -> Tensor:
-    """balanced_bce(decode(ys, yp), view) as one node that keeps the 1x1 loss and two n x d operand gradients.
+def reconstruction_loss(ys, yp, view: SparseAdjacency) -> tuple:
+    """(loss, d loss / d ys, d loss / d yp) of balanced_bce(decode(ys, yp), view) for two encoder outputs.
 
     The decoder runs forward and backward on a private tape over copies of ys and yp, so its n x n arrays die here.
     """
-    tape = ad._same_tape(ys, yp)
-    inner = Tape()
-    a, b = inner.leaf(ys.value), inner.leaf(yp.value)
+    tape = Tape()
+    a, b = tape.leaf(ys), tape.leaf(yp)
     loss = ad.balanced_bce(decode(a, b), view)
-    inner._backprop(loss)
-    ga, gb = a.grad, b.grad
-
-    def pull(g):
-        ys._take(g[0, 0] * ga)  # a fresh product, so a repeated backward never hands out ga itself
-        yp._take(g[0, 0] * gb)
-
-    return tape._record(loss.value, pull)
+    tape._backprop(loss)
+    return ad.scalar(loss), a.grad, b.grad
 
 
 def _view_powers(lam, gamma: float, n_views: int) -> np.ndarray:
@@ -138,7 +166,7 @@ def _view_powers(lam, gamma: float, n_views: int) -> np.ndarray:
     return lam**gamma
 
 
-def consistent_embedding(shared: list, lam, gamma: float) -> Tensor:
+def consistent_embedding(shared: list, lam, gamma: float) -> np.ndarray:
     """Weighted mean of the shared outputs with weights lam**gamma, normalized.
 
     This is the exact minimizer of the similarity loss for fixed view weights.
@@ -147,38 +175,42 @@ def consistent_embedding(shared: list, lam, gamma: float) -> Tensor:
     total = w.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise DegenerateWeights("view weights vanished under the exponent")
-    return ad.lincomb(shared, w / total)
+    return _finite(reduce(np.add, (c * ys for c, ys in zip(w / total, shared))), "the consistent embedding")
 
 
-def disagreements(shared: list, y_con: Tensor) -> list:
+def disagreements(shared: list, y_con) -> list:
     """Per view, the squared distance b_i of its shared output to the consistent embedding.
 
-    similarity_loss weights these nodes; the closed-form view-weight update reads their values.
+    similarity_loss weights these; the closed-form view-weight update reads them.
     """
-    return [ad.sq_frobenius(ad.lincomb([y_con, t], (1, -1))) for t in shared]
+    return [_finite(float(np.sum(g * g)), f"disagreement {i}") for i, g in enumerate(y_con - ys for ys in shared)]
 
 
-def similarity_loss(shared: list, y_con: Tensor, lam, gamma: float) -> Tensor:
+def similarity_loss(shared: list, y_con, lam, gamma: float) -> float:
     """Sum over views of lam_i**gamma times the squared distance to the consistent embedding."""
-    return ad.lincomb(disagreements(shared, y_con), _view_powers(lam, gamma, len(shared)))
+    terms = zip(_view_powers(lam, gamma, len(shared)), disagreements(shared, y_con))
+    return _finite(float(reduce(np.add, (w * b for w, b in terms))), "the similarity loss")
 
 
-def difference_loss(shared_view: Tensor, private_view: Tensor) -> Tensor:
+def difference_loss(shared_view, private_view) -> float:
     """Squared norm of the row-wise inner products; zero exactly when every row pair is orthogonal."""
-    return ad.sq_frobenius(ad.row_dot(shared_view, private_view))
+    if shared_view.shape != private_view.shape:
+        raise ShapeMismatch(f"shared and private outputs differ in shape: {shared_view.shape}, {private_view.shape}")
+    r = np.sum(shared_view * private_view, axis=1, keepdims=True)
+    return float(np.sum(r * r))
 
 
 @dataclass(eq=False)
 class ModelOutput:
-    """Everything recorded by one full forward pass."""
+    """One full forward pass: the recorded 1x1 loss, its parts, the encoder outputs and the bound weights."""
 
     loss: Tensor
     rec: list
-    sim: Tensor
+    sim: float
     dif: list
     shared: list
     private: list
-    consistent: Tensor
+    consistent: np.ndarray
     params: RgaeParams
 
 
@@ -192,33 +224,63 @@ def run_model(
     use_sim: bool = True,
     use_dif: bool = True,
 ) -> ModelOutput:
-    """Forward all views and assemble the joint training loss on the tape.
+    """Forward all views and record the joint training loss on the tape as one 1x1 node over the weight leaves.
 
-    The regularizer values are always computed so they can be reported; the
-    ablation flags only control whether they enter the total.
+    The node's pull is the model's backward, written out. The regularizer values are always computed so they
+    can be reported; the ablation flags only control whether they enter the total and its gradient.
     """
     if alpha < 0 or beta < 0:
         raise ConfigError("loss weights must be nonnegative")
+    shared, private = encode_views(net, params)
+    ys, yp = outputs(shared), outputs(private)
+    rec, rec_grads = [], []
+    for i, view in enumerate(net.views):
+        try:
+            loss, g_ys, g_yp = reconstruction_loss(ys[i], yp[i], view)
+        except NumericalOverflow as exc:
+            raise NumericalOverflow(f"view {i} decoder: {exc}") from exc
+        rec.append(loss)
+        rec_grads.append((g_ys, g_yp))
+    y_con = consistent_embedding(ys, params.lam, gamma)
+    sim = similarity_loss(ys, y_con, params.lam, gamma)
+    dif = [_finite(difference_loss(a, b), f"difference {i}") for i, (a, b) in enumerate(zip(ys, yp))]
+    # summed as ((rec_0 + rec_1 + ...) + alpha * sim) + beta * (dif_0 + dif_1 + ...), the order outputs depend on;
+    # each sum starts from its first term, so a lone -0.0 stays -0.0
+    terms = rec + ([alpha * sim] if use_sim else []) + ([beta * reduce(np.add, dif)] if use_dif else [])
+    total = _finite(float(reduce(np.add, terms)), "the total loss")
+    w = _view_powers(params.lam, gamma, len(ys))
+    coef = w / w.sum()
     bound = bind_params(tape, params)
-    shared_out, private_out = encode_views(net, bound)
-    rec = [reconstruction_loss(ys, yp, view) for ys, yp, view in zip(shared_out, private_out, net.views)]
-    y_con = consistent_embedding(shared_out, params.lam, gamma)
-    sim = similarity_loss(shared_out, y_con, params.lam, gamma)
-    dif = [difference_loss(ys, yp) for ys, yp in zip(shared_out, private_out)]
-    # summed as ((rec_0 + rec_1 + ...) + alpha * sim) + beta * (dif_0 + dif_1 + ...), the order outputs depend on
-    terms, coeffs = list(rec), [1.0] * len(rec)
-    if use_sim:
-        terms, coeffs = terms + [sim], coeffs + [alpha]
-    if use_dif:
-        terms, coeffs = terms + [ad.lincomb(dif, [1.0] * len(dif))], coeffs + [beta]
-    loss = ad.lincomb(terms, coeffs)
+
+    def pull(g):
+        # each shared output's gradient adds, in this order, its difference term, minus its disagreement
+        # term, its share of the consistent embedding's gradient and its decoder's gradient
+        s = g[0, 0]
+        if use_sim:
+            d_gap = [(2.0 * (wi * (alpha * s))) * (y_con - t) for wi, t in zip(w, ys)]
+            d_con = reduce(np.add, d_gap[::-1])
+        for i in reversed(range(len(ys))):
+            to_shared, to_private = [], []
+            if use_dif:
+                d_row = (2.0 * (beta * s)) * np.sum(ys[i] * yp[i], axis=1, keepdims=True)
+                to_shared.append(d_row * yp[i])
+                to_private.append(d_row * ys[i])
+            if use_sim:
+                to_shared += [-d_gap[i], coef[i] * d_con]
+            to_shared.append(s * rec_grads[i][0])
+            to_private.append(s * rec_grads[i][1])
+            # the shared leaves thus add their per-view terms from the last view to the first
+            norm = net.views[i].normalized()
+            _encode_backward(norm, private[i], bound.private[i], reduce(np.add, to_private))
+            _encode_backward(norm, shared[i], bound.shared, reduce(np.add, to_shared))
+
     return ModelOutput(
-        loss=loss,
+        loss=tape._record(np.array([[total]]), pull),
         rec=rec,
         sim=sim,
         dif=dif,
-        shared=shared_out,
-        private=private_out,
+        shared=ys,
+        private=yp,
         consistent=y_con,
         params=bound,
     )
@@ -244,8 +306,7 @@ def aggregate(embeds: EmbeddingSet) -> np.ndarray:
 
 def embed(net: MultiViewNetwork, params: RgaeParams, gamma: float) -> EmbeddingSet:
     """The embeddings of run_model's encoder outputs, without running a decoder or a loss."""
-    shared, private = encode_views(net, bind_params(Tape(), params))
-    y_con = consistent_embedding(shared, params.lam, gamma)
-    es = EmbeddingSet([t.value for t in shared], [t.value for t in private], y_con.value)
+    shared, private = (outputs(stacks) for stacks in encode_views(net, params))
+    es = EmbeddingSet(shared, private, consistent_embedding(shared, params.lam, gamma))
     es.final = aggregate(es)
     return es

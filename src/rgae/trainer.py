@@ -17,6 +17,7 @@ from .model import (
     embed,
     embed_dim,
     encode,
+    outputs,
     run_model,
 )
 
@@ -144,11 +145,8 @@ class EpochStats:
 
 
 def _refresh_lambda(net: MultiViewNetwork, params: RgaeParams, gamma: float) -> np.ndarray:
-    tape = Tape()
-    shared_nodes = [tape.leaf(w) for w in params.shared]
-    outs = [encode(view.normalized(), shared_nodes) for view in net.views]
-    y_con = consistent_embedding(outs, params.lam, gamma)
-    return update_lambda([scalar(d) for d in disagreements(outs, y_con)], gamma)
+    outs = outputs([encode(view.normalized(), params.shared, f"view {i} shared") for i, view in enumerate(net.views)])
+    return update_lambda(disagreements(outs, consistent_embedding(outs, params.lam, gamma)), gamma)
 
 
 def _run_epoch(net, params, state: AdamState, cfg: TrainConfig, epoch: int) -> EpochStats:
@@ -167,9 +165,9 @@ def _run_epoch(net, params, state: AdamState, cfg: TrainConfig, epoch: int) -> E
         raise NumericalOverflow(f"epoch {epoch}: {exc}") from exc
     return EpochStats(
         epoch=epoch,
-        rec=sum(scalar(r) for r in out.rec),
-        sim=scalar(out.sim),
-        dif=sum(scalar(d_) for d_ in out.dif),
+        rec=sum(out.rec),
+        sim=out.sim,
+        dif=sum(out.dif),
         total=scalar(out.loss),
         lam=tuple(float(x) for x in params.lam),
     )

@@ -1,24 +1,181 @@
-"""Reference ops for the tests: the primitive tape ops the model was once composed of, and whole-array decoder ops.
+"""Reference compositions for the tests: the model recorded op by op on one tape, and the primitive ops under it.
 
-matmul, spmm, relu, concat_cols, gram, sub, add and scale are the ops that
-rgae.autodiff's graph_conv, gram and lincomb replace, kept as they were, with
-the copying hand-over rule _accumulate that add and concat_cols used. The
+graph_conv, lincomb, row_dot and sq_frobenius are the tape ops that
+rgae.model's encoders and regularizers were once recorded as; run_model,
+refresh_lambda and embed compose them as the model did, with each view's
+decoder (gram, sigmoid, balanced_bce) recorded on the same tape. Below them,
+matmul, spmm, relu, concat_cols, gram, sub, add and scale are the primitive
+ops that graph_conv, the joined gram and lincomb replaced, kept as they were,
+with the copying hand-over rule _accumulate that add and concat_cols used. The
 whole-array sigmoid, gram and balanced_bce do in one pass what the row-blocked
-ops do block by block. use_reference_ops swaps all of them in for the package
-ops, so a test can compare outputs and gradients byte for byte.
+ops do block by block. use_reference_ops swaps all of them in, so a test can
+compare outputs and gradients with the package byte for byte.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import reduce
 
 import numpy as np
 
 import rgae.autodiff as ad
+import rgae.trainer as trainer
 from rgae import graph as _graph
-from rgae.autodiff import Tensor, _same_tape
-from rgae.errors import ShapeMismatch
+from rgae.autodiff import Tape, Tensor, _same_tape, scalar
+from rgae.errors import DegenerateWeights, NumericalOverflow, ShapeMismatch
 from rgae.graph import NormalizedAdjacency, SparseAdjacency
+from rgae.model import EmbeddingSet, ModelOutput, _view_powers, aggregate, bind_params, decode
+
+# ---------------------------------------------------------------------------
+# the encoder and regularizer ops, and the model composed of them on one tape
+# ---------------------------------------------------------------------------
+
+
+def graph_conv(norm: NormalizedAdjacency, h: Tensor, w: Tensor | None = None) -> Tensor:
+    """One encoder layer, relu(spmm(norm, h) @ w), or relu(spmm(norm, h)) for a first layer on identity features.
+
+    The pre-activation is checked too, so an overflow that relu would turn into 0 still raises.
+    """
+    tape = h.tape if w is None else _same_tape(h, w)
+    if h.shape[0] != norm.n:
+        raise ShapeMismatch(f"dense operand must have {norm.n} rows, got {h.shape[0]}")
+    if w is not None and h.shape[1] != w.shape[0]:
+        raise ShapeMismatch(f"cannot multiply {h.shape} by {w.shape}")
+    x = _graph.spmm(norm, h.value)
+    pre = x if w is None else x @ w.value
+    if not np.all(np.isfinite(pre)):
+        raise NumericalOverflow("non-finite pre-activation entering the tape")
+    value = np.maximum(pre, 0.0)
+
+    def pull(g):
+        g = g * (value > 0.0)
+        if w is not None:
+            w._take(x.T @ g)
+            g = g @ w.value.T
+        # the normalized matrix is symmetric, so its transpose product reuses spmm
+        h._take(_graph.spmm(norm, g))
+
+    return tape._record(value, pull)
+
+
+def row_dot(a: Tensor, b: Tensor) -> Tensor:
+    """Row-wise inner product, returned as a column vector."""
+    tape = _same_tape(a, b)
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"row_dot needs equal shapes, got {a.shape} and {b.shape}")
+    value = np.sum(a.value * b.value, axis=1, keepdims=True)
+
+    def pull(g):
+        a._take(g * b.value)
+        b._take(g * a.value)
+
+    return tape._record(value, pull)
+
+
+def sq_frobenius(a: Tensor) -> Tensor:
+    value = np.array([[np.sum(a.value * a.value)]])
+
+    def pull(g):
+        a._take((2.0 * g[0, 0]) * a.value)
+
+    return a.tape._record(value, pull)
+
+
+def lincomb(terms, coeffs) -> Tensor:
+    """The sum of coeffs[i] * terms[i] from left to right; weights 1 and -1 are exact, so (1, -1) gives a - b."""
+    terms, coeffs = list(terms), [float(c) for c in coeffs]
+    tape = _same_tape(*terms)
+    if len(coeffs) != len(terms):
+        raise ShapeMismatch(f"{len(coeffs)} coefficients for {len(terms)} terms")
+    if any(t.shape != terms[0].shape for t in terms):
+        raise ShapeMismatch(f"cannot add shapes {[t.shape for t in terms]}")
+    value = coeffs[0] * terms[0].value
+    for c, t in zip(coeffs[1:], terms[1:]):
+        value += c * t.value
+
+    def pull(g):
+        for c, t in zip(coeffs, terms):
+            t._take(c * g)
+
+    return tape._record(value, pull)
+
+
+def encode(norm: NormalizedAdjacency, weights: list) -> Tensor:
+    """One encoder stack as graph_conv nodes."""
+    h = graph_conv(norm, weights[0])
+    for w in weights[1:]:
+        h = graph_conv(norm, h, w)
+    return h
+
+
+def encode_views(net, bound):
+    """(shared, private) encoder output nodes, recorded view by view."""
+    shared, private = [], []
+    for view, stack in zip(net.views, bound.private):
+        shared.append(encode(view.normalized(), bound.shared))
+        private.append(encode(view.normalized(), stack))
+    return shared, private
+
+
+def consistent_embedding(shared, lam, gamma):
+    w = _view_powers(lam, gamma, len(shared))
+    total = w.sum()
+    if not np.isfinite(total) or total <= 0.0:
+        raise DegenerateWeights("view weights vanished under the exponent")
+    return lincomb(shared, w / total)
+
+
+def disagreements(shared, y_con):
+    return [sq_frobenius(lincomb([y_con, t], (1, -1))) for t in shared]
+
+
+def run_model(net, params, alpha, beta, gamma, tape, use_sim=True, use_dif=True) -> ModelOutput:
+    """rgae.model.run_model as one tape node per op, each view's decoder and loss recorded after its encoders."""
+    bound = bind_params(tape, params)
+    shared, private = encode_views(net, bound)
+    rec = [ad.balanced_bce(decode(ys, yp), view) for ys, yp, view in zip(shared, private, net.views)]
+    y_con = consistent_embedding(shared, params.lam, gamma)
+    sim = lincomb(disagreements(shared, y_con), _view_powers(params.lam, gamma, len(shared)))
+    dif = [sq_frobenius(row_dot(ys, yp)) for ys, yp in zip(shared, private)]
+    terms, coeffs = list(rec), [1.0] * len(rec)
+    if use_sim:
+        terms, coeffs = terms + [sim], coeffs + [alpha]
+    if use_dif:
+        terms, coeffs = terms + [lincomb(dif, [1.0] * len(dif))], coeffs + [beta]
+    return ModelOutput(
+        loss=lincomb(terms, coeffs),
+        rec=[scalar(r) for r in rec],
+        sim=scalar(sim),
+        dif=[scalar(d) for d in dif],
+        shared=[t.value for t in shared],
+        private=[t.value for t in private],
+        consistent=y_con.value,
+        params=bound,
+    )
+
+
+def refresh_lambda(net, params, gamma) -> np.ndarray:
+    """rgae.trainer._refresh_lambda on tape nodes."""
+    tape = Tape()
+    nodes = [tape.leaf(w) for w in params.shared]
+    outs = [encode(view.normalized(), nodes) for view in net.views]
+    y_con = consistent_embedding(outs, params.lam, gamma)
+    return trainer.update_lambda([scalar(d) for d in disagreements(outs, y_con)], gamma)
+
+
+def embed(net, params, gamma) -> EmbeddingSet:
+    """rgae.model.embed on tape nodes."""
+    shared, private = encode_views(net, bind_params(Tape(), params))
+    es = EmbeddingSet([t.value for t in shared], [t.value for t in private],
+                      consistent_embedding(shared, params.lam, gamma).value)
+    es.final = aggregate(es)
+    return es
+
+
+# ---------------------------------------------------------------------------
+# the primitive ops and whole-array decoder ops
+# ---------------------------------------------------------------------------
 
 
 def _accumulate(self, g) -> None:
@@ -131,14 +288,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return a.tape._record(value, pull)
 
 
-def encode(norm: NormalizedAdjacency, weights: list) -> Tensor:
-    """One encoder stack as spmm, matmul and relu nodes."""
-    h = relu(spmm(norm, weights[0]))
-    for w in weights[1:]:
-        h = relu(matmul(spmm(norm, h), w))
-    return h
-
-
 def whole_array_sigmoid_values(x):
     """The whole-array logistic that the blocked sigmoid forward must repeat entry for entry."""
     e = np.abs(x)
@@ -191,8 +340,8 @@ def whole_array_balanced_bce(probs, adj: SparseAdjacency):
     return probs.tape._record(np.array([[total]]), pull)
 
 
-def graph_conv(norm, h, w=None):
-    """rgae.autodiff.graph_conv as the relu of an spmm node, with a matmul node in between when w is given."""
+def primitive_graph_conv(norm, h, w=None):
+    """graph_conv as the relu of an spmm node, with a matmul node in between when w is given."""
     x = spmm(norm, h)
     return relu(x if w is None else matmul(x, w))
 
@@ -202,16 +351,20 @@ def joined_gram(a, b):
     return whole_array_gram(concat_cols(a, b))
 
 
-def lincomb(terms, coeffs):
-    """rgae.autodiff.lincomb as a left fold of add over scale nodes."""
+def primitive_lincomb(terms, coeffs):
+    """lincomb as a left fold of add over scale nodes."""
     return reduce(add, [scale(t, c) for t, c in zip(terms, coeffs, strict=True)])
 
 
 def use_reference_ops(monkeypatch):
-    """Swap the package ops for the reference compositions and make every pull accumulate a copy."""
-    monkeypatch.setattr(ad, "graph_conv", graph_conv)
+    """Train through this module's tape composition of primitive and whole-array ops, every pull accumulating a copy."""
+    this = sys.modules[__name__]
+    monkeypatch.setattr(this, "graph_conv", primitive_graph_conv)
+    monkeypatch.setattr(this, "lincomb", primitive_lincomb)
     monkeypatch.setattr(ad, "gram", joined_gram)
-    monkeypatch.setattr(ad, "lincomb", lincomb)
     monkeypatch.setattr(ad, "sigmoid", whole_array_sigmoid)
     monkeypatch.setattr(ad, "balanced_bce", whole_array_balanced_bce)
     monkeypatch.setattr(ad.Tensor, "_take", _accumulate)
+    monkeypatch.setattr(trainer, "run_model", run_model)
+    monkeypatch.setattr(trainer, "_refresh_lambda", refresh_lambda)
+    monkeypatch.setattr(trainer, "embed", embed)

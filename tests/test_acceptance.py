@@ -25,7 +25,7 @@ from rgae.evaluate import (
 )
 from rgae.evaluate import _fit_binary_logistic
 from rgae.graph import MultiViewNetwork, SparseAdjacency
-from rgae.model import RgaeParams, bind_params, decode, encode_views, run_model
+from rgae.model import RgaeParams, decode, encode_views, outputs, run_model
 from rgae.synth import SynthConfig, generate
 from rgae.trainer import TrainConfig, train, update_lambda
 
@@ -148,15 +148,15 @@ def test_criterion_2_forward_oracle_equivalence():
         d = int(rng.integers(2, 5))
         net = random_net(n, n_views, seed=seed + 50)
         params = RgaeParams.init(n, (hidden, d), n_views, seed=seed)
-        tape = Tape()
-        bound = bind_params(tape, params)
-        for i, (view, ys, yp) in enumerate(zip(net.views, *encode_views(net, bound))):
-            a_hat = decode(ys, yp)
+        shared, private = encode_views(net, params)
+        for i, (view, ys, yp) in enumerate(zip(net.views, outputs(shared), outputs(private))):
+            tape = Tape()
+            a_hat = decode(tape.leaf(ys), tape.leaf(yp))
             oys, oyp, oa = oracle(view, params, i)
             worst = max(
                 worst,
-                float(np.max(np.abs(ys.value - oys))),
-                float(np.max(np.abs(yp.value - oyp))),
+                float(np.max(np.abs(ys - oys))),
+                float(np.max(np.abs(yp - oyp))),
                 float(np.max(np.abs(a_hat.value - oa))),
             )
     ok = worst < 1e-12
@@ -187,17 +187,15 @@ def test_criterion_4_loss_identities():
 
     from rgae.model import difference_loss, similarity_loss, consistent_embedding
 
-    t2 = Tape()
-    ys = t2.leaf([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
-    yp = t2.leaf([[0.0, 5.0], [4.0, 0.0], [0.0, 6.0]])
-    dif = scalar(difference_loss(ys, yp))
+    ys = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
+    yp = np.array([[0.0, 5.0], [4.0, 0.0], [0.0, 6.0]])
+    dif = difference_loss(ys, yp)
 
-    t3 = Tape()
     y = np.arange(8, dtype=float).reshape(4, 2)
-    nodes = [t3.leaf(y) for _ in range(2)]
+    shared = [y.copy() for _ in range(2)]
     lam = np.array([0.5, 0.5])  # dyadic weights keep the weighted combination exact
-    y_con = consistent_embedding(nodes, lam, 5.0)
-    sim = scalar(similarity_loss(nodes, y_con, lam, 5.0))
+    y_con = consistent_embedding(shared, lam, 5.0)
+    sim = similarity_loss(shared, y_con, lam, 5.0)
 
     ok = bce_err < 1e-9 and dif == 0.0 and sim == 0.0
     report(4, ok, f"bce err {bce_err:.2e}, dif {dif}, sim {sim}")

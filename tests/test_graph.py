@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rgae import graph
 from rgae.cli import main as cli_main
+from rgae.evaluate import LabelMatrix
 from rgae.errors import (
     ConfigError,
     EmptyView,
@@ -398,6 +399,16 @@ class TestDatasetRoundTrip:
         save_dataset(net, tmp_path / "ds")
         again = load_dataset(tmp_path / "ds")
         assert again.labels == labels
+
+    def test_bare_labels_are_one_label_each(self, tmp_path):
+        # a string is one label, not a set of its characters, and an int is one label too
+        v = SparseAdjacency.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        net = MultiViewNetwork(4, [v], labels=["10", 7, {"a", "b"}, ("c",)], node_names=["n0", "n1", "n2", "n3"])
+        assert net.labels == [{"10"}, {7}, {"a", "b"}, {"c"}]
+        save_dataset(net, tmp_path / "ds")
+        assert load_dataset(tmp_path / "ds").labels == [{"10"}, {"7"}, {"a", "b"}, {"c"}]
+        # classification reads a bare item by the same rule
+        assert LabelMatrix.of(["10", {"a", "b"}, ("c",)]).classes == ["10", "a", "b", "c"]
 
     @pytest.mark.parametrize("stray", ["view_x.txt", "view_1_old.txt", "view_3.txt", "view_01.txt"])
     def test_stray_view_file_rejected(self, tmp_path, stray):

@@ -5,16 +5,14 @@ import weakref
 import numpy as np
 import pytest
 
-import rgae.autodiff as ad
 from rgae import SynthConfig, generate
 from rgae.autodiff import Tape, scalar
-from rgae.errors import ConfigError, DegenerateWeights, InvalidGamma, ShapeMismatch
+from rgae.errors import ConfigError, DegenerateWeights, InvalidGamma, NumericalOverflow, ShapeMismatch
 from rgae.graph import MultiViewNetwork, SparseAdjacency
 from rgae.model import (
     EmbeddingSet,
     RgaeParams,
     aggregate,
-    bind_params,
     consistent_embedding,
     decode,
     difference_loss,
@@ -22,9 +20,12 @@ from rgae.model import (
     embed_dim,
     encode,
     encode_views,
+    outputs,
     run_model,
     similarity_loss,
 )
+
+import reference_ops as ref
 
 
 def random_net(n, n_views, seed, p=0.35):
@@ -90,63 +91,87 @@ def oracle_total(net, params, alpha, beta, gamma):
     return sum(recs) + alpha * sim + beta * dif
 
 
+def numeric_grad(f, x, h=1e-5):
+    """Central finite differences of a scalar function over every entry of x, changed in place and restored."""
+    g = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        orig = x[idx]
+        x[idx] = orig + h
+        up = f(x)
+        x[idx] = orig - h
+        down = f(x)
+        x[idx] = orig
+        g[idx] = (up - down) / (2 * h)
+    return g
+
+
+def probabilities(ys, yp):
+    """decode's reconstruction probabilities for two encoder outputs."""
+    tape = Tape()
+    return decode(tape.leaf(ys), tape.leaf(yp)).value
+
+
+def views_out(net, params):
+    """Each view's shared and private encoder outputs."""
+    shared, private = encode_views(net, params)
+    return outputs(shared), outputs(private)
+
+
 class TestForwardView:
     def test_degenerate_one_node_graph(self):
         view = SparseAdjacency(1, np.array([0, 0]), np.array([], dtype=np.int64), np.array([]))
         for w in (0.7, -0.7):
             params = RgaeParams(private=[[np.array([[w]])]], shared=[np.array([[w]])],
                                 lam=np.array([1.0]))
-            tape = Tape()
-            bound = bind_params(tape, params)
-            ys = encode(view.normalized(), bound.shared)
-            yp = encode(view.normalized(), bound.private[0])
-            assert ys.value[0, 0] == pytest.approx(max(w, 0.0))
-            assert yp.value[0, 0] == pytest.approx(max(w, 0.0))
+            stacks = (params.shared, params.private[0])
+            ys, yp = outputs([encode(view.normalized(), stack, "view 0") for stack in stacks])
+            assert ys[0, 0] == pytest.approx(max(w, 0.0))
+            assert yp[0, 0] == pytest.approx(max(w, 0.0))
 
     def test_zero_weights_give_half_probabilities(self):
         net = random_net(5, 1, seed=2)
         params = RgaeParams.init(5, (4, 2), 1, seed=0)
         params.shared = [np.zeros_like(w) for w in params.shared]
         params.private = [[np.zeros_like(w) for w in params.private[0]]]
-        tape = Tape()
-        (ys,), (yp,) = encode_views(net, bind_params(tape, params))
-        a_hat = decode(ys, yp)
-        assert np.array_equal(ys.value, np.zeros((5, 2)))
-        assert np.all(a_hat.value == 0.5)
+        (ys,), (yp,) = views_out(net, params)
+        assert np.array_equal(ys, np.zeros((5, 2)))
+        assert np.all(probabilities(ys, yp) == 0.5)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_dense_oracle(self, seed):
         net = random_net(6, 2, seed=seed)
         params = RgaeParams.init(6, (5, 3), 2, seed=seed + 100)
-        tape = Tape()
-        bound = bind_params(tape, params)
-        for i, (view, ys, yp) in enumerate(zip(net.views, *encode_views(net, bound))):
-            a_hat = decode(ys, yp)
+        for i, (view, ys, yp) in enumerate(zip(net.views, *views_out(net, params))):
             oys, oyp, oa = oracle_forward_view(view, params, i)
-            assert np.max(np.abs(ys.value - oys)) < 1e-12
-            assert np.max(np.abs(yp.value - oyp)) < 1e-12
-            assert np.max(np.abs(a_hat.value - oa)) < 1e-12
+            assert np.max(np.abs(ys - oys)) < 1e-12
+            assert np.max(np.abs(yp - oyp)) < 1e-12
+            assert np.max(np.abs(probabilities(ys, yp) - oa)) < 1e-12
 
     def test_reconstruction_symmetric_in_unit_interval(self):
         net = random_net(7, 1, seed=4)
         params = RgaeParams.init(7, (3,), 1, seed=1)
-        tape = Tape()
-        (ys,), (yp,) = encode_views(net, bind_params(tape, params))
-        a_hat = decode(ys, yp)
-        assert np.allclose(a_hat.value, a_hat.value.T)
-        assert np.all((a_hat.value > 0) & (a_hat.value < 1))
+        (ys,), (yp,) = views_out(net, params)
+        a_hat = probabilities(ys, yp)
+        assert np.allclose(a_hat, a_hat.T)
+        assert np.all((a_hat > 0) & (a_hat < 1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pre_activation_overflow_to_minus_infinity_raises(self):
+        # the hub's normalized row sums to about 2, so its first-layer pre-activation overflows to -inf,
+        # which relu would turn into 0
+        star = SparseAdjacency.from_edges(9, [(0, i) for i in range(1, 9)]).normalized()
+        with pytest.raises(NumericalOverflow, match="^non-finite value in view 4 private layer 0$"):
+            encode(star, [np.full((9, 2), -1e308)], "view 4 private")
 
     def test_shared_weight_tying(self):
         net = random_net(6, 3, seed=6)
         params = RgaeParams.init(6, (4, 2), 3, seed=0)
 
         def shared_outputs(p):
-            tape = Tape()
-            return [t.value for t in encode_views(net, bind_params(tape, p))[0]]
+            return views_out(net, p)[0]
 
         def private_outputs(p):
-            tape = Tape()
-            return [t.value for t in encode_views(net, bind_params(tape, p))[1]]
+            return views_out(net, p)[1]
 
         base_shared = shared_outputs(params)
         base_private = private_outputs(params)
@@ -164,29 +189,22 @@ class TestForwardView:
 
 
 class TestConsistentEmbedding:
-    def leaves(self, arrays):
-        tape = Tape()
-        return tape, [tape.leaf(a) for a in arrays]
-
     def test_equal_inputs_pass_through(self):
         y = np.arange(6, dtype=float).reshape(3, 2)
-        _, nodes = self.leaves([y, y.copy(), y.copy()])
-        out = consistent_embedding(nodes, np.array([0.2, 0.5, 0.3]), 2.0)
-        assert np.allclose(out.value, y)
+        out = consistent_embedding([y, y.copy(), y.copy()], np.array([0.2, 0.5, 0.3]), 2.0)
+        assert np.allclose(out, y)
 
     def test_one_hot_weights_select_view(self):
         rng = np.random.default_rng(0)
         ys = [rng.normal(size=(4, 2)) for _ in range(3)]
-        _, nodes = self.leaves(ys)
-        out = consistent_embedding(nodes, np.array([1.0, 0.0, 0.0]), 2.0)
-        assert np.allclose(out.value, ys[0])
+        out = consistent_embedding(ys, np.array([1.0, 0.0, 0.0]), 2.0)
+        assert np.allclose(out, ys[0])
 
     def test_uniform_weights_give_mean(self):
         rng = np.random.default_rng(1)
         ys = [rng.normal(size=(4, 3)) for _ in range(2)]
-        _, nodes = self.leaves(ys)
-        out = consistent_embedding(nodes, np.array([0.5, 0.5]), 2.0)
-        assert np.allclose(out.value, (ys[0] + ys[1]) / 2)
+        out = consistent_embedding(ys, np.array([0.5, 0.5]), 2.0)
+        assert np.allclose(out, (ys[0] + ys[1]) / 2)
 
     def test_output_minimizes_similarity_loss(self):
         # grid perturbation around the closed form never decreases the objective
@@ -199,8 +217,7 @@ class TestConsistentEmbedding:
         def objective(y_con):
             return sum(wi * np.sum((y_con - y) ** 2) for wi, y in zip(w, ys))
 
-        _, nodes = self.leaves(ys)
-        y_star = consistent_embedding(nodes, lam, gamma).value
+        y_star = consistent_embedding(ys, lam, gamma)
         base = objective(y_star)
         for _ in range(20):
             delta = rng.normal(size=y_star.shape)
@@ -211,43 +228,34 @@ class TestConsistentEmbedding:
         rng = np.random.default_rng(3)
         ys = [rng.normal(size=(4, 2)) for _ in range(3)]
         lam = np.array([0.6, 0.3, 0.1])
-        _, nodes = self.leaves(ys)
-        base = consistent_embedding(nodes, lam, 5.0).value
+        base = consistent_embedding(ys, lam, 5.0)
         perm = [2, 0, 1]
-        _, nodes_p = self.leaves([ys[p] for p in perm])
-        permuted = consistent_embedding(nodes_p, lam[perm], 5.0).value
+        permuted = consistent_embedding([ys[p] for p in perm], lam[perm], 5.0)
         assert np.allclose(base, permuted)
 
     def test_degenerate_weights(self):
-        _, nodes = self.leaves([np.ones((2, 2)), np.ones((2, 2))])
         with pytest.raises(DegenerateWeights):
-            consistent_embedding(nodes, np.array([0.0, 0.0]), 2.0)
+            consistent_embedding([np.ones((2, 2)), np.ones((2, 2))], np.array([0.0, 0.0]), 2.0)
 
     def test_invalid_gamma(self):
-        _, nodes = self.leaves([np.ones((2, 2))])
         for gamma in (1.0, 0.0, -2.0):
             with pytest.raises(InvalidGamma):
-                consistent_embedding(nodes, np.array([1.0]), gamma)
+                consistent_embedding([np.ones((2, 2))], np.array([1.0]), gamma)
 
 
 class TestSimilarityLoss:
     def test_zero_when_all_equal(self):
-        tape = Tape()
-        y = np.ones((3, 2))
-        nodes = [tape.leaf(y) for _ in range(2)]
-        y_con = consistent_embedding(nodes, np.array([0.5, 0.5]), 2.0)
-        assert scalar(similarity_loss(nodes, y_con, np.array([0.5, 0.5]), 2.0)) == 0.0
+        ys = [np.ones((3, 2)) for _ in range(2)]
+        y_con = consistent_embedding(ys, np.array([0.5, 0.5]), 2.0)
+        assert similarity_loss(ys, y_con, np.array([0.5, 0.5]), 2.0) == 0.0
 
     def test_hand_value(self):
         # lam = (.5, .5), gamma = 2 gives coefficient .25 on each squared distance
-        tape = Tape()
         d1 = np.array([[1.0, 0.0], [0.0, 2.0]])
         d2 = np.array([[0.0, 3.0], [1.0, 0.0]])
-        y_con = tape.leaf(np.zeros((2, 2)))
-        nodes = [tape.leaf(-d1), tape.leaf(-d2)]
-        loss = similarity_loss(nodes, y_con, np.array([0.5, 0.5]), 2.0)
+        loss = similarity_loss([-d1, -d2], np.zeros((2, 2)), np.array([0.5, 0.5]), 2.0)
         expected = 0.25 * (np.sum(d1**2) + np.sum(d2**2))
-        assert scalar(loss) == pytest.approx(expected)
+        assert loss == pytest.approx(expected)
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(5)
@@ -255,18 +263,15 @@ class TestSimilarityLoss:
         lam = np.array([0.4, 0.6])
 
         def value(c):
-            tape = Tape()
-            nodes = [tape.leaf(c * y) for y in ys]
-            y_con = consistent_embedding(nodes, lam, 3.0)
-            return scalar(similarity_loss(nodes, y_con, lam, 3.0))
+            scaled = [c * y for y in ys]
+            return similarity_loss(scaled, consistent_embedding(scaled, lam, 3.0), lam, 3.0)
 
         assert value(2.0) == pytest.approx(4.0 * value(1.0))
 
 
 class TestDifferenceLoss:
     def one(self, a, b):
-        tape = Tape()
-        return scalar(difference_loss(tape.leaf(a), tape.leaf(b)))
+        return difference_loss(np.array(a, dtype=float), np.array(b, dtype=float))
 
     def test_orthogonal_rows(self):
         assert self.one([[1.0, 0.0]], [[0.0, 1.0]]) == 0.0
@@ -294,7 +299,7 @@ class TestTotalLoss:
         params = RgaeParams.init(6, (4, 2), 2, seed=8)
         tape = Tape()
         out = run_model(net, params, 0.0, 0.0, 2.0, tape)
-        assert scalar(out.loss) == sum(scalar(r) for r in out.rec)
+        assert scalar(out.loss) == sum(out.rec)
 
     def test_matches_independent_oracle(self):
         net = random_net(8, 2, seed=9)
@@ -310,13 +315,13 @@ class TestTotalLoss:
         params = RgaeParams.init(6, (3,), 2, seed=11)
         tape = Tape()
         full = run_model(net, params, 1.0, 1.0, 2.0, tape)
-        rec_only = sum(scalar(r) for r in full.rec)
+        rec_only = sum(full.rec)
         t2 = Tape()
         no_both = run_model(net, params, 1.0, 1.0, 2.0, t2, use_sim=False, use_dif=False)
         assert scalar(no_both.loss) == rec_only
         t3 = Tape()
         no_sim = run_model(net, params, 1.0, 1.0, 2.0, t3, use_sim=False)
-        assert scalar(no_sim.loss) == pytest.approx(rec_only + sum(scalar(d) for d in full.dif))
+        assert scalar(no_sim.loss) == pytest.approx(rec_only + sum(full.dif))
 
     def test_ablated_gradients_flow_only_through_reconstruction(self):
         net = random_net(6, 2, seed=12)
@@ -326,11 +331,13 @@ class TestTotalLoss:
         tape.backward(out.loss)
         ablated = [g.copy() for g in out.params.gradients()]
 
+        # zero weights leave the regularizer terms in, as zeros
         t2 = Tape()
-        out2 = run_model(net, params, 1.0, 1.0, 2.0, t2)
-        t2.backward(ad.lincomb(out2.rec, [1.0] * len(out2.rec)))
+        out2 = run_model(net, params, 0.0, 0.0, 2.0, t2)
+        t2.backward(out2.loss)
         rec_grads = out2.params.gradients()
-        for g1, g2 in zip(ablated, rec_grads):
+        assert any(np.any(g != 0.0) for g in ablated)
+        for g1, g2 in zip(ablated, rec_grads, strict=True):
             assert np.array_equal(g1, g2)
 
     def test_tape_node_count_is_pinned(self):
@@ -339,12 +346,51 @@ class TestTotalLoss:
         tape = Tape()
         out = run_model(net, RgaeParams.init(30, (4, 2), 2), 0.5, 0.5, 5.0, tape)
         tape.backward(out.loss)
-        # 6 weight leaves, 8 encoder layers, 2 reconstruction nodes, the consistent embedding, 2 disagreements
-        # of 2 nodes each, the similarity sum, 2 differences of 2 nodes each, their sum and the total
-        assert len(tape) == 28
+        # 6 weight leaves and the total, whose pull is the written-out backward
+        assert len(tape) == 7
         probe = weakref.ref(out.loss)
         del out
-        assert probe() is None and len(tape) == 28
+        assert probe() is None and len(tape) == 7
+
+    @pytest.mark.parametrize("use_sim", [True, False])
+    @pytest.mark.parametrize("use_dif", [True, False])
+    def test_gradients_match_finite_differences(self, use_sim, use_dif):
+        net = random_net(7, 2, seed=22)
+        params = RgaeParams.init(7, (4, 3), 2, seed=22)
+        params.lam = np.array([0.4, 0.6])
+        args = (0.7, 1.3, 2.0)
+        tape = Tape()
+        out = run_model(net, params, *args, tape, use_sim=use_sim, use_dif=use_dif)
+        # a root that hands the loss node -2.5, so the backward scales by its incoming gradient
+        tape.backward(tape._record(np.zeros((1, 1)), lambda _: out.loss._take(np.array([[-2.5]]))))
+        grads = [g.copy() for g in out.params.gradients()]
+
+        def loss(_):
+            return -2.5 * scalar(run_model(net, params, *args, Tape(), use_sim=use_sim, use_dif=use_dif).loss)
+
+        for array, grad in zip(params.weights(), grads, strict=True):
+            numeric = numeric_grad(loss, array, h=1e-4)
+            assert np.max(np.abs(grad - numeric) / np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-6)) < 1e-4
+
+    def test_repeated_backward_matches(self):
+        net = random_net(6, 2, seed=18)
+        tape = Tape()
+        out = run_model(net, RgaeParams.init(6, (4, 2), 2, seed=18), 0.5, 0.5, 3.0, tape)
+        tape.backward(out.loss)
+        first = [g.tobytes() for g in out.params.gradients()]
+        tape.backward(out.loss)
+        assert [g.tobytes() for g in out.params.gradients()] == first
+
+    def test_mismatched_weight_shapes_rejected(self):
+        net = random_net(6, 2, seed=19)
+        params = RgaeParams.init(6, (4, 2), 2, seed=19)
+        params.shared[1] = np.ones((3, 2))
+        with pytest.raises(ShapeMismatch, match="^view 0 shared layer 1: cannot multiply"):
+            run_model(net, params, 0.5, 0.5, 2.0, Tape())
+        params = RgaeParams.init(6, (4, 2), 2, seed=19)
+        params.private[1][1] = np.ones((4, 1))
+        with pytest.raises(ShapeMismatch, match="differ in shape"):
+            run_model(net, params, 0.5, 0.5, 2.0, Tape())
 
     def test_negative_coefficients_rejected(self):
         net = random_net(4, 1, seed=13)
@@ -381,11 +427,13 @@ class TestEmbed:
         net = random_net(12, 3, seed=15)
         params = RgaeParams.init(12, (5, 3), 3, seed=15)
         params.lam = np.array([0.2, 0.3, 0.5])
-        out = run_model(net, params, 0.5, 0.5, 3.0, Tape(), use_sim=use_sim, use_dif=use_dif)
         es = embed(net, params, 3.0)
-        for got, want in zip(es.shared + es.private, out.shared + out.private, strict=True):
-            assert np.array_equal(got, want.value)
-        assert np.array_equal(es.consistent, out.consistent.value)
+        # run_model's outputs and those of the model recorded op by op on a tape
+        for out in (run_model(net, params, 0.5, 0.5, 3.0, Tape(), use_sim=use_sim, use_dif=use_dif),
+                    ref.run_model(net, params, 0.5, 0.5, 3.0, Tape(), use_sim=use_sim, use_dif=use_dif)):
+            for got, want in zip(es.shared + es.private + [es.consistent],
+                                 out.shared + out.private + [out.consistent], strict=True):
+                assert got.tobytes() == want.tobytes()
         assert np.array_equal(es.final, aggregate(es))
 
     def test_view_count_mismatch(self):

@@ -10,12 +10,13 @@ import importlib
 import importlib.util
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rgae import evaluate, trainer
+from rgae import evaluate, graph, trainer
 from rgae.synth import SynthConfig, generate
 from rgae.trainer import TrainConfig, train
 
@@ -70,6 +71,33 @@ def test_training_fires_every_training_span():
     # one forward per epoch; encoder calls under trainer's name are the view-weight refreshes only
     assert tracer.calls["model.run_model"] == cfg.max_epochs
     assert tracer.calls["model.encode.refresh"] == cfg.max_epochs * len(net.views)
+
+
+def test_spmm_calls_of_one_epoch_per_context():
+    # the tracer splits graph.spmm time by the enclosing run_model, Tape.backward or refresh encoder span;
+    # a module that binds spmm by name escapes the wrapper, and a backward that adds or drops a product
+    # moves these counts
+    net = generate(SynthConfig(n=30, communities=(10, 10, 10), views=3, seed=7))
+    cfg = TrainConfig(dim=8, layer_sizes=(4,), max_epochs=1, patience=math.inf, tol=0.0)
+    tracer = _spans.Tracer()
+    tracer.install()
+    traced = graph.spmm
+    contexts = Counter()
+
+    def counting(*args, **kwargs):
+        contexts[next((f[0] for f in reversed(tracer._stack) if f[0] in _spans.CONTEXTS), None)] += 1
+        return traced(*args, **kwargs)
+
+    graph.spmm = counting
+    try:
+        trainer.train(net, cfg)
+    finally:
+        graph.spmm = traced
+        tracer.uninstall()
+    # per view and stack, 2 layers forward and 2 products back; the refresh runs the 3 shared stacks,
+    # and the final embedding pass all 6 stacks outside any context
+    assert contexts == {"model.run_model": 12, "autodiff.backward": 12, "model.encode.refresh": 6, None: 12}
+    assert tracer.calls["graph.spmm"] == 42
 
 
 def test_evaluation_fires_every_eval_span():

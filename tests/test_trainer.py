@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import rgae.autodiff as ad
 import rgae.trainer as trainer
-from rgae.autodiff import Tape, scalar
+from rgae.autodiff import Tape
 from rgae.errors import ConfigError, InvalidGamma, NumericalOverflow, ShapeMismatch
 from rgae.graph import MultiViewNetwork, SparseAdjacency
-from rgae.model import RgaeParams, bind_params, consistent_embedding, disagreements, embed_dim, run_model
+from rgae.model import RgaeParams, consistent_embedding, disagreements, embed_dim, run_model
 from rgae.synth import SynthConfig, generate
 from rgae.trainer import (
     LAMBDA_FLOOR,
@@ -83,9 +82,8 @@ class TestUpdateLambda:
         lam = np.array([np.exp(r / 2), np.exp(-r / 2)])
         lam /= lam.sum()
         rng = np.random.default_rng(seed)
-        tape = Tape()
-        shared = [tape.leaf(rng.normal(size=(6, 3))) for _ in range(2)]
-        b = [scalar(d) for d in disagreements(shared, consistent_embedding(shared, lam, gamma))]
+        shared = [rng.normal(size=(6, 3)) for _ in range(2)]
+        b = disagreements(shared, consistent_embedding(shared, lam, gamma))
         assert min(b) > LAMBDA_FLOOR
         new = update_lambda(b, gamma)
         want = r * 2.0 * gamma / (gamma - 1.0)
@@ -221,6 +219,21 @@ class TestTrain:
         with pytest.raises(NumericalOverflow, match="epoch"):
             train(path_net(), cfg)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_overflow_names_epoch_stage_and_view(self, k):
+        net = generate(SynthConfig(n=24, communities=(8, 8, 8), views=3, seed=5))
+        cfg = TrainConfig(dim=16, layer_sizes=(8,), max_epochs=1, seed=2)
+        params = RgaeParams.init(net.n, (8, 4), 3, seed=2)
+        params.private[k][1][0, 0] = np.inf
+        with pytest.raises(NumericalOverflow, match=f"^epoch 7: non-finite value in view {k} private layer 1$"):
+            trainer._run_epoch(net, params, AdamState.for_params(params.weights()), cfg, 7)
+        # a shared first-layer column of -inf: its pre-activations are all -inf, which relu would turn into 0
+        params = RgaeParams.init(net.n, (8, 4), 3, seed=2)
+        params.shared[0][:, 0] = -np.inf
+        with pytest.raises(NumericalOverflow, match="^epoch 3: non-finite value in view 0 shared layer 0$"):
+            trainer._run_epoch(net, params, AdamState.for_params(params.weights()), cfg, 3)
+
     def test_planted_communities_recovered_by_nearest_neighbor(self):
         net = generate(SynthConfig(n=60, communities=(20, 20, 20), views=2, p_in=0.3,
                                    p_out=0.02, unique_frac=0.5, seed=7))
@@ -346,99 +359,53 @@ class TestMemory:
             tape = Tape()
             out = run_model(net, RgaeParams.init(300, (32, 8), 3), 0.5, 0.5, 5.0, tape)
             tape.backward(out.loss)
-            probe = weakref.ref(out.shared[0].value)
+            probe = weakref.ref(out.shared[0])
             del tape, out
             assert probe() is None
         finally:
             gc.enable()
 
 
-# ---------------------------------------------------------------------------
-# The loss and view-weight compositions as they were before model.py gained
-# one fold, one view-weight power, one disagreement definition, one encoder
-# pass and the layer, joined-Gram and weighted-sum ops: each view's encoders
-# (spmm, matmul and relu nodes) and decoder (concat_cols, gram) recorded
-# together, the interleaved scale/add consistent embedding, the per-view
-# sub/scale similarity loop, separate reconstruction and difference add folds,
-# and the numpy disagreements.
-# ---------------------------------------------------------------------------
-
-def reference_consistent(shared, lam, gamma):
-    w = lam**gamma
-    coef = w / w.sum()
-    acc = ref.scale(shared[0], coef[0])
-    for c, t in zip(coef[1:], shared[1:]):
-        acc = ref.add(acc, ref.scale(t, c))
-    return acc
-
-
-def reference_loss(net, params, cfg, tape):
-    bound = bind_params(tape, params)
-    shared, private, rec = [], [], []
-    for i, view in enumerate(net.views):
-        ys = ref.encode(view.normalized(), bound.shared)
-        yp = ref.encode(view.normalized(), bound.private[i])
-        a_hat = ad.sigmoid(ref.gram(ref.concat_cols(ys, yp)))
-        shared.append(ys)
-        private.append(yp)
-        rec.append(ad.balanced_bce(a_hat, view))
-    y_con = reference_consistent(shared, params.lam, cfg.gamma)
-    sim = None
-    for wi, t in zip(params.lam**cfg.gamma, shared):
-        term = ref.scale(ad.sq_frobenius(ref.sub(y_con, t)), wi)
-        sim = term if sim is None else ref.add(sim, term)
-    dif = [ad.sq_frobenius(ad.row_dot(ys, yp)) for ys, yp in zip(shared, private)]
-    loss = rec[0]
-    for r in rec[1:]:
-        loss = ref.add(loss, r)
-    if cfg.use_sim:
-        loss = ref.add(loss, ref.scale(sim, cfg.alpha))
-    if cfg.use_dif:
-        dif_total = dif[0]
-        for d in dif[1:]:
-            dif_total = ref.add(dif_total, d)
-        loss = ref.add(loss, ref.scale(dif_total, cfg.beta))
-    return loss, bound
-
-
-def reference_refresh(net, params, gamma):
-    tape = Tape()
-    nodes = [tape.leaf(w) for w in params.shared]
-    outs = [ref.encode(view.normalized(), nodes) for view in net.views]
-    y_con = reference_consistent(outs, params.lam, gamma)
-    b = np.array([np.sum((y_con.value - o.value) ** 2) for o in outs])
-    return update_lambda(b, gamma)
-
-
 class TestMatchesReferenceComposition:
+    """run_model's written-out backward and the plain refresh against the model recorded op by op on one tape."""
+
     @pytest.mark.parametrize(
-        "cfg",
+        "views, cfg",
         [
-            TrainConfig(layer_sizes=(16,), gamma=0.5, seed=3),
-            TrainConfig(use_sim=False, lambda_update_every=4, seed=4),
-            TrainConfig(use_sim=False, use_dif=False, seed=5),
+            (3, TrainConfig(layer_sizes=(16,), gamma=0.5, seed=3)),
+            (3, TrainConfig(use_sim=False, lambda_update_every=4, seed=4)),
+            (3, TrainConfig(use_dif=False, seed=6)),
+            (3, TrainConfig(use_sim=False, use_dif=False, seed=5)),
+            (1, TrainConfig(layer_sizes=(8,), dim=8, seed=7)),
+            (2, TrainConfig(layer_sizes=(12, 8), dim=12, alpha=0.0, beta=2.0, seed=8)),
         ],
-        ids=["layers-16-8-gamma-0.5", "no-sim-lambda-every-4", "no-regularizers"],
+        ids=["layers-16-8-gamma-0.5", "no-sim-lambda-every-4", "no-dif", "no-regularizers", "one-view",
+             "three-layers-alpha-0"],
     )
-    def test_loss_gradients_and_lambda_bit_identical(self, cfg):
-        net = generate(SynthConfig(n=30, communities=(10, 10, 10), views=3, seed=6))
-        params = RgaeParams.init(net.n, cfg.layer_sizes + (embed_dim(cfg.dim, 3),), 3, seed=cfg.seed)
+    def test_loss_gradients_and_lambda_bit_identical(self, views, cfg):
+        net = generate(SynthConfig(n=30, communities=(10, 10, 10), views=views, seed=6))
+        params = RgaeParams.init(net.n, cfg.layer_sizes + (embed_dim(cfg.dim, views),), views, seed=cfg.seed)
         state = AdamState.for_params(params.weights())
         refreshed = 0
         for epoch in range(8):
             tape, ref_tape = Tape(), Tape()
             out = run_model(net, params, cfg.alpha, cfg.beta, cfg.gamma, tape,
                             use_sim=cfg.use_sim, use_dif=cfg.use_dif)
-            ref_loss, ref_bound = reference_loss(net, params, cfg, ref_tape)
+            want = ref.run_model(net, params, cfg.alpha, cfg.beta, cfg.gamma, ref_tape,
+                                 use_sim=cfg.use_sim, use_dif=cfg.use_dif)
+            assert len(tape) == len(params.weights()) + 1
             tape.backward(out.loss)
-            ref_tape.backward(ref_loss)
-            assert out.loss.value.tobytes() == ref_loss.value.tobytes()
-            for got, want in zip(out.params.gradients(), ref_bound.gradients(), strict=True):
-                assert got.tobytes() == want.tobytes()
+            ref_tape.backward(want.loss)
+            assert out.loss.value.tobytes() == want.loss.value.tobytes()
+            assert (out.rec, out.sim, out.dif) == (want.rec, want.sim, want.dif)
+            for got, expected in zip(out.params.gradients(), want.params.gradients(), strict=True):
+                assert got.tobytes() == expected.tobytes()
             adam_step(params.weights(), out.params.gradients(), state, cfg.lr)
             if (epoch + 1) % cfg.lambda_update_every == 0:
                 lam = _refresh_lambda(net, params, cfg.gamma)
-                assert lam.tobytes() == reference_refresh(net, params, cfg.gamma).tobytes()
+                assert lam.tobytes() == ref.refresh_lambda(net, params, cfg.gamma).tobytes()
                 refreshed += not np.array_equal(lam, params.lam)
                 params.lam = lam
-        assert refreshed >= 2
+        assert refreshed >= (2 if views > 1 else 0)
+        got, want = trainer.embed(net, params, cfg.gamma), ref.embed(net, params, cfg.gamma)
+        assert got.final.tobytes() == want.final.tobytes()
