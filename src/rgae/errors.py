@@ -43,6 +43,10 @@ class NumericalOverflow(RgaeError):
     """A non-finite value appeared during computation."""
 
 
+class NegativeEmbedding(RgaeError):
+    """An encoder output entry below 0 reached the decoder, which needs every logit to be at least 0."""
+
+
 class DegenerateWeights(RgaeError):
     """View weights collapsed to an unusable (all-zero) combination."""
 

@@ -149,6 +149,14 @@ def _fit_binary_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return w
 
 
+def _comparable(a, b) -> bool:
+    try:
+        sorted((a, b))
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class LabelMatrix:
     """Sorted class names and a boolean item-by-class matrix; the one label shape classification uses."""
@@ -160,7 +168,12 @@ class LabelMatrix:
     def of(cls, labels) -> "LabelMatrix":
         """One row per item, read by graph.label_set: a set, list or tuple of labels, or one bare label."""
         sets = [label_set(item) for item in labels]
-        classes = sorted(set().union(*sets))
+        names = set().union(*sets)
+        try:
+            classes = sorted(names)
+        except TypeError:
+            a, b = next((a, b) for a in names for b in names if not _comparable(a, b))
+            raise ConfigError(f"labels {a!r} and {b!r} cannot be ordered against each other") from None
         if not classes:
             raise ConfigError("no item has a label")
         column = {c: j for j, c in enumerate(classes)}

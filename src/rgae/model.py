@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from . import graph as _graph
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, DegenerateWeights, InvalidGamma, NumericalOverflow, ShapeMismatch
+from .errors import ConfigError, DegenerateWeights, InvalidGamma, NegativeEmbedding, NumericalOverflow, ShapeMismatch
 from .graph import MultiViewNetwork, NormalizedAdjacency, SparseAdjacency
 
 
@@ -126,35 +126,38 @@ def outputs(stacks: list) -> list:
     return [layers[-1][1] for layers in stacks]
 
 
-def encode_views(net: MultiViewNetwork, params: RgaeParams):
-    """(shared, private): each view's shared and private encoder layers, computed view by view."""
+def encode_views(net: MultiViewNetwork, params: RgaeParams, shared: list | None = None):
+    """(shared, private): each view's shared and private encoder layers, computed view by view; shared may be given."""
     if params.n_views != len(net.views):
         raise ShapeMismatch(f"{params.n_views} private stacks for {len(net.views)} views")
-    shared, private = [], []
+    fresh, private = [], []
     for i, (view, stack) in enumerate(zip(net.views, params.private)):
-        shared.append(encode(view.normalized(), params.shared, f"view {i} shared"))
+        if shared is None:
+            fresh.append(encode(view.normalized(), params.shared, f"view {i} shared"))
         private.append(encode(view.normalized(), stack, f"view {i} private"))
-    return shared, private
+    return fresh if shared is None else shared, private
 
 
-def decode(ys: Tensor, yp: Tensor) -> Tensor:
-    """Inner-product decoder: reconstruction probabilities from one view's joined encoder outputs."""
-    logits = ad.gram(ys, yp)
-    probs = ad.sigmoid(logits)
-    logits.value = None  # no pull reads it
-    return probs
+def decode(ys: Tensor, yp: Tensor, out=None) -> Tensor:
+    """Inner-product decoder: reconstruction probabilities from one view's joined encoder outputs, in out if given."""
+    return ad.sigmoid(ad.gram(ys, yp, out=out))
 
 
-def reconstruction_loss(ys, yp, view: SparseAdjacency) -> tuple:
-    """(loss, d loss / d ys, d loss / d yp) of balanced_bce(decode(ys, yp), view) for two encoder outputs.
+def reconstruction_loss(ys, yp, view: SparseAdjacency, out=None) -> tuple:
+    """(loss, d loss / d ys, d loss / d yp) of balanced_bce(decode(ys, yp), view) for two nonnegative encoder outputs.
 
-    The decoder runs forward and backward on a private tape over copies of ys and yp, so its n x n arrays die here.
+    out may hold the decoder's two n x n arrays, for the Gram matrix, where the sweep leaves the gradient of the
+    logits made symmetric, and for the log terms; run_model shares one pair across its views.
     """
-    tape = Tape()
-    a, b = tape.leaf(ys), tape.leaf(yp)
-    loss = ad.balanced_bce(decode(a, b), view)
-    tape._backprop(loss)
-    return ad.scalar(loss), a.grad, b.grad
+    z = np.concatenate([ys, yp], axis=1)
+    if not z.min() >= 0.0:
+        _finite(z, "the decoder's operands")
+        raise NegativeEmbedding("the decoder's operands have a negative entry; it needs logits of at least 0")
+    grads, logs = (None, None) if out is None else out
+    probs = decode(Tensor(ys), Tensor(yp), out=grads)
+    loss = ad.balanced_bce(probs, view, out=logs)
+    gz = probs.value @ z
+    return ad.scalar(loss), gz[:, : ys.shape[1]], gz[:, ys.shape[1] :]
 
 
 def _view_powers(lam, gamma: float, n_views: int) -> np.ndarray:
@@ -223,22 +226,26 @@ def run_model(
     tape: Tape,
     use_sim: bool = True,
     use_dif: bool = True,
+    shared: list | None = None,
 ) -> ModelOutput:
     """Forward all views and record the joint training loss on the tape as one 1x1 node over the weight leaves.
 
     The node's pull is the model's backward, written out. The regularizer values are always computed so they
-    can be reported; the ablation flags only control whether they enter the total and its gradient.
+    can be reported; the ablation flags only control whether they enter the total and its gradient. shared may
+    pass in the shared encoder layers of params, as encode_views takes them.
     """
     if alpha < 0 or beta < 0:
         raise ConfigError("loss weights must be nonnegative")
-    shared, private = encode_views(net, params)
+    shared, private = encode_views(net, params, shared)
     ys, yp = outputs(shared), outputs(private)
     rec, rec_grads = [], []
+    # the decoder's two n x n arrays, shared by the views in turn
+    decoder = (np.empty((net.n, net.n)), np.empty((net.n, net.n)))
     for i, view in enumerate(net.views):
         try:
-            loss, g_ys, g_yp = reconstruction_loss(ys[i], yp[i], view)
-        except NumericalOverflow as exc:
-            raise NumericalOverflow(f"view {i} decoder: {exc}") from exc
+            loss, g_ys, g_yp = reconstruction_loss(ys[i], yp[i], view, decoder)
+        except (NumericalOverflow, NegativeEmbedding) as exc:
+            raise type(exc)(f"view {i} decoder: {exc}") from exc
         rec.append(loss)
         rec_grads.append((g_ys, g_yp))
     y_con = consistent_embedding(ys, params.lam, gamma)
@@ -304,9 +311,9 @@ def aggregate(embeds: EmbeddingSet) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-def embed(net: MultiViewNetwork, params: RgaeParams, gamma: float) -> EmbeddingSet:
-    """The embeddings of run_model's encoder outputs, without running a decoder or a loss."""
-    shared, private = (outputs(stacks) for stacks in encode_views(net, params))
+def embed(net: MultiViewNetwork, params: RgaeParams, gamma: float, shared: list | None = None) -> EmbeddingSet:
+    """The embeddings of run_model's encoder outputs, without a decoder or a loss; shared as run_model takes it."""
+    shared, private = (outputs(stacks) for stacks in encode_views(net, params, shared))
     es = EmbeddingSet(shared, private, consistent_embedding(shared, params.lam, gamma))
     es.final = aggregate(es)
     return es

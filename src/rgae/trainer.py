@@ -144,23 +144,29 @@ class EpochStats:
         )
 
 
-def _refresh_lambda(net: MultiViewNetwork, params: RgaeParams, gamma: float) -> np.ndarray:
-    outs = outputs([encode(view.normalized(), params.shared, f"view {i} shared") for i, view in enumerate(net.views)])
-    return update_lambda(disagreements(outs, consistent_embedding(outs, params.lam, gamma)), gamma)
+def _refresh_lambda(net: MultiViewNetwork, params: RgaeParams, gamma: float) -> tuple:
+    """(new view weights, the shared encoder layers of each view they were computed from)."""
+    shared = [encode(view.normalized(), params.shared, f"view {i} shared") for i, view in enumerate(net.views)]
+    outs = outputs(shared)
+    return update_lambda(disagreements(outs, consistent_embedding(outs, params.lam, gamma)), gamma), shared
 
 
-def _run_epoch(net, params, state: AdamState, cfg: TrainConfig, epoch: int) -> EpochStats:
-    """One epoch's passes, Adam step and scheduled view-weight refresh; its tape dies on return."""
+def _run_epoch(net, params, state: AdamState, cfg: TrainConfig, epoch: int, shared=None) -> tuple:
+    """(stats, refreshed shared layers or None) of one epoch's passes, Adam step and scheduled view-weight refresh.
+
+    shared may pass in the current weights' shared layers, as run_model takes them. The tape dies on return.
+    """
     tape = Tape()
+    fresh = None
     try:
         out = run_model(
             net, params, cfg.alpha, cfg.beta, cfg.gamma, tape,
-            use_sim=cfg.use_sim, use_dif=cfg.use_dif,
+            use_sim=cfg.use_sim, use_dif=cfg.use_dif, shared=shared,
         )
         tape.backward(out.loss)
         adam_step(params.weights(), out.params.gradients(), state, cfg.lr)
         if (epoch + 1) % cfg.lambda_update_every == 0:
-            params.lam = _refresh_lambda(net, params, cfg.gamma)
+            params.lam, fresh = _refresh_lambda(net, params, cfg.gamma)
     except NumericalOverflow as exc:
         raise NumericalOverflow(f"epoch {epoch}: {exc}") from exc
     return EpochStats(
@@ -170,7 +176,7 @@ def _run_epoch(net, params, state: AdamState, cfg: TrainConfig, epoch: int) -> E
         dif=sum(out.dif),
         total=scalar(out.loss),
         lam=tuple(float(x) for x in params.lam),
-    )
+    ), fresh
 
 
 def train(net: MultiViewNetwork, cfg: TrainConfig):
@@ -179,7 +185,8 @@ def train(net: MultiViewNetwork, cfg: TrainConfig):
     Returns (params, embeddings, history). Each epoch runs a full forward
     and backward pass, one Adam step, and on schedule the view-weight
     refresh. The returned embeddings come from a final encoder pass with the
-    trained parameters.
+    trained parameters. A refresh encodes the shared stacks of the weights
+    it follows; the next forward, or the final pass, reuses those layers.
     """
     n_views = len(net.views)
     d = embed_dim(cfg.dim, n_views)
@@ -188,8 +195,9 @@ def train(net: MultiViewNetwork, cfg: TrainConfig):
     history: list[EpochStats] = []
     prev_total = None
     streak = 0
+    shared = None
     for epoch in range(cfg.max_epochs):
-        stats = _run_epoch(net, params, state, cfg, epoch)
+        stats, shared = _run_epoch(net, params, state, cfg, epoch, shared)
         history.append(stats)
         if cfg.verbose:
             print(stats.line())
@@ -200,7 +208,7 @@ def train(net: MultiViewNetwork, cfg: TrainConfig):
         if streak >= cfg.patience:
             break
     try:
-        embeds = embed(net, params, cfg.gamma)
+        embeds = embed(net, params, cfg.gamma, shared)
     except NumericalOverflow as exc:
         raise NumericalOverflow(f"final forward: {exc}") from exc
     return params, embeds, history

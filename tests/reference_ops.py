@@ -3,12 +3,14 @@
 graph_conv, lincomb, row_dot and sq_frobenius are the tape ops that
 rgae.model's encoders and regularizers were once recorded as; run_model,
 refresh_lambda and embed compose them as the model did, with each view's
-decoder (gram, sigmoid, balanced_bce) recorded on the same tape. Below them,
-matmul, spmm, relu, concat_cols, gram, sub, add and scale are the primitive
-ops that graph_conv, the joined gram and lincomb replaced, kept as they were,
-with the copying hand-over rule _accumulate that add and concat_cols used. The
-whole-array sigmoid, gram and balanced_bce do in one pass what the row-blocked
-ops do block by block. use_reference_ops swaps all of them in, so a test can
+decoder and loss recorded on the same tape as the tape ops joined_gram,
+whole_array_sigmoid and whole_array_balanced_bce. Those three are the decoder
+that rgae.autodiff's one sweep per view replaced: whole-array passes each way,
+with the probability clamp on both sides, that take logits of either sign.
+Below them, matmul, spmm, relu, concat_cols, sub, add and scale are the
+primitive ops that graph_conv, the joined gram and lincomb replaced, kept as
+they were, with the copying hand-over rule _accumulate that add and
+concat_cols used. use_reference_ops swaps all of them in, so a test can
 compare outputs and gradients with the package byte for byte.
 """
 
@@ -22,10 +24,18 @@ import numpy as np
 import rgae.autodiff as ad
 import rgae.trainer as trainer
 from rgae import graph as _graph
-from rgae.autodiff import Tape, Tensor, _same_tape, scalar
+from rgae.autodiff import Tape, Tensor, scalar
 from rgae.errors import DegenerateWeights, NumericalOverflow, ShapeMismatch
 from rgae.graph import NormalizedAdjacency, SparseAdjacency
-from rgae.model import EmbeddingSet, ModelOutput, _view_powers, aggregate, bind_params, decode
+from rgae.model import EmbeddingSet, ModelOutput, _view_powers, aggregate, bind_params
+
+
+def _same_tape(*tensors) -> Tape:
+    tape = tensors[0].tape
+    for t in tensors[1:]:
+        if t.tape is not tape:
+            raise ShapeMismatch("operands were recorded on different tapes")
+    return tape
 
 # ---------------------------------------------------------------------------
 # the encoder and regularizer ops, and the model composed of them on one tape
@@ -130,11 +140,19 @@ def disagreements(shared, y_con):
     return [sq_frobenius(lincomb([y_con, t], (1, -1))) for t in shared]
 
 
-def run_model(net, params, alpha, beta, gamma, tape, use_sim=True, use_dif=True) -> ModelOutput:
-    """rgae.model.run_model as one tape node per op, each view's decoder and loss recorded after its encoders."""
+def decode(ys: Tensor, yp: Tensor) -> Tensor:
+    """rgae.model.decode on the tape."""
+    return whole_array_sigmoid(joined_gram(ys, yp))
+
+
+def run_model(net, params, alpha, beta, gamma, tape, use_sim=True, use_dif=True, shared=None) -> ModelOutput:
+    """rgae.model.run_model as one tape node per op, each view's decoder and loss recorded after its encoders.
+
+    It encodes every stack afresh: shared layers passed in are not read.
+    """
     bound = bind_params(tape, params)
     shared, private = encode_views(net, bound)
-    rec = [ad.balanced_bce(decode(ys, yp), view) for ys, yp, view in zip(shared, private, net.views)]
+    rec = [whole_array_balanced_bce(decode(ys, yp), view) for ys, yp, view in zip(shared, private, net.views)]
     y_con = consistent_embedding(shared, params.lam, gamma)
     sim = lincomb(disagreements(shared, y_con), _view_powers(params.lam, gamma, len(shared)))
     dif = [sq_frobenius(row_dot(ys, yp)) for ys, yp in zip(shared, private)]
@@ -155,17 +173,17 @@ def run_model(net, params, alpha, beta, gamma, tape, use_sim=True, use_dif=True)
     )
 
 
-def refresh_lambda(net, params, gamma) -> np.ndarray:
-    """rgae.trainer._refresh_lambda on tape nodes."""
+def refresh_lambda(net, params, gamma) -> tuple:
+    """rgae.trainer._refresh_lambda on tape nodes; it hands on no encoder layers, so the next forward encodes afresh."""
     tape = Tape()
     nodes = [tape.leaf(w) for w in params.shared]
     outs = [encode(view.normalized(), nodes) for view in net.views]
     y_con = consistent_embedding(outs, params.lam, gamma)
-    return trainer.update_lambda([scalar(d) for d in disagreements(outs, y_con)], gamma)
+    return trainer.update_lambda([scalar(d) for d in disagreements(outs, y_con)], gamma), None
 
 
-def embed(net, params, gamma) -> EmbeddingSet:
-    """rgae.model.embed on tape nodes."""
+def embed(net, params, gamma, shared=None) -> EmbeddingSet:
+    """rgae.model.embed on tape nodes, encoding every stack afresh."""
     shared, private = encode_views(net, bind_params(Tape(), params))
     es = EmbeddingSet([t.value for t in shared], [t.value for t in private],
                       consistent_embedding(shared, params.lam, gamma).value)
@@ -174,7 +192,7 @@ def embed(net, params, gamma) -> EmbeddingSet:
 
 
 # ---------------------------------------------------------------------------
-# the primitive ops and whole-array decoder ops
+# the primitive ops and the decoder's tape ops
 # ---------------------------------------------------------------------------
 
 
@@ -237,21 +255,6 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return tape._record(value, pull)
 
 
-def gram(a: Tensor) -> Tensor:
-    value = a.value @ a.value.T
-
-    def pull(g):
-        # g += g.T in place by row bands; band b reads and writes only row b and column b from i on
-        for b in ad._row_blocks(g.shape):
-            i = b.start
-            t = g[b, i:] + g[i:, b].T
-            g[b, i:] = t
-            g[i:, b] = t.T
-        a._take(g @ a.value)
-
-    return a.tape._record(value, pull)
-
-
 def sub(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
     if a.shape != b.shape:
@@ -289,7 +292,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def whole_array_sigmoid_values(x):
-    """The whole-array logistic that the blocked sigmoid forward must repeat entry for entry."""
+    """The whole-array logistic that rgae.autodiff.sigmoid must repeat entry for entry on logits of at least 0."""
     e = np.abs(x)
     np.exp(np.negative(e, out=e), out=e)
     denom = 1.0 + e
@@ -361,9 +364,6 @@ def use_reference_ops(monkeypatch):
     this = sys.modules[__name__]
     monkeypatch.setattr(this, "graph_conv", primitive_graph_conv)
     monkeypatch.setattr(this, "lincomb", primitive_lincomb)
-    monkeypatch.setattr(ad, "gram", joined_gram)
-    monkeypatch.setattr(ad, "sigmoid", whole_array_sigmoid)
-    monkeypatch.setattr(ad, "balanced_bce", whole_array_balanced_bce)
     monkeypatch.setattr(ad.Tensor, "_take", _accumulate)
     monkeypatch.setattr(trainer, "run_model", run_model)
     monkeypatch.setattr(trainer, "_refresh_lambda", refresh_lambda)

@@ -1,8 +1,6 @@
 import gc
 import tracemalloc
 import weakref
-from itertools import count
-from math import isqrt
 
 import numpy as np
 import pytest
@@ -11,9 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import rgae.autodiff as ad
-from rgae.autodiff import Tape
+import rgae.model as model
+from rgae.autodiff import Tape, Tensor
 from rgae.cli import main as cli_main
-from rgae.errors import NonScalarRoot, NumericalOverflow, ShapeMismatch
+from rgae.errors import NegativeEmbedding, NonScalarRoot, NumericalOverflow, ShapeMismatch
 from rgae.graph import MultiViewNetwork, SparseAdjacency, normalize
 from rgae.model import RgaeParams, reconstruction_loss, run_model
 
@@ -84,14 +83,44 @@ def wide_range_values(shape, rng):
     return g
 
 
-BLOCK = ad._BLOCK_ELEMENTS
-# rows of one block at width 1000, the train-large width; row counts 1, R-1, R, R+1, 2R+1 and 300 cross its edges
-ROWS_AT_1000 = BLOCK // 1000
-WIDE_SHAPES = [(r, 1000) for r in (1, ROWS_AT_1000 - 1, ROWS_AT_1000, ROWS_AT_1000 + 1, 2 * ROWS_AT_1000 + 1, 300)]
-# n-by-n sizes: one entry, one block just under and exactly at the budget, a full block plus a short one,
-# a last block of one row, and the n = 300 of the training check
-ONE_ROW_TAIL = next(n for n in count(isqrt(BLOCK) + 2) if n % (BLOCK // n) == 1)
-SQUARE_SIZES = (1, isqrt(BLOCK) - 1, isqrt(BLOCK), isqrt(BLOCK) + 1, ONE_ROW_TAIL, 300)
+# row counts at width 1000, the train-large width, and n-by-n sizes: one row, whole blocks of the decoder's 32 rows
+# (64, 256) and short last blocks of 1, 2, 3, 12, 27 and 31 rows
+WIDE_SHAPES = [(r, 1000) for r in (1, 64, 65, 66, 131, 300)]
+SQUARE_SIZES = (1, 255, 256, 257, 571, 300)
+
+
+def nonnegative_operands(rng, n, widths):
+    """Encoder outputs as relu leaves them: zeros, -0.0 among them, and positive entries, with row 0 large enough
+    that its inner products with itself and row 1 pass 27.6, where the probability clamp acts."""
+    out = []
+    for k in widths:
+        y = np.maximum(rng.normal(scale=0.5, size=(n, k)), 0.0)
+        y[rng.random((n, k)) < 0.1] = -0.0
+        out.append(y)
+    out[0][0, 0] = 7.0
+    out[0][min(1, n - 1), 0] = 7.0
+    return out
+
+
+def random_adjacency(rng, n, p=0.1):
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(iu.size) < p
+    return SparseAdjacency.from_edges(n, np.stack([iu[mask], ju[mask]], axis=1))
+
+
+def reference_decoder(ys0, yp0, adj):
+    """(loss, d loss / d ys, d loss / d yp) of the decoder recorded op by op on one tape, as bytes."""
+    tape = Tape()
+    a, b = tape.leaf(ys0), tape.leaf(yp0)
+    loss = ref.whole_array_balanced_bce(ref.decode(a, b), adj)
+    tape.backward(loss)
+    return loss.value.tobytes(), a.grad.tobytes(), b.grad.tobytes()
+
+
+def sweep(ys0, yp0, adj):
+    """model.reconstruction_loss's loss and gradients, as bytes."""
+    loss, g_ys, g_yp = reconstruction_loss(ys0, yp0, adj)
+    return np.array([[loss]]).tobytes(), g_ys.tobytes(), g_yp.tobytes()
 
 
 class TestForwardValues:
@@ -130,14 +159,15 @@ class TestForwardValues:
     def test_sigmoid_at_zero(self):
         tape = Tape()
         x = tape.leaf([[0.0]])
-        s = ad.sigmoid(x)
+        s = ref.whole_array_sigmoid(x)
         assert s.value[0, 0] == pytest.approx(0.5)
+        assert np.array_equal(ad.sigmoid(Tensor(np.array([[0.0, -0.0]]))).value, [[0.5, 0.5]])
         tape.backward(ref.lincomb([s], (1.0,)))
         assert x.grad[0, 0] == pytest.approx(0.25)
 
     def test_sigmoid_extreme_inputs_stay_finite(self):
         tape = Tape()
-        s = ad.sigmoid(tape.leaf([[800.0, -800.0]]))
+        s = ref.whole_array_sigmoid(tape.leaf([[800.0, -800.0]]))
         assert np.all(np.isfinite(s.value))
         assert s.value[0, 0] == pytest.approx(1.0)
         assert s.value[0, 1] == pytest.approx(0.0)
@@ -216,15 +246,15 @@ class TestFiniteDifferences:
         self.check(lambda t: ref.graph_conv(identity(4), t), x)
 
     def test_sigmoid(self):
-        self.check(ad.sigmoid, self.rng.normal(size=(4, 3)))
+        self.check(ref.whole_array_sigmoid, self.rng.normal(size=(4, 3)))
 
     def test_matmul_both_sides(self):
         # a hidden layer: the gradients reach both the layer input and the weight
         self.check_pair(lambda h, w: ref.graph_conv(CYCLE4, h, w), self.rng.normal(size=(4, 3)), self.rng.normal(size=(3, 2)))
 
     def test_gram(self):
-        self.check_pair(ad.gram, self.rng.normal(size=(4, 3)), self.rng.normal(size=(4, 2)))
-        self.check(lambda t: ad.gram(t, t), self.rng.normal(size=(4, 3)))
+        self.check_pair(ref.joined_gram, self.rng.normal(size=(4, 3)), self.rng.normal(size=(4, 2)))
+        self.check(lambda t: ref.joined_gram(t, t), self.rng.normal(size=(4, 3)))
 
     def test_scale(self):
         self.check(lambda t: ref.lincomb([t], (-1.7,)), self.rng.normal(size=(3, 3)))
@@ -237,7 +267,7 @@ class TestFiniteDifferences:
             "sub": lambda x, y: ref.lincomb([x, y], (1, -1)),
             "weighted": lambda x, y: ref.lincomb([x, y, x], (0.3, -2.5, 1.1)),
             "row_dot": lambda x, y: ref.row_dot(x, y),
-            "joined gram": lambda x, y: ad.gram(x, y),
+            "joined gram": lambda x, y: ref.joined_gram(x, y),
         }
         for op in ops.values():
             self.check_pair(op, a0, b0)
@@ -251,11 +281,11 @@ class TestFiniteDifferences:
         p0 = self.rng.uniform(0.1, 0.9, size=(4, 4))
         tape = Tape()
         p = tape.leaf(p0)
-        tape.backward(ad.balanced_bce(p, adj))
+        tape.backward(ref.whole_array_balanced_bce(p, adj))
 
         def f(x):
             t = Tape()
-            return float(ad.balanced_bce(t.leaf(x), adj).value[0, 0])
+            return float(ref.whole_array_balanced_bce(t.leaf(x), adj).value[0, 0])
 
         assert_close_grad(p.grad, numeric_grad(f, p0.copy()))
 
@@ -288,7 +318,7 @@ class TestBalancedBce:
         adj = SparseAdjacency.from_edges(3, [(0, 1)])
         target = adj.to_dense() + np.eye(3)
         tape = Tape()
-        loss = ad.balanced_bce(tape.leaf(np.where(target > 0, 1.0, 0.0)), adj)
+        loss = ref.whole_array_balanced_bce(tape.leaf(np.where(target > 0, 1.0, 0.0)), adj)
         assert loss.value[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_clamped_entries_get_zero_gradient(self):
@@ -298,7 +328,7 @@ class TestBalancedBce:
         probs[0, 0] = 1.0
         probs[2, 2] = 0.0
         p = tape.leaf(probs)
-        tape.backward(ad.balanced_bce(p, adj))
+        tape.backward(ref.whole_array_balanced_bce(p, adj))
         assert p.grad[0, 0] == 0.0 and p.grad[2, 2] == 0.0
         assert p.grad[0, 1] != 0.0 and p.grad[0, 2] != 0.0
 
@@ -307,7 +337,7 @@ class TestBalancedBce:
         adj = SparseAdjacency.from_edges(3, [(0, 1)])
         tape = Tape()
         p = tape.leaf(np.full((3, 3), 0.5))
-        loss = ad.balanced_bce(p, adj)
+        loss = ref.whole_array_balanced_bce(p, adj)
         tape.backward(loss)
         assert loss.value[0, 0] == pytest.approx((5 * (4 / 5) + 4) * np.log(2.0), abs=1e-12)
         on_target = p.grad < 0
@@ -335,80 +365,77 @@ class TestBalancedBce:
         assert np.count_nonzero(ref_grad == 0.0) == min(8, on_target) + min(8, n * n - on_target)
         tape = Tape()
         p = tape.leaf(probs)
-        loss = ad.balanced_bce(p, adj)
+        loss = ref.whole_array_balanced_bce(p, adj)
         tape.backward(loss)
         assert np.array_equal(p.grad, ref_grad)
         assert abs(loss.value[0, 0] - ref_loss) <= 1e-12 * abs(ref_loss)
-        # and bit for bit the whole-array op, loss included
+        # and the sweep, on symmetric logits of at least 0, -0.0 among them, whose probabilities clamp on target
+        # and non-target entries: its loss is the reference ops' bit for bit, and it leaves 2 dL/dx, which is dL/dx
+        # plus its transpose (where the clamp zeroes a target entry the leaf's zeros turn its -0.0 into +0.0;
+        # test_gram_pull compares the signs of zeros too, behind the gram)
+        upper = rng.uniform(0.0, 30.0, size=(n, n))
+        upper[rng.random((n, n)) < 0.05] = -0.0
+        rows, cols = np.nonzero(np.triu(dense == 0))
+        upper[0, 0] = 29.0
+        upper[rows[:1], cols[:1]] = 29.0
+        x0 = np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)
         tape = Tape()
-        q = tape.leaf(probs)
-        whole = ref.whole_array_balanced_bce(q, adj)
-        tape.backward(whole)
-        assert loss.value.tobytes() == whole.value.tobytes()
-        assert p.grad.tobytes() == q.grad.tobytes()
+        x = tape.leaf(x0)
+        want = ref.whole_array_balanced_bce(ref.whole_array_sigmoid(x), adj)
+        tape.backward(want)
+        node = ad.sigmoid(Tensor(x0.copy()))
+        assert ad.balanced_bce(node, adj).value.tobytes() == want.value.tobytes()
+        assert np.array_equal(node.value, x.grad + x.grad.T)
 
     def test_forward_keeps_no_square_array(self):
-        # the pull closure lives as long as the tape, so it may hold the O(nnz) target values only
+        # the sweep returns a 1x1 node: its log terms and target values die with the call
         n = 300
         adj = SparseAdjacency.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-        tape = Tape()
-        p = tape.leaf(np.random.default_rng(3).uniform(0.01, 0.99, size=(n, n)))
+        p0 = np.random.default_rng(3).uniform(0.5, 0.99, size=(n, n))
+        probs = Tensor(p0.copy())
         tracemalloc.start()
         try:
-            loss = ad.balanced_bce(p, adj)
+            loss = ad.balanced_bce(probs, adj)
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert kept < n * n
-        tape.backward(loss)
-        ref_loss, ref_grad = dense_bce_reference(p.value, adj)
-        assert np.array_equal(p.grad, ref_grad)
+        ref_loss, ref_grad = dense_bce_reference(p0, adj)
+        assert abs(loss.value[0, 0] - ref_loss) <= 1e-12 * abs(ref_loss)
+        # the gradient with respect to the logits, doubled
+        assert np.array_equal(probs.value, ref_grad * p0 * (1.0 - p0) * 2.0)
 
 
 class TestBlockedDecoderOps:
-    """sigmoid, the gram pull and balanced_bce in row blocks give the whole-array ops' bytes.
+    """The decoder's sweeps in row blocks give the bytes of the whole-array decoder ops on a tape.
 
     Whole training runs give the bytes of the reference composition, whole-array decoder ops included.
     """
 
     def test_sizes_cross_the_block_edges(self):
-        assert [len(ad._row_blocks(shape)) for shape in WIDE_SHAPES] == [1, 1, 1, 2, 3, 5]
-        assert [len(ad._row_blocks((n, n))) for n in SQUARE_SIZES] == [1, 1, 1, 2, 6, 2]
-        assert ad._row_blocks((ONE_ROW_TAIL, ONE_ROW_TAIL))[-1].start == ONE_ROW_TAIL - 1
+        assert [r % ad._BLOCK_ROWS for r, _ in WIDE_SHAPES] == [1, 0, 1, 2, 3, 12]
+        assert [n % ad._BLOCK_ROWS for n in SQUARE_SIZES] == [1, 31, 0, 1, 27, 12]
 
     @pytest.mark.parametrize("shape", WIDE_SHAPES + [(n, n) for n in SQUARE_SIZES], ids=str)
     def test_sigmoid(self, shape):
         rng = np.random.default_rng(shape[0])
-        x0 = wide_range_values(shape, rng)
-        # half the entries where the logistic does not saturate
+        x0 = np.abs(wide_range_values(shape, rng))
+        # half the entries where the logistic does not saturate, and -0.0 where relu's inner products may give it
         middle = rng.random(shape) < 0.5
-        x0[middle] = rng.uniform(-40.0, 40.0, size=np.count_nonzero(middle))
-        g0 = wide_range_values(shape, rng)
-
-        def run(op):
-            tape = Tape()
-            x = tape.leaf(x0)
-            s = op(x)
-            tape.backward(seed_gradient(s, g0))
-            return s.value.tobytes(), x.grad.tobytes()
-
-        assert run(ad.sigmoid) == run(ref.whole_array_sigmoid)
+        x0[middle] = rng.uniform(0.0, 40.0, size=np.count_nonzero(middle))
+        x0[rng.random(shape) < 0.1] = -0.0
+        node = Tensor(x0.copy())
+        assert ad.sigmoid(node) is node
+        assert node.value.tobytes() == ref.whole_array_sigmoid_values(x0).tobytes()
 
     @pytest.mark.parametrize("n", SQUARE_SIZES)
     def test_gram_pull(self, n):
+        # the gram pull is one product of the sweep's symmetric gradient with the joined operands; it gives the
+        # leaf gradients of the whole-array pull through g + g^T, with the clamp active and -0.0 in the operands
         rng = np.random.default_rng(n)
-        x0 = wide_range_values((n, 8), rng)
-        y0 = wide_range_values((n, 5), rng)
-        g0 = wide_range_values((n, n), rng)
-
-        def run(op):
-            tape = Tape()
-            x, y = tape.leaf(x0), tape.leaf(y0)
-            gm = op(x, y)
-            tape.backward(seed_gradient(gm, g0))
-            return gm.value.tobytes(), x.grad.tobytes(), y.grad.tobytes()
-
-        assert run(ad.gram) == run(ref.joined_gram)
+        ys0, yp0 = nonnegative_operands(rng, n, (8, 5))
+        adj = random_adjacency(rng, n)
+        assert sweep(ys0, yp0, adj) == reference_decoder(ys0, yp0, adj)
 
     @pytest.mark.parametrize(
         "generate_args, train_args",
@@ -437,28 +464,28 @@ class TestBlockedDecoderOps:
 
 
 class TestReconstructionLoss:
-    """model.reconstruction_loss gives the bytes of the decoder recorded on the caller's tape."""
+    """model.reconstruction_loss gives the bytes of the decoder recorded on one tape."""
 
     @staticmethod
     def operands(n):
         rng = np.random.default_rng(n)
-        ys, yp = rng.normal(scale=0.5, size=(n, 4)), rng.normal(scale=0.5, size=(n, 3))
-        # rows 0 and 1 point opposite ways: Gram entries near +49 and -49 clamp probabilities on both sides
-        ys[0, 0], ys[1, 0] = 7.0, -7.0
+        ys, yp = np.abs(rng.normal(scale=0.5, size=(n, 4))), np.abs(rng.normal(scale=0.5, size=(n, 3)))
+        # rows 0 and 1 point the same way: Gram entries near 49 clamp probabilities
+        ys[0, 0], ys[1, 0] = 7.0, 7.0
         pairs = rng.integers(0, n, size=(2 * n, 2))
         return ys, yp, SparseAdjacency.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
 
-    @pytest.mark.parametrize("n", [5, 300], ids=["one-block", "two-blocks"])
+    @pytest.mark.parametrize("n", [5, 60], ids=["one-block", "two-blocks"])
     def test_matches_the_decoder_on_one_tape(self, n):
         ys0, yp0, adj = self.operands(n)
-        assert len(ad._row_blocks((n, n))) == (1 if n == 5 else 2)
+        assert -(-n // ad._BLOCK_ROWS) == (1 if n == 5 else 2)
         loss, g_ys, g_yp = reconstruction_loss(ys0, yp0, adj)
 
         ref_tape = Tape()
         a, b = ref_tape.leaf(ys0), ref_tape.leaf(yp0)
-        probs = ad.sigmoid(ad.gram(a, b))
-        assert (probs.value < ad.CLAMP_EPS).any() and (probs.value > 1.0 - ad.CLAMP_EPS).any()
-        ref_loss = ad.balanced_bce(probs, adj)
+        probs = ref.decode(a, b)
+        assert (probs.value > 1.0 - ad.CLAMP_EPS).any()
+        ref_loss = ref.whole_array_balanced_bce(probs, adj)
         ref_tape.backward(ref_loss)
         assert np.array([[loss]]).tobytes() == ref_loss.value.tobytes()
         assert g_ys.tobytes() == a.grad.tobytes()
@@ -477,7 +504,7 @@ class TestReconstructionLoss:
 
     def test_finite_differences_under_a_scaled_gradient(self):
         rng = np.random.default_rng(8)
-        ys0, yp0 = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+        ys0, yp0 = rng.uniform(0.1, 1.5, size=(5, 3)), rng.uniform(0.1, 1.5, size=(5, 2))
         adj = SparseAdjacency.from_edges(5, [(0, 1), (1, 2), (3, 4)])
         _, g_ys, g_yp = reconstruction_loss(ys0, yp0, adj)
 
@@ -487,6 +514,36 @@ class TestReconstructionLoss:
 
         assert_close_grad(-2.5 * g_ys, numeric_grad(lambda x: f(x, yp0), ys0.copy()))
         assert_close_grad(-2.5 * g_yp, numeric_grad(lambda y: f(ys0, y), yp0.copy()))
+
+    @pytest.mark.parametrize("n", [1, 2, 33])
+    def test_operands_of_zeros_and_negative_zeros(self, n):
+        # every logit is +0.0 or -0.0, every probability exactly 1/2
+        ys0, yp0 = np.zeros((n, 3)), np.full((n, 2), -0.0)
+        ys0[::2, 1] = -0.0
+        adj = SparseAdjacency.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        assert sweep(ys0, yp0, adj) == reference_decoder(ys0, yp0, adj)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_negative_operand_raises_and_a_non_finite_one_overflows(self):
+        ys0, yp0, adj = self.operands(5)
+        for bad, error in ((-1e-300, NegativeEmbedding), (-np.inf, NumericalOverflow), (np.nan, NumericalOverflow),
+                           (np.inf, NumericalOverflow), (1e200, NumericalOverflow)):
+            yp = yp0.copy()
+            yp[3, 1] = bad
+            with pytest.raises(error):
+                reconstruction_loss(ys0, yp, adj)
+
+    def test_run_model_names_the_view_of_a_negative_operand(self, monkeypatch):
+        net = MultiViewNetwork(5, [self.operands(5)[2]] * 3)
+        encode = model.encode
+
+        def negated(norm, weights, scope):
+            layers = encode(norm, weights, scope)
+            return layers[:-1] + [(layers[-1][0], -1.0 - layers[-1][1])] if scope == "view 1 private" else layers
+
+        monkeypatch.setattr(model, "encode", negated)
+        with pytest.raises(NegativeEmbedding, match="^view 1 decoder: "):
+            run_model(net, RgaeParams.init(5, (4, 3), 3, seed=3), 0.5, 0.5, 3.0, Tape())
 
 
 class TestMatchesReferenceOps:
@@ -543,25 +600,26 @@ def fanout_graph(case, tape, x0, y0, c0):
     """(leaves, interior nodes, root) of a small graph in which one node feeds several consumers."""
     x, y, c = tape.leaf(x0), tape.leaf(y0), tape.leaf(c0)
     if case == "sigmoid-two-consumers":
-        s = ad.sigmoid(ad.gram(x, x))
+        s = ref.whole_array_sigmoid(ref.joined_gram(x, x))
         interior = [s, ref.sq_frobenius(ref.row_dot(s, c)), ref.sq_frobenius(ref.lincomb([s], (3.0,)))]
     elif case == "gram-two-consumers":
-        gm = ad.gram(x, y)
-        interior = [gm, ad.balanced_bce(ad.sigmoid(gm), FANOUT_ADJ), ref.sq_frobenius(ref.lincomb([gm], (-0.5,)))]
+        gm = ref.joined_gram(x, y)
+        interior = [gm, ref.whole_array_balanced_bce(ref.whole_array_sigmoid(gm), FANOUT_ADJ),
+                    ref.sq_frobenius(ref.lincomb([gm], (-0.5,)))]
     elif case == "add-one-node-twice":
-        s = ad.sigmoid(ad.gram(x, x))
-        interior = [s, ad.balanced_bce(ref.lincomb([s, s], (0.5, 0.5)), FANOUT_ADJ), ref.sq_frobenius(y)]
+        s = ref.whole_array_sigmoid(ref.joined_gram(x, x))
+        interior = [s, ref.whole_array_balanced_bce(ref.lincomb([s, s], (0.5, 0.5)), FANOUT_ADJ), ref.sq_frobenius(y)]
     elif case == "add-two-sigmoids":
-        s, t = ad.sigmoid(ad.gram(x, y)), ad.sigmoid(ad.gram(y, x))
+        s, t = ref.whole_array_sigmoid(ref.joined_gram(x, y)), ref.whole_array_sigmoid(ref.joined_gram(y, x))
         interior = [s, t, ref.sq_frobenius(ref.row_dot(ref.lincomb([s, t], (1, 1)), c)), ref.sq_frobenius(c)]
     elif case == "graph-conv-shared-weight":
         # c is a layer input once and a weight twice; gm feeds a layer as its input
-        gm = ad.gram(x, y)
+        gm = ref.joined_gram(x, y)
         hidden = ref.graph_conv(FANOUT_NORM, ref.graph_conv(FANOUT_NORM, c), c)
         interior = [gm, hidden, ref.sq_frobenius(ref.graph_conv(FANOUT_NORM, gm, c)), ref.sq_frobenius(hidden)]
     else:  # the probabilities feed balanced_bce and another op
-        p = ad.sigmoid(ad.gram(x, y))
-        interior = [p, ad.balanced_bce(p, FANOUT_ADJ), ref.sq_frobenius(ref.row_dot(p, c))]
+        p = ref.whole_array_sigmoid(ref.joined_gram(x, y))
+        interior = [p, ref.whole_array_balanced_bce(p, FANOUT_ADJ), ref.sq_frobenius(ref.row_dot(p, c))]
     root = ref.lincomb([interior[-2], interior[-1]], (1, 1))
     return [x, y, c], interior, root
 
@@ -605,7 +663,7 @@ class TestBackwardContract:
             tape = Tape()
             x = tape.leaf(x0)
             w = tape.leaf(w0)
-            loss = ref.sq_frobenius(ad.sigmoid(ref.graph_conv(identity(5), ref.graph_conv(PATH5, x), w)))
+            loss = ref.sq_frobenius(ref.whole_array_sigmoid(ref.graph_conv(identity(5), ref.graph_conv(PATH5, x), w)))
             tape.backward(loss)
             return x.grad.copy(), w.grad.copy()
 
@@ -690,7 +748,7 @@ class TestBackwardContract:
         with pytest.raises(ShapeMismatch):
             ref.lincomb([a, b], (1, 1))
         with pytest.raises(ShapeMismatch):
-            ad.gram(a, b)
+            ref.joined_gram(a, b)
         with pytest.raises(ShapeMismatch):
             ref.graph_conv(identity(1), a, b)
 

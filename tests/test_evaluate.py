@@ -285,6 +285,18 @@ class TestLabelMatrix:
         with pytest.raises(ConfigError, match="^no item has a label$"):
             LabelMatrix.of(labels)
 
+    @pytest.mark.parametrize("labels", [["10", 7, {"a"}], [{"x", 1}, "y"], [(2.5, None)]],
+                             ids=["string-int-set", "mixed-set", "float-none"])
+    def test_labels_that_cannot_be_ordered_are_named(self, labels):
+        with pytest.raises(ConfigError, match="^labels .+ and .+ cannot be ordered against each other$") as info:
+            LabelMatrix.of(labels)
+        names = set().union(*(x if isinstance(x, (set, list, tuple)) else {x} for x in labels))
+        named = [name for name in names if f"{name!r} " in str(info.value)]
+        assert len(named) == 2 and type(named[0]) is not type(named[1])
+
+    def test_string_labels_keep_their_order(self):
+        assert LabelMatrix.of(["10", "9", {"a", "B"}, "b"]).classes == ["10", "9", "B", "a", "b"]
+
     def test_single_label_integers(self):
         labels = LabelMatrix.of(np.array([2, 0, 10, 2]))
         assert labels.classes == [0, 2, 10]
@@ -439,7 +451,8 @@ class TestStackedSeeds:
         assert np.array_equal(_fit_binary_logistic(x, y), _reference_fit(x, y))
 
     def test_one_logistic_call_per_step_on_a_stack_over_the_block_budget(self, monkeypatch):
-        # the decoder ops walk row blocks; the logistic itself runs each descent step's stack in one call
+        # the decoder walks row blocks; the logistic itself runs each descent step's stack in one call, here more
+        # entries than a decoder block holds at n = 1000
         calls = []
         monkeypatch.setattr(evaluate, "_sigmoid_values", lambda z: calls.append(z.size) or _sigmoid_values(z))
         monkeypatch.setattr(evaluate, "FIT_ITERATIONS", 3)
@@ -447,7 +460,7 @@ class TestStackedSeeds:
         x = rng.normal(size=(4, 200, 5))
         y = (rng.random((4, 200, 100)) < 0.5).astype(np.float64)
         _fit_binary_logistic(x, y)
-        assert calls == [4 * 200 * 100] * 3 and calls[0] > autodiff._BLOCK_ELEMENTS
+        assert calls == [4 * 200 * 100] * 3 and calls[0] > autodiff._BLOCK_ROWS * 1000
 
 
 def _reference_f1(pred, truth):

@@ -94,10 +94,10 @@ def test_spmm_calls_of_one_epoch_per_context():
     finally:
         graph.spmm = traced
         tracer.uninstall()
-    # per view and stack, 2 layers forward and 2 products back; the refresh runs the 3 shared stacks,
-    # and the final embedding pass all 6 stacks outside any context
-    assert contexts == {"model.run_model": 12, "autodiff.backward": 12, "model.encode.refresh": 6, None: 12}
-    assert tracer.calls["graph.spmm"] == 42
+    # per view and stack, 2 layers forward and 2 products back; the refresh runs the 3 shared stacks, and the
+    # final embedding pass reuses their layers, so it encodes only the 3 private stacks outside any context
+    assert contexts == {"model.run_model": 12, "autodiff.backward": 12, "model.encode.refresh": 6, None: 6}
+    assert tracer.calls["graph.spmm"] == 36
 
 
 def test_evaluation_fires_every_eval_span():

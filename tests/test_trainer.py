@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rgae.trainer as trainer
+from rgae import graph
 from rgae.autodiff import Tape
+from rgae.cli import main as cli_main
 from rgae.errors import ConfigError, InvalidGamma, NumericalOverflow, ShapeMismatch
 from rgae.graph import MultiViewNetwork, SparseAdjacency
 from rgae.model import RgaeParams, consistent_embedding, disagreements, embed_dim, run_model
@@ -367,7 +369,10 @@ class TestMemory:
 
 
 class TestMatchesReferenceComposition:
-    """run_model's written-out backward and the plain refresh against the model recorded op by op on one tape."""
+    """run_model's written-out backward and the plain refresh against the model recorded op by op on one tape.
+
+    After a refresh the next forward and the final embedding pass reuse its shared layers; the reference encodes afresh.
+    """
 
     @pytest.mark.parametrize(
         "views, cfg",
@@ -387,10 +392,11 @@ class TestMatchesReferenceComposition:
         params = RgaeParams.init(net.n, cfg.layer_sizes + (embed_dim(cfg.dim, views),), views, seed=cfg.seed)
         state = AdamState.for_params(params.weights())
         refreshed = 0
+        layers = None
         for epoch in range(8):
             tape, ref_tape = Tape(), Tape()
             out = run_model(net, params, cfg.alpha, cfg.beta, cfg.gamma, tape,
-                            use_sim=cfg.use_sim, use_dif=cfg.use_dif)
+                            use_sim=cfg.use_sim, use_dif=cfg.use_dif, shared=layers)
             want = ref.run_model(net, params, cfg.alpha, cfg.beta, cfg.gamma, ref_tape,
                                  use_sim=cfg.use_sim, use_dif=cfg.use_dif)
             assert len(tape) == len(params.weights()) + 1
@@ -401,11 +407,55 @@ class TestMatchesReferenceComposition:
             for got, expected in zip(out.params.gradients(), want.params.gradients(), strict=True):
                 assert got.tobytes() == expected.tobytes()
             adam_step(params.weights(), out.params.gradients(), state, cfg.lr)
+            layers = None
             if (epoch + 1) % cfg.lambda_update_every == 0:
-                lam = _refresh_lambda(net, params, cfg.gamma)
-                assert lam.tobytes() == ref.refresh_lambda(net, params, cfg.gamma).tobytes()
+                lam, layers = _refresh_lambda(net, params, cfg.gamma)
+                assert lam.tobytes() == ref.refresh_lambda(net, params, cfg.gamma)[0].tobytes()
                 refreshed += not np.array_equal(lam, params.lam)
                 params.lam = lam
         assert refreshed >= (2 if views > 1 else 0)
-        got, want = trainer.embed(net, params, cfg.gamma), ref.embed(net, params, cfg.gamma)
+        got, want = trainer.embed(net, params, cfg.gamma, layers), ref.embed(net, params, cfg.gamma)
         assert got.final.tobytes() == want.final.tobytes()
+
+
+class TestRefreshLayersReused:
+    """A view-weight refresh's shared layers serve the next forward and the final embedding pass.
+
+    The outputs are those of a training that encodes every forward afresh, byte for byte, and each reuse spares
+    the products of one encoder pass over the shared stacks.
+    """
+
+    VIEWS, LAYERS = 3, 2
+
+    @pytest.mark.parametrize(
+        "train_args, every",
+        [
+            (["--lambda-every", "3", "--epochs", "10"], 3),
+            (["--epochs", "200", "--patience", "2", "--tol", "0.05"], 1),
+            (["--epochs", "0"], 1),
+        ] + [(["--ablate", arm, "--epochs", "6"], 1) for arm in ("none", "sim", "dif", "both")],
+        ids=["lambda-every-3", "patience-stop", "no-epochs", "ablate-none", "ablate-sim", "ablate-dif", "ablate-both"],
+    )
+    def test_outputs_equal_encoding_afresh(self, tmp_path, monkeypatch, train_args, every):
+        data = tmp_path / "data"
+        assert cli_main(["generate", "--out", str(data), "--n", "45", "--communities", "15,15,15",
+                         "--views", str(self.VIEWS), "--seed", "4"]) == 0
+        spmm, products = graph.spmm, []
+        monkeypatch.setattr(graph, "spmm", lambda *args: products.append(1) or spmm(*args))
+
+        def run(name):
+            products.clear()
+            out = tmp_path / name
+            args = ["train", "--data", str(data), "--out", str(out), "--dim", "16", "--layers", "8", "--seed", "1"]
+            assert cli_main(args + train_args) == 0
+            return [(out / f).read_bytes() for f in ("embeddings.txt", "history.tsv")], len(products)
+
+        got, reused = run("reused")
+        refresh = trainer._refresh_lambda
+        monkeypatch.setattr(trainer, "_refresh_lambda", lambda *args: (refresh(*args)[0], None))
+        want, afresh = run("afresh")
+        assert got == want
+        epochs = got[1].count(b"\n") - 1
+        if "--patience" in train_args:
+            assert 2 < epochs < 200
+        assert afresh - reused == (epochs // every) * self.VIEWS * self.LAYERS
