@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import eq, itemgetter, length_hint
+from operator import itemgetter, length_hint
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +65,7 @@ class _Csr:
         if not np.all(np.isfinite(values)) or np.any(values <= 0):
             raise ConfigError("edge weights must be finite and positive")
         self._check_diagonal()
-        order = np.argsort(cols * n + rows, kind="stable")
+        order = np.argsort(cols * n + rows)  # the keys are unique: columns increase strictly within a row
         if not (
             np.array_equal(cols[order], rows)
             and np.array_equal(rows[order], cols)
@@ -82,15 +82,13 @@ class _Csr:
         ends = np.concatenate([rows, cols])
         if np.any((ends < 0) | (ends >= n)):
             raise IndexOutOfRange(f"node index {ends[(ends < 0) | (ends >= n)][0]} out of range for {n} nodes")
-        order = np.argsort(rows * n + cols, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(first)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[starts], minlength=n), out=offsets[1:])
-        vals = np.maximum.reduceat(vals, starts)
-        return cls(n=n, row_offsets=offsets, col_indices=cols[starts], values=vals)
+        keys = rows * n + cols
+        # equal keys reduce by max, so their order shows only in a zero or NaN weight, which is rejected anyway
+        order = np.argsort(keys)
+        keys, vals = keys[order], vals[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        keys, vals = keys[starts], np.maximum.reduceat(vals, starts)
+        return cls(n=n, row_offsets=np.searchsorted(keys, np.arange(n + 1) * n), col_indices=keys % n, values=vals)
 
     @property
     def nnz(self) -> int:
@@ -174,15 +172,17 @@ class NormalizedAdjacency(_Csr):
 
 def normalize(adj: SparseAdjacency) -> NormalizedAdjacency:
     """Two-sided degree normalization of the adjacency with one self-loop added per node."""
-    n = adj.n
-    deg = np.bincount(adj.rows, weights=adj.values, minlength=n) + 1.0
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    diag = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([adj.rows, diag])
-    cols = np.concatenate([adj.col_indices, diag])
+    n, nnz, rows = adj.n, adj.nnz, adj.rows
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, weights=adj.values, minlength=n) + 1.0)
+    # entry j of row r moves r places on, one more past the diagonal; row r's diagonal fills the place left free
+    moved = np.arange(nnz) + rows + (adj.col_indices > rows)
+    is_diag = np.ones(nnz + n, dtype=bool)
+    is_diag[moved] = False
+    cols, vals = np.empty(nnz + n, dtype=np.int64), np.ones(nnz + n)
+    cols[moved], vals[moved], cols[is_diag] = adj.col_indices, adj.values, np.arange(n)
+    rows = np.repeat(np.arange(n), np.diff(adj.row_offsets) + 1)
     # the two scale factors are multiplied first so mirrored entries come out bit-identical
-    scaled = np.concatenate([adj.values, np.ones(n)]) * (inv_sqrt[rows] * inv_sqrt[cols])
-    return NormalizedAdjacency.from_coo(n, rows, cols, scaled)
+    return NormalizedAdjacency(n, adj.row_offsets + np.arange(n + 1), cols, vals * (inv_sqrt[rows] * inv_sqrt[cols]))
 
 
 def spmm(norm: NormalizedAdjacency, dense: np.ndarray) -> np.ndarray:
@@ -272,9 +272,9 @@ def jaccard_consistency(net: MultiViewNetwork) -> np.ndarray:
 
 
 def read_text(path) -> str:
-    """A UTF-8 file's text; FileError if it cannot be read, ParseError at path:line for a byte that is not UTF-8."""
+    """A UTF-8 file's text less a leading BOM; FileError if unreadable, ParseError at path:line for a non-UTF-8 byte."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise FileError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -286,6 +286,13 @@ def text_lines(path) -> list:
     """(lineno, stripped line) for each non-blank line of a UTF-8 file that does not start with '#'."""
     lines = enumerate(map(str.strip, read_text(path).splitlines()), 1)
     return [(lineno, line) for lineno, line in lines if line and line[0] != "#"]
+
+
+def text_fields(path) -> tuple:
+    """Line numbers and whitespace-split fields of the non-blank lines whose first field does not start with '#'."""
+    fields = list(map(str.split, read_text(path).splitlines()))
+    linenos = [lineno for lineno, line in enumerate(fields, 1) if line and line[0][0] != "#"]
+    return linenos, [fields[lineno - 1] for lineno in linenos]
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -313,8 +320,7 @@ def _read_view(path, index: dict) -> SparseAdjacency:
     collapse keeping the max weight. The first malformed line is a ParseError,
     checked for its field count, then its weight, then its nodes unless it is a self-loop.
     """
-    numbered = text_lines(path)
-    fields = [line.split() for _, line in numbered]
+    linenos, fields = text_fields(path)
     counts = np.fromiter(map(len, fields), np.int64, len(fields))
     stop, message = len(fields), None
     bad = np.flatnonzero((counts < 2) | (counts > 3))
@@ -327,14 +333,18 @@ def _read_view(path, index: dict) -> SparseAdjacency:
     bad = np.flatnonzero(~np.isfinite(weights) | (weights <= 0))
     if bad.size:
         stop, message = weighted[bad[0]], "weight must be finite and positive"
-    us, vs = list(map(itemgetter(0), fields[:stop])), list(map(itemgetter(1), fields[:stop]))
-    src, dst = (np.fromiter(map(index.get, names, repeat(-1)), np.int64, stop) for names in (us, vs))
-    loop = np.fromiter(map(eq, us, vs), bool, stop)
-    bad = np.flatnonzero(((src < 0) | (dst < 0)) & ~loop)
+    src, dst = (
+        np.fromiter(map(index.get, map(itemgetter(k), fields[:stop]), repeat(-1)), np.int64, stop) for k in (0, 1)
+    )
+    # names are compared only where a node is unknown: a self-loop of an unknown node is skipped too
+    unknown = np.flatnonzero((src < 0) | (dst < 0))
+    loop = src == dst
+    loop[unknown] = [fields[i][0] == fields[i][1] for i in unknown.tolist()]
+    bad = unknown[~loop[unknown]]
     if bad.size:
-        stop, message = bad[0], f"node {us[bad[0]] if src[bad[0]] < 0 else vs[bad[0]]!r} is not in the node list"
+        stop, message = bad[0], f"node {fields[bad[0]][0 if src[bad[0]] < 0 else 1]!r} is not in the node list"
     if message is not None:
-        raise ParseError(f"{path}:{numbered[stop][0]}: {message}")
+        raise ParseError(f"{path}:{linenos[stop]}: {message}")
     if loop.all():
         raise EmptyView(f"{path}: no edges")
     w = np.ones(stop)
@@ -342,12 +352,23 @@ def _read_view(path, index: dict) -> SparseAdjacency:
     return SparseAdjacency.from_edges(len(index), np.column_stack([src, dst])[~loop], w[~loop])
 
 
+def _read_nodes(path) -> list:
+    """The names of a nodes.txt file in line order; a line holding whitespace or a repeated name is a ParseError."""
+    first_line = {}
+    for lineno, parts in zip(*text_fields(path)):
+        if len(parts) > 1:
+            name = read_text(path).splitlines()[lineno - 1].strip()
+            raise ParseError(f"{path}:{lineno}: node name {name!r} holds whitespace")
+        if first_line.setdefault(parts[0], lineno) != lineno:
+            raise ParseError(f"{path}:{lineno}: node {parts[0]!r} is already on line {first_line[parts[0]]}")
+    return list(first_line)
+
+
 def load_label_file(path, node_names) -> list:
     """Read "node label" pairs; a node may appear on several lines in multi-label data."""
     index = {name: i for i, name in enumerate(node_names)}
     labels: list[set] = [set() for _ in node_names]
-    for lineno, line in text_lines(path):
-        parts = line.split()
+    for lineno, parts in zip(*text_fields(path)):
         if len(parts) != 2:
             raise ParseError(f"{path}:{lineno}: expected 'node label'")
         node, label = parts
@@ -358,11 +379,11 @@ def load_label_file(path, node_names) -> list:
 
 
 def require_readable_names(names) -> None:
-    """ConfigError for a node name no reader reads back: empty, holding whitespace, starting with '#' or repeated."""
+    """ConfigError for a node name no reader reads back: empty, holding whitespace, led by '#' or a BOM, or repeated."""
     seen = set()
     for name in names:
-        if name.split() != [name] or name.startswith("#"):
-            raise ConfigError(f"node name {name!r} must be nonempty, hold no whitespace and not start with '#'")
+        if name.split() != [name] or name.startswith(("#", "\ufeff")):
+            raise ConfigError(f"node name {name!r} must be nonempty, hold no whitespace, not start with '#' or a BOM")
         if name in seen:
             raise ConfigError(f"node name {name!r} is repeated")
         seen.add(name)
@@ -426,14 +447,7 @@ def load_dataset(directory) -> MultiViewNetwork:
     nodes_path = directory / "nodes.txt"
     if not nodes_path.is_file():
         raise FileError(f"{nodes_path}: missing node list")
-    first_line = {}
-    for lineno, name in text_lines(nodes_path):
-        if len(name.split()) > 1:
-            raise ParseError(f"{nodes_path}:{lineno}: node name {name!r} holds whitespace")
-        if name in first_line:
-            raise ParseError(f"{nodes_path}:{lineno}: node {name!r} is already on line {first_line[name]}")
-        first_line[name] = lineno
-    names = list(first_line)
+    names = _read_nodes(nodes_path)
     index = {name: i for i, name in enumerate(names)}
     views = [_read_view(path, index) for path in _view_paths(directory)]
     labels_path = directory / "labels.txt"

@@ -30,6 +30,7 @@ from rgae.cli import (
     _parse_bool,
     _parse_floats,
     _parse_ints,
+    _read_config,
     _resolve,
     _train_config,
     load_embeddings,
@@ -37,7 +38,7 @@ from rgae.cli import (
     save_embeddings,
 )
 from rgae.errors import ConfigError, LengthMismatch, ParseError, RgaeError
-from rgae.graph import read_text
+from rgae.graph import load_dataset, read_text
 from rgae.synth import SynthConfig
 from rgae.trainer import TrainConfig
 
@@ -501,7 +502,7 @@ class TestEmbeddingsFormat:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("name", ["", "b c", "b\tc", "b ", "#b"])
+    @pytest.mark.parametrize("name", ["", "b c", "b\tc", "b ", "#b", "\ufeffb"])
     def test_unreadable_name_rejected_before_writing(self, tmp_path, name):
         path = tmp_path / "emb.txt"
         with pytest.raises(ConfigError, match="node name"):
@@ -780,6 +781,38 @@ def failing(capsys, *argv):
     """stderr of a command that must exit 1."""
     assert run(*argv) == 1
     return capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    """Every reader skips a leading UTF-8 BOM, as some editors write one."""
+
+    @staticmethod
+    def with_bom(src, dst):
+        dst.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        return dst
+
+    @pytest.mark.parametrize("name", ["nodes.txt", "view_0.txt", "view_1.txt", "labels.txt"])
+    def test_dataset_file(self, dataset, tmp_path, name):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        self.with_bom(dataset / name, data / name)
+        got, want = load_dataset(data), load_dataset(dataset)
+        assert (got.node_names, got.labels) == (want.node_names, want.labels)
+        for a, b in zip(got.views, want.views, strict=True):
+            for m, w in ((a, b), (a.normalized(), b.normalized())):
+                assert [x.tobytes() for x in (m.row_offsets, m.col_indices, m.values)] == [
+                    x.tobytes() for x in (w.row_offsets, w.col_indices, w.values)
+                ]
+
+    def test_embeddings_file(self, embeddings, tmp_path):
+        got = load_embeddings(self.with_bom(embeddings, tmp_path / "emb.txt"))
+        want = load_embeddings(embeddings)
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes() and got[2:] == want[2:]
+
+    def test_config_file(self, tmp_path):
+        plain = tmp_path / "plain.cfg"
+        plain.write_text("epochs = 3\n# note\nseed=1\n")
+        assert _read_config(self.with_bom(plain, tmp_path / "bom.cfg")) == _read_config(plain)
 
 
 class TestTypedInputErrors:

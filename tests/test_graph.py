@@ -30,6 +30,7 @@ from rgae.graph import (
     spmm,
     text_lines,
 )
+from rgae.synth import SynthConfig, generate
 
 
 def adjacency_from_dense(a):
@@ -419,7 +420,7 @@ class TestDatasetRoundTrip:
         with pytest.raises(FileError, match=re.escape(stray)):
             load_dataset(tmp_path)
 
-    @pytest.mark.parametrize("name", ["", "b c", "b\tc", " b", "#b"])
+    @pytest.mark.parametrize("name", ["", "b c", "b\tc", " b", "#b", "\ufeffb"])
     def test_unreadable_node_name_rejected_before_writing(self, tmp_path, name):
         v = SparseAdjacency.from_edges(2, [(0, 1)])
         with pytest.raises(ConfigError, match="node name"):
@@ -616,12 +617,12 @@ def reference_read_view(path, index):
 
 
 def outcome(read, *args):
-    """The CSR array bytes of the adjacency read returns, or the type and message of what it raises."""
+    """What read returns, an adjacency as its CSR array bytes, or the type and message of what it raises."""
     try:
         result = read(*args)
     except RgaeError as exc:
         return type(exc), str(exc)
-    return [a.tobytes() for a in csr_arrays(result)]
+    return [a.tobytes() for a in csr_arrays(result)] if isinstance(result, SparseAdjacency) else result
 
 
 VIEW_NODES = ["a", "b", "c", "n10"]
@@ -657,6 +658,14 @@ faulty_view_line = st.one_of(
 )
 
 
+def with_line_breaks(draw, lines):
+    """The lines, each ended by a drawn line break; the last one may have none."""
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
 @st.composite
 def view_texts(draw):
     """A view file over VIEW_NODES with up to three injected lines, each with a fault the reader reports.
@@ -666,7 +675,84 @@ def view_texts(draw):
     lines = draw(st.lists(clean_view_line, max_size=10))
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(faulty_view_line))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    return with_line_breaks(draw, lines)
+
+
+# ---------------------------------------------------------------------------
+# The nodes.txt and labels.txt readers as they were before they took
+# text_fields: kept as the references the readers must match, error for error
+# ---------------------------------------------------------------------------
+
+def reference_read_nodes(path):
+    first_line = {}
+    for lineno, name in text_lines(path):
+        if len(name.split()) > 1:
+            raise ParseError(f"{path}:{lineno}: node name {name!r} holds whitespace")
+        if name in first_line:
+            raise ParseError(f"{path}:{lineno}: node {name!r} is already on line {first_line[name]}")
+        first_line[name] = lineno
+    return list(first_line)
+
+
+def reference_load_label_file(path, node_names):
+    index = {name: i for i, name in enumerate(node_names)}
+    labels = [set() for _ in node_names]
+    for lineno, line in text_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 'node label'")
+        node, label = parts
+        if node not in index:
+            raise ParseError(f"{path}:{lineno}: unknown node {node!r}")
+        labels[index[node]].add(label)
+    return labels
+
+
+# blank and comment lines, padding, and whitespace that only str.split knows: no-break and ideographic spaces
+skipped_line = st.sampled_from(["", "   ", "\t", "#", "# a b", "  #c d", "\u3000"])
+padded = st.tuples(st.sampled_from(["", " ", "\t", "\u00a0"]), st.sampled_from(["", " ", "\t "]))
+
+
+def padded_line(*tokens):
+    """A text_line of the tokens with drawn whitespace before and after it."""
+    return st.tuples(text_line(*tokens), padded).map(lambda p: p[1][0] + p[0] + p[1][1])
+
+
+def with_faults(draw, lines, faulty):
+    """The lines with up to two drawn faulty lines inserted, a BOM before them or not."""
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(faulty))
+    return draw(st.sampled_from(["", "\ufeff"])) + with_line_breaks(draw, lines)
+
+
+NODE_NAMES = VIEW_NODES + ["zz", "A", "a,"]
+
+
+@st.composite
+def node_texts(draw):
+    """A nodes.txt whose injected faults are a repeated name or a line of several names."""
+    name = st.sampled_from(NODE_NAMES)
+    names = draw(st.lists(name, unique=True, max_size=len(NODE_NAMES)))
+    lines = [draw(st.one_of(padded_line(st.just(n)), skipped_line)) for n in names]
+    several = st.one_of(padded_line(name, name), text_line(name, name, name))
+    return with_faults(draw, lines, st.one_of(padded_line(name), several))
+
+
+@st.composite
+def label_texts(draw):
+    """A labels.txt over VIEW_NODES whose injected faults are unknown nodes and lines of one or three fields."""
+    label = st.sampled_from(["x", "y", "10", "a"])
+    lines = draw(st.lists(st.one_of(padded_line(known, label), skipped_line), max_size=10))
+    node = st.one_of(known, unknown)
+    faulty = st.one_of(padded_line(unknown, label), text_line(node), text_line(node, label, label))
+    return with_faults(draw, lines, faulty)
+
+
+def write_file(directory, name, text):
+    path = f"{directory}/{name}"
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
+    return path
 
 
 class TestReaderEquivalence:
@@ -675,7 +761,69 @@ class TestReaderEquivalence:
     def test_view_reader_matches_the_line_loop(self, text, order):
         index = {name: i for i, name in enumerate(order)}
         with tempfile.TemporaryDirectory() as directory:
-            path = f"{directory}/view_0.txt"
-            with open(path, "w", encoding="utf-8", newline="") as f:
-                f.write(text)
+            path = write_file(directory, "view_0.txt", text)
             assert outcome(graph._read_view, path, index) == outcome(reference_read_view, path, index)
+
+    @settings(max_examples=200, deadline=None)
+    @given(node_texts())
+    def test_node_reader_matches_the_line_loop(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = write_file(directory, "nodes.txt", text)
+            assert outcome(graph._read_nodes, path) == outcome(reference_read_nodes, path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_texts(), st.permutations(VIEW_NODES))
+    def test_label_reader_matches_the_line_loop(self, text, order):
+        with tempfile.TemporaryDirectory() as directory:
+            path = write_file(directory, "labels.txt", text)
+            assert outcome(graph.load_label_file, path, order) == outcome(reference_load_label_file, path, order)
+
+
+def shuffled_view_text(rng, names, edges, weights):
+    """View file lines of the edges in a random order, each pair in a random direction."""
+    order = rng.permutation(len(edges))
+    flip = rng.random(len(edges)) < 0.5
+    lines = []
+    for i in order.tolist():
+        u, v = edges[i][::-1] if flip[i] else edges[i]
+        lines.append(f"{names[u]} {names[v]} {float(weights[i])!r}")
+    return "\n".join(lines) + "\n"
+
+
+class TestLineOrderInvariance:
+    """A view's CSR does not depend on the order of its file's lines, nor on the order of duplicate lines."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_lists(min_edges=1), st.integers(0, 2**32 - 1))
+    def test_shuffled_lines_give_the_same_bytes(self, case, seed):
+        n, edges, weights = case
+        names = [f"v{i}" for i in range(n)]
+        index = {name: i for i, name in enumerate(names)}
+        want = [a.tobytes() for a in reference_from_edges(n, edges, weights)]
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as directory:
+            for _ in range(2):
+                path = write_file(directory, "view_0.txt", shuffled_view_text(rng, names, edges, weights))
+                assert outcome(graph._read_view, path, index) == want
+
+    def test_train_large_shape(self, tmp_path):
+        # the benchmark's train-large graph, with every third edge repeated at a drawn weight
+        n = 1000
+        net = generate(SynthConfig(n=n, communities=(334, 333, 333), views=3, p_in=8 / (n / 3), p_out=2 / n,
+                                   unique_frac=0.5, seed=11))
+        rng = np.random.default_rng(5)
+        names = [f"v{i}" for i in range(n)]
+        index = {name: i for i, name in enumerate(names)}
+        for view in net.views:
+            mask = view.rows < view.col_indices
+            edges = np.column_stack([view.rows[mask], view.col_indices[mask]])
+            edges = np.concatenate([edges, edges[::3]])
+            weights = rng.uniform(0.5, 2.0, len(edges))
+            want = reference_from_edges(n, edges, weights)
+            adj = SparseAdjacency.from_edges(n, edges, weights)
+            read = graph._read_view(write_file(tmp_path, "view.txt", shuffled_view_text(rng, names, edges, weights)),
+                                    index)
+            for m in (adj, read):
+                assert [a.tobytes() for a in csr_arrays(m)] == [a.tobytes() for a in want]
+                got = [a.tobytes() for a in csr_arrays(normalize(m))]
+                assert got == [a.tobytes() for a in reference_normalize(*want)]
