@@ -1,29 +1,25 @@
-"""Minimal reverse-mode tape over dense float64 matrices, and the decoder's three steps off the tape.
+"""The tape of one training pass, its weight leaves and one 1x1 loss, and the decoder's three steps.
 
-model.run_model records the weight leaves and one 1x1 loss node whose pull
-is the model's written-out backward. backward() walks the tape once in strict
-reverse insertion order, so two identical passes give bit-identical results.
-Tensor._take is the one hand-over rule: a pull may overwrite the gradient
-buffer it is passed, and hands each operand an array no other operand holds.
-Leaves start from zeros, so leaf gradients equal those of copying every
-contribution.
+model.run_model records every weight as a leaf, then the total loss with a
+pull that is the model's backward, written out. backward() fills each leaf's
+gradient with zeros and runs the pull once, which adds each leaf's gradient
+into it in place.
 
-The decoder's steps, gram, sigmoid and balanced_bce, pass nodes off the tape
-and work in row blocks on one n-by-n buffer: the Gram matrix, then the
-probabilities, then the gradient with respect to the logits, which the
-loss's one sweep leaves behind (model.reconstruction_loss takes it). Their
-per-entry arithmetic and whole-array sums are those of the decoder recorded
-op by op, so results match it bit for bit, for logits of at least 0: the
-encoders end in a relu, so their outputs and inner products are nonnegative.
+The decoder's steps, gram, sigmoid and balanced_bce, take and return nodes
+that no tape records and work in row blocks on one n-by-n buffer: the Gram
+matrix, then the probabilities, then the gradient with respect to the
+logits, which the loss's one sweep leaves behind (model.reconstruction_loss
+takes it). Their per-entry arithmetic and whole-array sums are those of the
+decoder recorded op by op, so results match it bit for bit, for logits of at
+least 0: the encoders end in a relu, so their outputs and inner products are
+nonnegative.
 """
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
-from .errors import NonScalarRoot, NumericalOverflow, ShapeMismatch
+from .errors import NumericalOverflow, ShapeMismatch, TapeError
 from .graph import SparseAdjacency
 
 CLAMP_EPS = 1e-12
@@ -32,73 +28,50 @@ _BLOCK_ROWS = 32
 
 
 class Tensor:
-    """One node: a dense matrix value, a gradient slot, and the tape that recorded it, kept alive (None off the tape).
+    """A dense matrix value and a gradient slot, which backward() fills on a tape's leaves."""
 
-    After backward() the slot holds a gradient on every leaf and None on every interior node.
-    """
+    __slots__ = ("value", "grad")
 
-    __slots__ = ("value", "grad", "tape", "_pull", "__weakref__")
-
-    def __init__(self, value, tape=None, pull=None):
+    def __init__(self, value):
         self.value = value
         self.grad = None
-        self.tape = tape
-        self._pull = pull
-
-    def _take(self, g) -> None:
-        """Add an array of this node's shape that no other node holds: the first one becomes the gradient."""
-        self.grad = g if self.grad is None else np.add(self.grad, g, out=self.grad)
-
-    @property
-    def shape(self):
-        return self.value.shape
 
 
 class Tape:
-    """Append-only record of weakly held nodes, operands before their consumers; len() counts dropped ones too."""
+    """The weight leaves of one pass and its 1x1 loss; len() counts both."""
 
     def __init__(self):
-        self._nodes: list[weakref.ref] = []
+        self._leaves: list[Tensor] = []
+        self._loss = None
+        self._pull = None
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._leaves) + (self._loss is not None)
 
     def leaf(self, value) -> Tensor:
         value = np.array(value, dtype=np.float64, copy=True)
         if value.ndim != 2:
             raise ShapeMismatch(f"tape values must be 2-D, got shape {value.shape}")
-        return self._record(value, None)
-
-    def _record(self, value, pull) -> Tensor:
         if not np.all(np.isfinite(value)):
             raise NumericalOverflow("non-finite value entering the tape")
-        node = Tensor(value, self, pull)
-        self._nodes.append(weakref.ref(node))
+        node = Tensor(value)
+        self._leaves.append(node)
         return node
 
+    def loss(self, total: float, pull) -> Tensor:
+        """Record the 1x1 loss; pull() adds d(loss)/d(leaf) into each leaf's gradient."""
+        if self._loss is not None:
+            raise TapeError("a tape records one loss")
+        self._loss, self._pull = Tensor(np.array([[total]])), pull
+        return self._loss
+
     def backward(self, root: Tensor) -> None:
-        """Fill every leaf's gradient with d(root)/d(leaf); root must be 1x1.
-
-        An interior node's gradient is its first contribution, dropped after its pull.
-        """
-        if root.tape is not self:
-            raise ShapeMismatch("root was recorded on a different tape")
-        if root.shape != (1, 1):
-            raise NonScalarRoot(f"backward needs a 1x1 root, got {root.shape}")
-        nodes = [node for node in (ref() for ref in self._nodes) if node is not None]
-        for node in nodes:
-            node.grad = np.zeros_like(node.value) if node._pull is None else None
-        root._take(np.ones((1, 1)))
-        for node in reversed(nodes):
-            if node._pull is not None and node.grad is not None:
-                node._pull(node.grad)
-                node.grad = None
-
-
-def scalar(t: Tensor) -> float:
-    if t.shape != (1, 1):
-        raise NonScalarRoot(f"expected a 1x1 node, got {t.shape}")
-    return float(t.value[0, 0])
+        """Fill every leaf's gradient with d(root)/d(leaf); root must be this tape's loss."""
+        if self._loss is None or root is not self._loss:
+            raise TapeError("backward runs from the loss this tape recorded")
+        for node in self._leaves:
+            node.grad = np.zeros_like(node.value)
+        self._pull()
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -115,8 +88,8 @@ def gram(a: Tensor, b: Tensor, out=None) -> Tensor:
 
     numpy computes z @ z.T as a symmetric rank-k update and mirrors one triangle, so the value is exactly symmetric.
     """
-    if a.shape[0] != b.shape[0]:
-        raise ShapeMismatch(f"cannot join the columns of {a.shape} and {b.shape}")
+    if a.value.shape[0] != b.value.shape[0]:
+        raise ShapeMismatch(f"cannot join the columns of {a.value.shape} and {b.value.shape}")
     z = np.concatenate([a.value, b.value], axis=1)
     value = np.matmul(z, z.T, out=out)
     if not np.all(np.isfinite(value)):
@@ -129,7 +102,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
     For x >= 0, -0.0 included, this is _sigmoid_values bit for bit, and the probabilities lie in [1/2, 1].
     """
-    for r in range(0, x.shape[0], _BLOCK_ROWS):
+    for r in range(0, len(x.value), _BLOCK_ROWS):
         blk = x.value[r : r + _BLOCK_ROWS]
         np.exp(np.negative(blk, out=blk), out=blk)
         blk += 1.0

@@ -193,7 +193,7 @@ def _require(cfg, key):
     return cfg[key]
 
 
-FIELD_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "tuple": _parse_ints}
+FIELD_PARSERS = {"int": int, "float": float, "tuple": _parse_ints}
 
 
 def _field_keys(cls, skip=(), rename=None, **defaults) -> dict:

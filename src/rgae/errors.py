@@ -35,8 +35,8 @@ class ParseError(RgaeError):
     """A text input line could not be parsed; the message carries the location."""
 
 
-class NonScalarRoot(RgaeError):
-    """backward() was called on a node that is not 1x1."""
+class TapeError(RgaeError):
+    """A tape was asked to record a second loss, or to run backward() from a node that is not its loss."""
 
 
 class NumericalOverflow(RgaeError):

@@ -390,36 +390,39 @@ def require_readable_names(names) -> None:
 
 
 def save_dataset(net: MultiViewNetwork, directory) -> list:
-    """Write nodes.txt, one view_<i>.txt per view, and labels.txt when labels exist."""
+    """Write nodes.txt, one view_<i>.txt per view, and labels.txt when labels exist.
+
+    Before writing, a FileError names any view or label file already there that the write would not replace,
+    which load_dataset would read as part of this dataset.
+    """
     require_readable_names(net.node_names)
     for labs in net.labels or ():
         for lab in map(str, labs):
             if lab.split() != [lab]:
                 raise ConfigError(f"label {lab!r} must be nonempty and hold no whitespace")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def put(name, text):
-        path = directory / name
-        write_text_atomic(path, text)
-        written.append(path)
-
-    put("nodes.txt", "\n".join(net.node_names) + "\n")
+    texts = {"nodes.txt": "\n".join(net.node_names) + "\n"}
     for i, view in enumerate(net.views):
         mask = view.rows < view.col_indices
         lines = [
             f"{net.node_names[u]} {net.node_names[v]} {w:.17g}"
             for u, v, w in zip(view.rows[mask], view.col_indices[mask], view.values[mask])
         ]
-        put(f"view_{i}.txt", "\n".join(lines) + "\n")
+        texts[f"view_{i}.txt"] = "\n".join(lines) + "\n"
     if net.labels is not None:
         lines = []
         for name, labs in zip(net.node_names, net.labels):
             for lab in sorted(labs):
                 lines.append(f"{name} {lab}")
-        put("labels.txt", "\n".join(lines) + "\n")
-    return written
+        texts["labels.txt"] = "\n".join(lines) + "\n"
+    directory = Path(directory)
+    there = {p.name for p in [*directory.glob("view_*.txt"), directory / "labels.txt"] if p.exists()}
+    stale = sorted(there - set(texts))
+    if stale:
+        raise FileError(f"{directory}: {', '.join(stale)} would be read with this dataset; remove or write elsewhere")
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        write_text_atomic(directory / name, text)
+    return [directory / name for name in texts]
 
 
 def _view_paths(directory: Path) -> list:

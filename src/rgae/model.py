@@ -109,14 +109,14 @@ def encode(norm: NormalizedAdjacency, weights: list, scope: str) -> list:
 
 
 def _encode_backward(norm: NormalizedAdjacency, layers: list, leaves: list, g) -> None:
-    """Hand each weight leaf of one stack its gradient, top layer first, from the gradient g at the stack's output."""
+    """Add into each weight leaf's gradient of one stack, top layer first, from the gradient g at the stack's output."""
     for depth in reversed(range(len(layers))):
         x, h = layers[depth]
         g = g * (h > 0.0)
         if depth == 0:
-            leaves[0]._take(_graph.spmm(norm, g))
+            leaves[0].grad += _graph.spmm(norm, g)
         else:
-            leaves[depth]._take(x.T @ g)
+            leaves[depth].grad += x.T @ g
             # the normalized matrix is symmetric, so its transpose product reuses spmm
             g = _graph.spmm(norm, g @ leaves[depth].value.T)
 
@@ -157,7 +157,7 @@ def reconstruction_loss(ys, yp, view: SparseAdjacency, out=None) -> tuple:
     probs = decode(Tensor(ys), Tensor(yp), out=grads)
     loss = ad.balanced_bce(probs, view, out=logs)
     gz = probs.value @ z
-    return ad.scalar(loss), gz[:, : ys.shape[1]], gz[:, ys.shape[1] :]
+    return float(loss.value[0, 0]), gz[:, : ys.shape[1]], gz[:, ys.shape[1] :]
 
 
 def _view_powers(lam, gamma: float, n_views: int) -> np.ndarray:
@@ -259,30 +259,29 @@ def run_model(
     coef = w / w.sum()
     bound = bind_params(tape, params)
 
-    def pull(g):
+    def pull():
         # each shared output's gradient adds, in this order, its difference term, minus its disagreement
         # term, its share of the consistent embedding's gradient and its decoder's gradient
-        s = g[0, 0]
         if use_sim:
-            d_gap = [(2.0 * (wi * (alpha * s))) * (y_con - t) for wi, t in zip(w, ys)]
+            d_gap = [(2.0 * (wi * alpha)) * (y_con - t) for wi, t in zip(w, ys)]
             d_con = reduce(np.add, d_gap[::-1])
         for i in reversed(range(len(ys))):
             to_shared, to_private = [], []
             if use_dif:
-                d_row = (2.0 * (beta * s)) * np.sum(ys[i] * yp[i], axis=1, keepdims=True)
+                d_row = (2.0 * beta) * np.sum(ys[i] * yp[i], axis=1, keepdims=True)
                 to_shared.append(d_row * yp[i])
                 to_private.append(d_row * ys[i])
             if use_sim:
                 to_shared += [-d_gap[i], coef[i] * d_con]
-            to_shared.append(s * rec_grads[i][0])
-            to_private.append(s * rec_grads[i][1])
+            to_shared.append(rec_grads[i][0])
+            to_private.append(rec_grads[i][1])
             # the shared leaves thus add their per-view terms from the last view to the first
             norm = net.views[i].normalized()
             _encode_backward(norm, private[i], bound.private[i], reduce(np.add, to_private))
             _encode_backward(norm, shared[i], bound.shared, reduce(np.add, to_shared))
 
     return ModelOutput(
-        loss=tape._record(np.array([[total]]), pull),
+        loss=tape.loss(total, pull),
         rec=rec,
         sim=sim,
         dif=dif,

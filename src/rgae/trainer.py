@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, scalar
+from .autodiff import Tape
 from .errors import ConfigError, NumericalOverflow, ShapeMismatch, require_int, require_ints
 from .graph import MultiViewNetwork
 from .model import (
@@ -174,7 +174,7 @@ def _run_epoch(net, params, state: AdamState, cfg: TrainConfig, epoch: int, shar
         rec=sum(out.rec),
         sim=out.sim,
         dif=sum(out.dif),
-        total=scalar(out.loss),
+        total=float(out.loss.value[0, 0]),
         lam=tuple(float(x) for x in params.lam),
     ), fresh
 

@@ -1,22 +1,28 @@
-"""Reference compositions for the tests: the model recorded op by op on one tape, and the primitive ops under it.
+"""Reference compositions for the tests: the model recorded op by op on one tape, the tape, and the ops under it.
 
-graph_conv, lincomb, row_dot and sq_frobenius are the tape ops that
-rgae.model's encoders and regularizers were once recorded as; run_model,
-refresh_lambda and embed compose them as the model did, with each view's
-decoder and loss recorded on the same tape as the tape ops joined_gram,
-whole_array_sigmoid and whole_array_balanced_bce. Those three are the decoder
-that rgae.autodiff's one sweep per view replaced: whole-array passes each way,
-with the probability clamp on both sides, that take logits of either sign.
-Below them, matmul, spmm, relu, concat_cols, sub, add and scale are the
-primitive ops that graph_conv, the joined gram and lincomb replaced, kept as
-they were, with the copying hand-over rule _accumulate that add and
-concat_cols used. use_reference_ops swaps all of them in, so a test can
-compare outputs and gradients with the package byte for byte.
+Tape and Tensor are the general reverse-mode engine that rgae.autodiff once
+was: weakly held nodes that each keep their tape alive, one hand-over rule
+(Tensor._take), and one walk in strict reverse insertion order. rgae's own
+tape records only weight leaves and one loss, so the op-by-op reference
+records on this one. graph_conv, lincomb, row_dot and sq_frobenius are the
+tape ops that rgae.model's encoders and regularizers were once recorded as;
+run_model, refresh_lambda and embed compose them as the model did, with each
+view's decoder and loss recorded on the same tape as the tape ops
+joined_gram, whole_array_sigmoid and whole_array_balanced_bce. Those three
+are the decoder that rgae.autodiff's one sweep per view replaced:
+whole-array passes each way, with the probability clamp on both sides, that
+take logits of either sign. Below them, matmul, spmm, relu, concat_cols,
+sub, add and scale are the primitive ops that graph_conv, the joined gram
+and lincomb replaced, kept as they were, with the copying hand-over rule
+_accumulate that add and concat_cols used. use_reference_ops swaps all of
+them in, so a test can compare outputs and gradients with the package byte
+for byte.
 """
 
 from __future__ import annotations
 
 import sys
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -24,10 +30,83 @@ import numpy as np
 import rgae.autodiff as ad
 import rgae.trainer as trainer
 from rgae import graph as _graph
-from rgae.autodiff import Tape, Tensor, scalar
-from rgae.errors import DegenerateWeights, NumericalOverflow, ShapeMismatch
+from rgae.errors import DegenerateWeights, NumericalOverflow, ShapeMismatch, TapeError
 from rgae.graph import NormalizedAdjacency, SparseAdjacency
 from rgae.model import EmbeddingSet, ModelOutput, _view_powers, aggregate, bind_params
+
+# ---------------------------------------------------------------------------
+# the tape
+# ---------------------------------------------------------------------------
+
+
+class Tensor:
+    """One node: a dense matrix value, a gradient slot, and the tape that recorded it, kept alive (None off the tape).
+
+    After backward() the slot holds a gradient on every leaf and None on every interior node.
+    """
+
+    __slots__ = ("value", "grad", "tape", "_pull", "__weakref__")
+
+    def __init__(self, value, tape=None, pull=None):
+        self.value = value
+        self.grad = None
+        self.tape = tape
+        self._pull = pull
+
+    def _take(self, g) -> None:
+        """Add an array of this node's shape that no other node holds: the first one becomes the gradient."""
+        self.grad = g if self.grad is None else np.add(self.grad, g, out=self.grad)
+
+    @property
+    def shape(self):
+        return self.value.shape
+
+
+class Tape:
+    """Append-only record of weakly held nodes, operands before their consumers; len() counts dropped ones too."""
+
+    def __init__(self):
+        self._nodes: list[weakref.ref] = []
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def leaf(self, value) -> Tensor:
+        value = np.array(value, dtype=np.float64, copy=True)
+        if value.ndim != 2:
+            raise ShapeMismatch(f"tape values must be 2-D, got shape {value.shape}")
+        return self._record(value, None)
+
+    def _record(self, value, pull) -> Tensor:
+        if not np.all(np.isfinite(value)):
+            raise NumericalOverflow("non-finite value entering the tape")
+        node = Tensor(value, self, pull)
+        self._nodes.append(weakref.ref(node))
+        return node
+
+    def backward(self, root: Tensor) -> None:
+        """Fill every leaf's gradient with d(root)/d(leaf); root must be 1x1.
+
+        An interior node's gradient is its first contribution, dropped after its pull.
+        """
+        if root.tape is not self:
+            raise ShapeMismatch("root was recorded on a different tape")
+        if root.shape != (1, 1):
+            raise TapeError(f"backward needs a 1x1 root, got {root.shape}")
+        nodes = [node for node in (ref() for ref in self._nodes) if node is not None]
+        for node in nodes:
+            node.grad = np.zeros_like(node.value) if node._pull is None else None
+        root._take(np.ones((1, 1)))
+        for node in reversed(nodes):
+            if node._pull is not None and node.grad is not None:
+                node._pull(node.grad)
+                node.grad = None
+
+
+def scalar(t: Tensor) -> float:
+    if t.shape != (1, 1):
+        raise TapeError(f"expected a 1x1 node, got {t.shape}")
+    return float(t.value[0, 0])
 
 
 def _same_tape(*tensors) -> Tape:
@@ -364,7 +443,8 @@ def use_reference_ops(monkeypatch):
     this = sys.modules[__name__]
     monkeypatch.setattr(this, "graph_conv", primitive_graph_conv)
     monkeypatch.setattr(this, "lincomb", primitive_lincomb)
-    monkeypatch.setattr(ad.Tensor, "_take", _accumulate)
+    monkeypatch.setattr(Tensor, "_take", _accumulate)
+    monkeypatch.setattr(trainer, "Tape", Tape)
     monkeypatch.setattr(trainer, "run_model", run_model)
     monkeypatch.setattr(trainer, "_refresh_lambda", refresh_lambda)
     monkeypatch.setattr(trainer, "embed", embed)

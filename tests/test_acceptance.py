@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rgae.autodiff as ad
-from rgae.autodiff import Tape, _sigmoid_values, scalar
+from rgae.autodiff import Tape, _sigmoid_values
 from rgae.cli import main as cli_main
 from rgae.evaluate import (
     SplitSpec,
@@ -95,7 +95,7 @@ def test_criterion_1_gradient_correctness():
 
     def loss_value():
         t = Tape()
-        return scalar(run_model(net, params, alpha, beta, gamma, t).loss)
+        return float(run_model(net, params, alpha, beta, gamma, t).loss.value[0, 0])
 
     h = 1e-5
     worst = 0.0
@@ -183,7 +183,7 @@ def test_criterion_4_loss_identities():
     nz = 36 - nnz
     weight = nz / nnz
     expected = (nnz * weight + nz) * np.log(2.0)
-    bce_err = abs(scalar(bce) - expected)
+    bce_err = abs(float(bce.value[0, 0]) - expected)
 
     from rgae.model import difference_loss, similarity_loss, consistent_embedding
 

@@ -12,7 +12,7 @@ import rgae.autodiff as ad
 import rgae.model as model
 from rgae.autodiff import Tape, Tensor
 from rgae.cli import main as cli_main
-from rgae.errors import NegativeEmbedding, NonScalarRoot, NumericalOverflow, ShapeMismatch
+from rgae.errors import NegativeEmbedding, NumericalOverflow, ShapeMismatch, TapeError
 from rgae.graph import MultiViewNetwork, SparseAdjacency, normalize
 from rgae.model import RgaeParams, reconstruction_loss, run_model
 
@@ -44,7 +44,7 @@ def scalarize(fn):
     """Wrap an op so finite differences see a scalar: squared norm of its output."""
 
     def run(x):
-        tape = Tape()
+        tape = ref.Tape()
         leaf = tape.leaf(x)
         return float(ref.sq_frobenius(fn(leaf)).value[0, 0])
 
@@ -110,7 +110,7 @@ def random_adjacency(rng, n, p=0.1):
 
 def reference_decoder(ys0, yp0, adj):
     """(loss, d loss / d ys, d loss / d yp) of the decoder recorded op by op on one tape, as bytes."""
-    tape = Tape()
+    tape = ref.Tape()
     a, b = tape.leaf(ys0), tape.leaf(yp0)
     loss = ref.whole_array_balanced_bce(ref.decode(a, b), adj)
     tape.backward(loss)
@@ -126,7 +126,7 @@ def sweep(ys0, yp0, adj):
 class TestForwardValues:
     def test_relu_value_and_grad(self):
         # graph_conv on a graph without edges is the relu alone
-        tape = Tape()
+        tape = ref.Tape()
         x = tape.leaf([[-1.0, 2.0]])
         y = ref.graph_conv(identity(1), x)
         assert np.array_equal(y.value, [[0.0, 2.0]])
@@ -135,14 +135,14 @@ class TestForwardValues:
         assert np.array_equal(x.grad, [[0.0, 1.0]])
 
     def test_relu_subgradient_at_zero_is_zero(self):
-        tape = Tape()
+        tape = ref.Tape()
         x = tape.leaf([[0.0]])
         y = ref.graph_conv(identity(1), x)
         tape.backward(ref.sq_frobenius(ref.lincomb([y, tape.leaf([[1.0]])], (1, 1))))
         assert x.grad[0, 0] == 0.0
 
     def test_graph_conv_values(self):
-        tape = Tape()
+        tape = ref.Tape()
         h0 = np.arange(8, dtype=float).reshape(4, 2) - 3.0
         w0 = np.array([[1.0, -2.0, 0.5], [-1.0, 0.25, 2.0]])
         first = ref.graph_conv(CYCLE4, tape.leaf(h0))
@@ -151,13 +151,13 @@ class TestForwardValues:
         assert np.allclose(layer.value, np.maximum(CYCLE4.to_dense() @ h0 @ w0, 0.0), rtol=1e-12, atol=1e-12)
 
     def test_lincomb_values(self):
-        tape = Tape()
+        tape = ref.Tape()
         a, b, c = (tape.leaf(v) for v in ([[1.0, 2.0]], [[0.5, -1.0]], [[3.0, 3.0]]))
         assert np.array_equal(ref.lincomb([a, b, c], (1, -1, 2.0)).value, [[6.5, 9.0]])
         assert np.array_equal(ref.lincomb([a], (-0.5,)).value, [[-0.5, -1.0]])
 
     def test_sigmoid_at_zero(self):
-        tape = Tape()
+        tape = ref.Tape()
         x = tape.leaf([[0.0]])
         s = ref.whole_array_sigmoid(x)
         assert s.value[0, 0] == pytest.approx(0.5)
@@ -166,7 +166,7 @@ class TestForwardValues:
         assert x.grad[0, 0] == pytest.approx(0.25)
 
     def test_sigmoid_extreme_inputs_stay_finite(self):
-        tape = Tape()
+        tape = ref.Tape()
         s = ref.whole_array_sigmoid(tape.leaf([[800.0, -800.0]]))
         assert np.all(np.isfinite(s.value))
         assert s.value[0, 0] == pytest.approx(1.0)
@@ -187,24 +187,24 @@ class TestForwardValues:
         assert np.array_equal(ad._sigmoid_values(x).view(np.uint64), two_branch_sigmoid(x).view(np.uint64))
 
     def test_sq_frobenius_gradient_is_double(self):
-        tape = Tape()
+        tape = ref.Tape()
         w = tape.leaf([[1.0, 2.0]])
         tape.backward(ref.sq_frobenius(w))
         assert np.array_equal(w.grad, [[2.0, 4.0]])
 
     def test_concat_and_gram_shapes(self):
         # gram joins the columns of its operands: the Gram matrix of the 3-by-3 [a | b]
-        tape = Tape()
+        tape = ref.Tape()
         a0 = np.arange(6, dtype=float).reshape(3, 2)
         a = tape.leaf(a0)
         b = tape.leaf(np.ones((3, 1)))
         gm = ad.gram(a, b)
-        assert gm.shape == (3, 3)
+        assert gm.value.shape == (3, 3)
         z = np.concatenate([a0, np.ones((3, 1))], axis=1)
         assert np.array_equal(gm.value, z @ z.T)
 
     def test_row_dot_is_column(self):
-        tape = Tape()
+        tape = ref.Tape()
         a = tape.leaf([[1.0, 0.0], [2.0, 3.0]])
         b = tape.leaf([[0.0, 1.0], [1.0, 1.0]])
         out = ref.row_dot(a, b)
@@ -217,24 +217,24 @@ class TestFiniteDifferences:
     rng = np.random.default_rng(123)
 
     def check(self, fn, x):
-        tape = Tape()
+        tape = ref.Tape()
         leaf = tape.leaf(x)
         tape.backward(ref.sq_frobenius(fn(leaf)))
         assert_close_grad(leaf.grad, numeric_grad(scalarize(fn), x.copy()))
 
     def check_pair(self, op, a0, b0):
         """Gradients of sq_frobenius(op(a, b)) against central differences in both operands."""
-        tape = Tape()
+        tape = ref.Tape()
         a = tape.leaf(a0)
         b = tape.leaf(b0)
         tape.backward(ref.sq_frobenius(op(a, b)))
 
         def fa(x):
-            t = Tape()
+            t = ref.Tape()
             return float(ref.sq_frobenius(op(t.leaf(x), t.leaf(b0))).value[0, 0])
 
         def fb(x):
-            t = Tape()
+            t = ref.Tape()
             return float(ref.sq_frobenius(op(t.leaf(a0), t.leaf(x))).value[0, 0])
 
         assert_close_grad(a.grad, numeric_grad(fa, a0.copy()))
@@ -279,12 +279,12 @@ class TestFiniteDifferences:
     def test_balanced_bce(self):
         adj = SparseAdjacency.from_edges(4, [(0, 1), (2, 3)])
         p0 = self.rng.uniform(0.1, 0.9, size=(4, 4))
-        tape = Tape()
+        tape = ref.Tape()
         p = tape.leaf(p0)
         tape.backward(ref.whole_array_balanced_bce(p, adj))
 
         def f(x):
-            t = Tape()
+            t = ref.Tape()
             return float(ref.whole_array_balanced_bce(t.leaf(x), adj).value[0, 0])
 
         assert_close_grad(p.grad, numeric_grad(f, p0.copy()))
@@ -307,7 +307,7 @@ def dense_bce_reference(probs, adj):
 class TestBalancedBce:
     def test_half_probability_identity(self):
         adj = SparseAdjacency.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-        tape = Tape()
+        tape = ref.Tape()
         loss = ad.balanced_bce(tape.leaf(np.full((5, 5), 0.5)), adj)
         nnz = adj.nnz + adj.n
         nz = 25 - nnz
@@ -317,13 +317,13 @@ class TestBalancedBce:
     def test_perfect_reconstruction_near_zero(self):
         adj = SparseAdjacency.from_edges(3, [(0, 1)])
         target = adj.to_dense() + np.eye(3)
-        tape = Tape()
+        tape = ref.Tape()
         loss = ref.whole_array_balanced_bce(tape.leaf(np.where(target > 0, 1.0, 0.0)), adj)
         assert loss.value[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_clamped_entries_get_zero_gradient(self):
         adj = SparseAdjacency.from_edges(3, [(0, 1)])
-        tape = Tape()
+        tape = ref.Tape()
         probs = np.full((3, 3), 0.5)
         probs[0, 0] = 1.0
         probs[2, 2] = 0.0
@@ -335,7 +335,7 @@ class TestBalancedBce:
     def test_target_and_balance(self):
         # stored pair (0, 1) plus the diagonal: 5 target entries, 4 zeros, weight 4/5
         adj = SparseAdjacency.from_edges(3, [(0, 1)])
-        tape = Tape()
+        tape = ref.Tape()
         p = tape.leaf(np.full((3, 3), 0.5))
         loss = ref.whole_array_balanced_bce(p, adj)
         tape.backward(loss)
@@ -363,7 +363,7 @@ class TestBalancedBce:
         ref_loss, ref_grad = dense_bce_reference(probs, adj)
         on_target = np.count_nonzero(dense)
         assert np.count_nonzero(ref_grad == 0.0) == min(8, on_target) + min(8, n * n - on_target)
-        tape = Tape()
+        tape = ref.Tape()
         p = tape.leaf(probs)
         loss = ref.whole_array_balanced_bce(p, adj)
         tape.backward(loss)
@@ -379,7 +379,7 @@ class TestBalancedBce:
         upper[0, 0] = 29.0
         upper[rows[:1], cols[:1]] = 29.0
         x0 = np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.T)
-        tape = Tape()
+        tape = ref.Tape()
         x = tape.leaf(x0)
         want = ref.whole_array_balanced_bce(ref.whole_array_sigmoid(x), adj)
         tape.backward(want)
@@ -481,7 +481,7 @@ class TestReconstructionLoss:
         assert -(-n // ad._BLOCK_ROWS) == (1 if n == 5 else 2)
         loss, g_ys, g_yp = reconstruction_loss(ys0, yp0, adj)
 
-        ref_tape = Tape()
+        ref_tape = ref.Tape()
         a, b = ref_tape.leaf(ys0), ref_tape.leaf(yp0)
         probs = ref.decode(a, b)
         assert (probs.value > 1.0 - ad.CLAMP_EPS).any()
@@ -492,7 +492,7 @@ class TestReconstructionLoss:
         assert g_yp.tobytes() == b.grad.tobytes()
 
     def test_repeated_backward_matches(self):
-        # run_model's backward scales the gradients reconstruction_loss returned and must leave them as they were
+        # run_model's backward reads the gradients reconstruction_loss returned and must leave them as they were
         ys0, yp0, adj = self.operands(5)
         net = MultiViewNetwork(5, [adj])
         tape = Tape()
@@ -508,7 +508,7 @@ class TestReconstructionLoss:
         adj = SparseAdjacency.from_edges(5, [(0, 1), (1, 2), (3, 4)])
         _, g_ys, g_yp = reconstruction_loss(ys0, yp0, adj)
 
-        # scaled by -2.5, as run_model's backward scales them by its incoming gradient
+        # scaled by -2.5: the gradients scale with the loss
         def f(x, y):
             return -2.5 * reconstruction_loss(x, y, adj)[0]
 
@@ -561,7 +561,7 @@ class TestMatchesReferenceOps:
         g0 = wide_range_values((n, 4 if with_weight else 6), rng)
 
         def run(op):
-            tape = Tape()
+            tape = ref.Tape()
             h = tape.leaf(h0)
             w = None if w0 is None else tape.leaf(w0)
             out = op(norm, h, w)
@@ -577,7 +577,7 @@ class TestMatchesReferenceOps:
         for coeffs in [(1.0,), (1, -1), (1, 1, 0.7, -2.5), (0.1, 0.2, 0.3, 0.4)]:
 
             def run(op, coeffs=coeffs):
-                tape = Tape()
+                tape = ref.Tape()
                 ts = [tape.leaf(v) for v in leaves[: len(coeffs)]]
                 # the first leaf twice: its two contributions meet in one gradient
                 out = op(ts + ts[:1], coeffs + (1.5,))
@@ -586,7 +586,7 @@ class TestMatchesReferenceOps:
 
             assert run(ref.lincomb) == run(ref.primitive_lincomb)
         # 1.0 and -1.0 give a + b and a - b exactly, the old add and sub
-        tape = Tape()
+        tape = ref.Tape()
         a, b = tape.leaf(leaves[0]), tape.leaf(leaves[1])
         assert ref.lincomb([a, b], (1, 1)).value.tobytes() == ref.add(a, b).value.tobytes()
         assert ref.lincomb([a, b], (1, -1)).value.tobytes() == ref.sub(a, b).value.tobytes()
@@ -625,7 +625,8 @@ def fanout_graph(case, tape, x0, y0, c0):
 
 
 class TestGradientOwnership:
-    """Fan-out, shared operands and copy-free hand-over give the leaf gradients of a tape that copies everything."""
+    """On the reference's tape, fan-out, shared operands and copy-free hand-over give the leaf gradients of a tape
+    that copies everything."""
 
     CASES = [
         "sigmoid-two-consumers", "gram-two-consumers", "add-one-node-twice", "add-two-sigmoids", "bce-probs-and-row-dot",
@@ -634,7 +635,7 @@ class TestGradientOwnership:
 
     def run(self, case):
         rng = np.random.default_rng(4)
-        tape = Tape()
+        tape = ref.Tape()
         leaves, interior, root = fanout_graph(
             case, tape, rng.normal(size=(6, 3)), rng.normal(size=(6, 3)), rng.normal(size=(6, 6))
         )
@@ -654,13 +655,15 @@ class TestGradientOwnership:
 
 
 class TestBackwardContract:
+    """The general tape in reference_ops, which the op-by-op reference records on."""
+
     def test_replay_is_bit_identical(self):
         rng = np.random.default_rng(8)
         x0 = rng.normal(size=(5, 4))
         w0 = rng.normal(size=(4, 3))
 
         def run():
-            tape = Tape()
+            tape = ref.Tape()
             x = tape.leaf(x0)
             w = tape.leaf(w0)
             loss = ref.sq_frobenius(ref.whole_array_sigmoid(ref.graph_conv(identity(5), ref.graph_conv(PATH5, x), w)))
@@ -673,14 +676,14 @@ class TestBackwardContract:
         assert np.array_equal(gw1, gw2)
 
     def test_unused_leaf_gets_zero_gradient(self):
-        tape = Tape()
+        tape = ref.Tape()
         used = tape.leaf([[3.0]])
         unused = tape.leaf([[7.0, 7.0]])
         tape.backward(ref.sq_frobenius(used))
         assert np.array_equal(unused.grad, [[0.0, 0.0]])
 
     def test_repeated_backward_matches(self):
-        tape = Tape()
+        tape = ref.Tape()
         x = tape.leaf([[1.0, -2.0]])
         root = ref.sq_frobenius(ref.graph_conv(identity(1), x))
         tape.backward(root)
@@ -689,7 +692,7 @@ class TestBackwardContract:
         assert np.array_equal(x.grad, first)
 
     def test_fanout_accumulates(self):
-        tape = Tape()
+        tape = ref.Tape()
         x = tape.leaf([[2.0]])
         root = ref.sq_frobenius(ref.lincomb([x, x], (1, 1)))
         tape.backward(root)
@@ -697,13 +700,13 @@ class TestBackwardContract:
         assert x.grad[0, 0] == pytest.approx(16.0)
 
     def test_non_scalar_root_rejected(self):
-        tape = Tape()
+        tape = ref.Tape()
         x = tape.leaf(np.ones((2, 2)))
-        with pytest.raises(NonScalarRoot):
+        with pytest.raises(TapeError):
             tape.backward(x)
 
     def test_shape_mismatch(self):
-        tape = Tape()
+        tape = ref.Tape()
         a = tape.leaf(np.ones((2, 3)))
         b = tape.leaf(np.ones((2, 3)))
         with pytest.raises(ShapeMismatch, match="multiply"):
@@ -719,7 +722,7 @@ class TestBackwardContract:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_detected(self):
-        tape = Tape()
+        tape = ref.Tape()
         x = tape.leaf([[1e308]])
         with pytest.raises(NumericalOverflow):
             ref.lincomb([x], (10.0,))
@@ -729,7 +732,7 @@ class TestBackwardContract:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_graph_conv_raises_on_negative_infinite_pre_activation(self):
         # relu would turn the -inf of spmm(norm, h) @ w into 0; the pre-activation check raises first
-        tape = Tape()
+        tape = ref.Tape()
         h = tape.leaf([[-1e308], [-1e308]])
         w = tape.leaf([[10.0]])
         with pytest.raises(NumericalOverflow):
@@ -737,12 +740,12 @@ class TestBackwardContract:
         assert len(tape) == 2
 
     def test_non_finite_leaf_rejected(self):
-        tape = Tape()
+        tape = ref.Tape()
         with pytest.raises(NumericalOverflow):
             tape.leaf([[np.nan]])
 
     def test_cross_tape_rejected(self):
-        t1, t2 = Tape(), Tape()
+        t1, t2 = ref.Tape(), ref.Tape()
         a = t1.leaf([[1.0]])
         b = t2.leaf([[1.0]])
         with pytest.raises(ShapeMismatch):
@@ -753,7 +756,7 @@ class TestBackwardContract:
             ref.graph_conv(identity(1), a, b)
 
     def test_only_leaves_keep_gradients(self):
-        tape = Tape()
+        tape = ref.Tape()
         x = tape.leaf([[1.0, -2.0]])
         unused = tape.leaf([[5.0]])
         hidden = ref.graph_conv(identity(1), ref.lincomb([x], (3.0,)))
@@ -767,7 +770,7 @@ class TestBackwardContract:
     def test_a_node_keeps_its_tape_alive(self):
         gc.disable()
         try:
-            x = Tape().leaf([[1.0, -2.0]])
+            x = ref.Tape().leaf([[1.0, -2.0]])
             root = ref.sq_frobenius(ref.graph_conv(identity(1), x))
             root.tape.backward(root)
             assert np.array_equal(x.grad, [[2.0, 0.0]])
@@ -777,3 +780,49 @@ class TestBackwardContract:
             assert probe() is None
         finally:
             gc.enable()
+
+
+class TestTape:
+    """rgae's own tape: weight leaves, and one loss whose pull adds into their zero-filled gradients."""
+
+    def test_backward_zero_fills_the_leaves_and_runs_the_pull_once(self):
+        tape = Tape()
+        a, unused = tape.leaf([[1.0, -2.0]]), tape.leaf([[3.0]])
+        calls = []
+
+        def pull():
+            calls.append(None)
+            a.grad += 2.0 * a.value
+
+        loss = tape.loss(5.0, pull)
+        assert len(tape) == 3 and loss.value.tobytes() == np.array([[5.0]]).tobytes()
+        for runs in (1, 2):
+            tape.backward(loss)
+            assert len(calls) == runs
+            assert np.array_equal(a.grad, [[2.0, -4.0]]) and np.array_equal(unused.grad, [[0.0]])
+
+    def test_a_second_loss_is_rejected(self):
+        tape = Tape()
+        tape.loss(1.0, lambda: None)
+        with pytest.raises(TapeError, match="one loss"):
+            tape.loss(2.0, lambda: None)
+        assert len(tape) == 1
+
+    def test_backward_runs_from_this_tapes_loss_only(self):
+        tape, other = Tape(), Tape()
+        x = tape.leaf([[1.0]])
+        with pytest.raises(TapeError):
+            tape.backward(x)
+        tape.loss(1.0, lambda: None)
+        for root in (x, other.loss(1.0, lambda: None)):
+            with pytest.raises(TapeError):
+                tape.backward(root)
+
+    def test_leaves_are_checked_copies(self):
+        tape = Tape()
+        w = np.ones((2, 2))
+        assert not np.shares_memory(tape.leaf(w).value, w)
+        with pytest.raises(NumericalOverflow):
+            tape.leaf([[np.nan]])
+        with pytest.raises(ShapeMismatch):
+            tape.leaf(np.ones(3))

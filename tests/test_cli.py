@@ -201,6 +201,18 @@ class TestGenerate:
         assert manifest["config"]["p_in"] == 0.3
         assert "numpy" in manifest["versions"]
 
+    def test_fewer_views_over_an_earlier_dataset_are_refused(self, tmp_path, capsys):
+        # view_2.txt would otherwise be loaded as a third view while manifest.json lists two
+        out = tmp_path / "ds"
+        assert run("generate", "--out", str(out), "--views", "3") == 0
+        # a dataset of the same shape replaces every file
+        assert run("generate", "--out", str(out), "--views", "3", "--seed", "8") == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert run("generate", "--out", str(out), "--views", "2") == 1
+        assert capsys.readouterr().err.startswith(f"FileError: {out}: view_2.txt would be read with this dataset")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_manifest_bytes(self, tmp_path, monkeypatch):
         # pins key order, the 2-space indent, tuples as lists, null and the trailing newline
         monkeypatch.chdir(tmp_path)

@@ -420,6 +420,24 @@ class TestDatasetRoundTrip:
         with pytest.raises(FileError, match=re.escape(stray)):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize(
+        "views, labels, stale",
+        [(2, True, "view_2.txt"), (3, False, "labels.txt"), (1, False, "labels.txt, view_1.txt, view_2.txt")],
+        ids=["fewer-views", "no-labels", "both"],
+    )
+    def test_files_the_write_would_not_replace_are_rejected(self, tmp_path, views, labels, stale):
+        # load_dataset reads every view_<i>.txt and labels.txt it finds, so an older dataset's would join this one
+        v = SparseAdjacency.from_edges(3, [(0, 1), (1, 2)])
+        save_dataset(MultiViewNetwork(3, [v, v, v], labels=["x", "y", "x"]), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        net = MultiViewNetwork(3, [v] * views, labels=["y", "y", "x"] if labels else None)
+        with pytest.raises(FileError, match=f"^{re.escape(f'{tmp_path}: {stale} would be read')}"):
+            save_dataset(net, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # more views and labels replace every file there
+        save_dataset(MultiViewNetwork(3, [v] * 4, labels=["y", "y", "x"]), tmp_path)
+        assert len(load_dataset(tmp_path).views) == 4
+
     @pytest.mark.parametrize("name", ["", "b c", "b\tc", " b", "#b", "\ufeffb"])
     def test_unreadable_node_name_rejected_before_writing(self, tmp_path, name):
         v = SparseAdjacency.from_edges(2, [(0, 1)])

@@ -6,6 +6,7 @@ wrapped name and firing every training and evaluation span here makes it
 fail in the test suite instead.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import math
@@ -30,8 +31,18 @@ def _load(name):
     return module
 
 
+def _load_run():
+    """run.py, which imports its sibling modules by plain name."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return _load("run")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
 _spans = _load("spans")
 _oracle = _load("oracle")
+_run = _load_run()
 TARGETS = _spans.TARGETS
 # the benchmark's tolerance when it rescores report rows with the oracle
 METRIC_ATOL = 1e-9
@@ -138,3 +149,17 @@ def test_oracle_rescoring_matches_the_reports():
     assert problems == []
     assert abs(rows["roc_auc"] - auc) <= METRIC_ATOL
     assert abs(rows["average_precision"] - ap) <= METRIC_ATOL
+
+
+@pytest.mark.parametrize("use_sim, use_dif", [(True, True), (False, False)], ids=["full", "no-regularizers"])
+def test_the_gradient_check_passes_and_fails_as_it_should(use_sim, use_dif):
+    # run.py's own check: Tape(), run_model on it, tape.backward(out.loss) and out.params.gradients()
+    # against the oracle's dense replay; a gradient off by one part in a million must fail it
+    net = generate(SynthConfig(n=30, communities=(10, 10, 10), views=3, seed=7))
+    cfg = TrainConfig(dim=8, layer_sizes=(4,), max_epochs=1, patience=math.inf, tol=0.0, seed=2,
+                      use_sim=use_sim, use_dif=use_dif)
+    replay = _run.oracle.replay_training(net, cfg)
+    assert _run._gradients_match(net, cfg, replay) is True
+    off = [g.copy() for g in replay.gradients]
+    off[-1] *= 1.0 + 1e-6
+    assert _run._gradients_match(net, cfg, dataclasses.replace(replay, gradients=off)) is False

@@ -394,7 +394,7 @@ class TestMatchesReferenceComposition:
         refreshed = 0
         layers = None
         for epoch in range(8):
-            tape, ref_tape = Tape(), Tape()
+            tape, ref_tape = Tape(), ref.Tape()
             out = run_model(net, params, cfg.alpha, cfg.beta, cfg.gamma, tape,
                             use_sim=cfg.use_sim, use_dif=cfg.use_dif, shared=layers)
             want = ref.run_model(net, params, cfg.alpha, cfg.beta, cfg.gamma, ref_tape,
