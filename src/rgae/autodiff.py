@@ -87,23 +87,24 @@ def gram(a: Tensor, b: Tensor, out=None) -> Tensor:
     """Z Z^T for Z = [a | b], the columns of the two operands joined, in a node off the tape; out may hold it.
 
     numpy computes z @ z.T as a symmetric rank-k update and mirrors one triangle, so the value is exactly symmetric.
+    sigmoid, which reads it block by block, checks that it is finite.
     """
     if a.value.shape[0] != b.value.shape[0]:
         raise ShapeMismatch(f"cannot join the columns of {a.value.shape} and {b.value.shape}")
     z = np.concatenate([a.value, b.value], axis=1)
-    value = np.matmul(z, z.T, out=out)
-    if not np.all(np.isfinite(value)):
-        raise NumericalOverflow("non-finite Gram matrix")
-    return Tensor(value)
+    return Tensor(np.matmul(z, z.T, out=out))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """x, with the logistic 1 / (1 + exp(-x)) of its logits written over them; the logits must be at least 0.
 
     For x >= 0, -0.0 included, this is _sigmoid_values bit for bit, and the probabilities lie in [1/2, 1].
+    A block holding NaN or +inf, whose max is then not finite, raises NumericalOverflow before it is overwritten.
     """
     for r in range(0, len(x.value), _BLOCK_ROWS):
         blk = x.value[r : r + _BLOCK_ROWS]
+        if not np.isfinite(blk.max()):
+            raise NumericalOverflow("non-finite Gram matrix")
         np.exp(np.negative(blk, out=blk), out=blk)
         blk += 1.0
         np.divide(1.0, blk, out=blk)
@@ -146,7 +147,8 @@ def balanced_bce(probs: Tensor, adj: SparseAdjacency, out=None) -> Tensor:
         np.divide(1.0, d, out=d)
         np.log1p(np.negative(c, out=c), out=c)
         d[stored], d[own] = -pos_weight / p_t[s], -pos_weight / p_t[d_t]
-        np.multiply(d, 0.0, out=d, where=pb >= top)
+        if pb.max() >= top:
+            np.multiply(d, 0.0, out=d, where=pb >= top)
         d *= pb
         d *= 1.0 - pb
         np.multiply(d, 2.0, out=pb)

@@ -7,7 +7,9 @@ splits driven by seeds, the usual protocol; items without a label are in no spli
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,10 +322,16 @@ def _require_seeds(seeds) -> None:
         raise ConfigError(f"split seeds must be nonnegative, got {list(seeds)}")
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def classification_report(features, labels, ratios=(0.1, 0.3, 0.5), seeds=tuple(range(10))):
     """Micro and macro F1 per ratio and seed plus their means, as (task, ratio, seed, metric, value) rows.
 
     Splits leave unlabeled items out and are stratified by class unless the data is multi-label.
+    The splits are drawn here; each distinct ratio is then fitted and scored as one job, on at most one thread per CPU.
     """
     _require_seeds(seeds)
     labels = LabelMatrix.of(labels)
@@ -331,13 +339,21 @@ def classification_report(features, labels, ratios=(0.1, 0.3, 0.5), seeds=tuple(
     labeled = np.flatnonzero(labels.y.any(axis=1))
     strat = not labels.multilabel
     strat_index = labels.y[labeled].argmax(axis=1) if strat else None
-    rows = []
-    for ratio in ratios:
+    drawn = {}
+    for ratio in dict.fromkeys(ratios):
         splits = [make_split(labeled.size, SplitSpec(ratio, seed, strat), labels=strat_index) for seed in seeds]
-        train_idx, test_idx = (labeled[np.stack(side)] for side in zip(*splits))
+        drawn[ratio] = [labeled[np.stack(side)] for side in zip(*splits)]
+
+    def scored(train_idx, test_idx):
         pred = logistic_ovr_train(x, labels, train_idx).predict(x[test_idx])
-        results = [micro_macro_f1(p, labels.y[t]) for p, t in zip(pred, test_idx)]
-        rows += _report_rows("classification", ratio, seeds, results, ("micro_f1", "macro_f1"))
+        return [micro_macro_f1(p, labels.y[t]) for p, t in zip(pred, test_idx)]
+
+    # numpy releases the GIL inside the descents, so the ratios' fits overlap; the largest ratio's runs longest
+    rows = []
+    with ThreadPoolExecutor(max(1, min(len(drawn), _cpus()))) as pool:
+        jobs = {ratio: pool.submit(scored, *drawn[ratio]) for ratio in sorted(drawn, reverse=True)}
+        for ratio in ratios:
+            rows += _report_rows("classification", ratio, seeds, jobs[ratio].result(), ("micro_f1", "macro_f1"))
     return rows
 
 

@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 from collections import defaultdict
@@ -834,9 +837,9 @@ class TestReports:
         splits, fits = [], []
         split, fit = evaluate.make_split, evaluate.logistic_ovr_train
 
-        def counted_split(*args, **kwargs):
-            splits.append(split(*args, **kwargs))
-            return splits[-1]
+        def counted_split(n, spec, **kwargs):
+            splits.append((spec, split(n, spec, **kwargs)))
+            return splits[-1][1]
 
         def recorded_fit(features, labels, train_idx):
             fits.append((train_idx, labels))
@@ -846,18 +849,100 @@ class TestReports:
         monkeypatch.setattr(evaluate, "logistic_ovr_train", recorded_fit)
         ratios, seeds = (0.3, 0.5), (0, 1, 2)
         rows = classification_report(x, labels, ratios=ratios, seeds=seeds)
-        # one stacked fit per ratio; its row k is the split drawn for seed k
-        assert len(splits) == len(ratios) * len(seeds)
-        assert len(fits) == len(ratios)
-        drawn = iter(splits)
-        for train, _ in fits:
+        # each split is drawn once, in ratio-then-seed order
+        assert [(spec.train_ratio, spec.seed) for spec, _ in splits] == [(r, s) for r in ratios for s in seeds]
+        drawn = defaultdict(list)
+        for spec, (train, _) in splits:
+            drawn[spec.train_ratio].append(train)
+        # one stacked fit per ratio, in any order: a fit's ratio is the one whose seed-0 split is its row 0
+        fitted = [next(r for r, trains in drawn.items() if np.array_equal(train[0], trains[0])) for train, _ in fits]
+        assert sorted(fitted) == sorted(ratios)
+        # row k of a fit is the split drawn for seed k
+        for (train, _), ratio in zip(fits, fitted):
             assert train.shape[0] == len(seeds)
-            assert all(np.array_equal(row, next(drawn)[0]) for row in train)
+            assert all(np.array_equal(row, t) for row, t in zip(train, drawn[ratio]))
         matrix = fits[0][1]
         assert isinstance(matrix, LabelMatrix) and matrix.classes == [0, 1]
         assert all(labels is matrix for _, labels in fits)
         monkeypatch.undo()
         assert rows == classification_report(x, labels, ratios=ratios, seeds=seeds)
+
+    @staticmethod
+    def _three_blobs():
+        # class 2 has one item: at ratios .1 and .3 it rounds to no training example, so every such split warns
+        rng = np.random.default_rng(8)
+        x = np.concatenate([rng.normal(size=(20, 3)), 3 + rng.normal(size=(21, 3))])
+        return x, [0] * 20 + [1] * 20 + [2]
+
+    def test_classification_report_runs_at_most_one_fit_per_cpu(self, monkeypatch):
+        x, labels = self._three_blobs()
+        ratios, seeds = (0.1, 0.3, 0.5), (0, 1, 2)
+        fit, turn = evaluate.logistic_ovr_train, threading.Condition()
+        state = {}
+
+        def spied_fit(*args):
+            with turn:
+                state["in_flight"] += 1
+                state["peak"] = max(state["peak"], state["in_flight"])
+                turn.notify_all()
+                # the first fits wait for each other, so the report's full width is reached if it is allowed
+                turn.wait_for(lambda: state["peak"] >= state["width"], timeout=5)
+            try:
+                return fit(*args)
+            finally:
+                with turn:
+                    state["in_flight"] -= 1
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateClass)
+            serial = [row for r in ratios for row in classification_report(x, labels, ratios=(r,), seeds=seeds)]
+            monkeypatch.setattr(evaluate, "logistic_ovr_train", spied_fit)
+            for cpus in (1, 2):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+                state.update(in_flight=0, peak=0, width=min(len(ratios), cpus))
+                rows = classification_report(x, labels, ratios=ratios, seeds=seeds)
+                assert state["peak"] == state["width"]
+                assert repr(rows) == repr(serial)
+            # no ratio, no job: a pool of zero workers would raise
+            assert classification_report(x, labels, ratios=(), seeds=seeds) == []
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, cpus in ((4, 4), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert evaluate._cpus() == cpus
+
+    def test_classification_report_passes_on_errors_and_warnings_from_its_jobs(self, monkeypatch):
+        x, labels = self._three_blobs()
+        # more ratios and workers than cores, and the interpreter switching threads often
+        ratios, seeds = (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5), (0, 1, 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(len(ratios))), raising=False)
+        runs, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for report_ratios in [(r,) for r in ratios] + [ratios]:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    rows = classification_report(x, labels, ratios=report_ratios, seeds=seeds)
+                runs.append((rows, [w for w in caught if issubclass(w.category, DegenerateClass)]))
+        finally:
+            sys.setswitchinterval(interval)
+        # one warning per split below ratio .5, whether the ratios run alone or side by side
+        assert len(runs[-1][1]) == (len(ratios) - 1) * len(seeds) == sum(len(caught) for _, caught in runs[:-1])
+        assert repr(runs[-1][0]) == repr(sum((rows for rows, _ in runs[:-1]), []))
+        error, fit = ConfigError("no class had training examples"), evaluate.logistic_ovr_train
+
+        def failing_fit(features, labels, train_idx):
+            # the fit of ratio .1, the only one with fewer than 10 training items, fails; it is submitted last
+            if train_idx.shape[1] < 10:
+                raise error
+            return fit(features, labels, train_idx)
+
+        monkeypatch.setattr(evaluate, "logistic_ovr_train", failing_fit)
+        with warnings.catch_warnings(), pytest.raises(ConfigError) as raised:
+            warnings.simplefilter("ignore", DegenerateClass)
+            classification_report(x, labels, ratios=(0.1, 0.3, 0.5), seeds=seeds)
+        assert raised.value is error
 
     @pytest.mark.parametrize("seeds", [(-1,), (0, -3)])
     def test_reports_reject_negative_seeds(self, seeds):
