@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ParseError, RgaeError
+from .errors import ConfigError, ParseError, RgaeError, require_int
 from .evaluate import _embedding_rows, _require_seeds, classification_report, link_prediction_report
 from .graph import (
     MultiViewNetwork,
@@ -84,6 +84,8 @@ def _write_table(args, cfg: dict, header, rows, inputs: list) -> None:
 def save_embeddings(path, names, embeddings, n_views, block_dim) -> None:
     """Text format: header "n d_total n_views d", then one node per line at full float precision."""
     require_readable_names(names)
+    require_int("n_views", n_views, 0)
+    require_int("block_dim", block_dim, 0)
     y = _embedding_rows(embeddings, len(names))
     row_format = " ".join(["%.17g"] * y.shape[1])
     lines = [f"{len(names)} {y.shape[1]} {n_views} {block_dim}"]
@@ -320,23 +322,23 @@ def _aligned_embeddings(net: MultiViewNetwork, path):
 
 def cmd_eval(args) -> int:
     cfg = _resolve(args, EVAL_KEYS)
+    if cfg["task"] not in ("classification", "linkpred"):
+        raise ConfigError(f"--task must be classification or linkpred, got {cfg['task']!r}")
+    if cfg["task"] == "classification" and cfg["target_view"] is not None:
+        raise ConfigError("--target-view applies to --task linkpred only")
     emb_path = Path(_require(cfg, "embeddings"))
     data_dir = Path(_require(cfg, "data"))
     net = load_dataset(data_dir)
     y = _aligned_embeddings(net, emb_path)
+    ratio = cfg["train_ratio"]
     if cfg["task"] == "classification":
-        if cfg["target_view"] is not None:
-            raise ConfigError("--target-view applies to --task linkpred only")
         if net.labels is None:
             raise ConfigError(f"{data_dir}: dataset has no labels.txt")
-        ratios = (cfg["train_ratio"],) if cfg["train_ratio"] is not None else (0.1, 0.3, 0.5)
-        rows = classification_report(y, net.labels, ratios=ratios, seeds=cfg["seeds"])
-    elif cfg["task"] == "linkpred":
-        target = _require(cfg, "target_view")
-        ratio = cfg["train_ratio"] if cfg["train_ratio"] is not None else 0.5
-        rows = link_prediction_report(net, y, target, ratio=ratio, seeds=cfg["seeds"])
+        ratio_kw = {} if ratio is None else {"ratios": (ratio,)}
+        rows = classification_report(y, net.labels, seeds=cfg["seeds"], **ratio_kw)
     else:
-        raise ConfigError(f"--task must be classification or linkpred, got {cfg['task']!r}")
+        ratio_kw = {} if ratio is None else {"ratio": ratio}
+        rows = link_prediction_report(net, y, _require(cfg, "target_view"), seeds=cfg["seeds"], **ratio_kw)
     header = "task train_ratio seed metric value".split()
     cells = [(t, f"{r:g}", str(s), m, f"{v:.10g}") for t, r, s, m, v in rows]
     _write_table(args, cfg, header, cells, [emb_path, data_dir])

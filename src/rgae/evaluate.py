@@ -300,8 +300,7 @@ def link_predict(positive_cosines, negative_cosines, split: SplitSpec):
     """
     feats = np.concatenate([positive_cosines, negative_cosines])
     y = np.concatenate([np.ones(len(positive_cosines)), np.zeros(len(negative_cosines))])
-    strat = y if split.stratified else None
-    train_idx, test_idx = make_split(len(y), split, labels=strat)
+    train_idx, test_idx = make_split(len(y), split, labels=y)
     x_train, y_train = feats[train_idx], y[train_idx]
     scores = np.sign(np.mean((x_train - x_train.mean()) * (y_train - y_train.mean()))) * feats[test_idx]
     return roc_auc(scores, y[test_idx]), average_precision(scores, y[test_idx])

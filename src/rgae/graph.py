@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter, length_hint
@@ -76,20 +75,6 @@ class _Csr:
     def _check_diagonal(self) -> None:
         raise NotImplementedError
 
-    @classmethod
-    def from_coo(cls, n, rows, cols, vals):
-        """CSR of (row, col, value) entries in any order; a repeated (row, col) keeps its max value."""
-        ends = np.concatenate([rows, cols])
-        if np.any((ends < 0) | (ends >= n)):
-            raise IndexOutOfRange(f"node index {ends[(ends < 0) | (ends >= n)][0]} out of range for {n} nodes")
-        keys = rows * n + cols
-        # equal keys reduce by max, so their order shows only in a zero or NaN weight, which is rejected anyway
-        order = np.argsort(keys)
-        keys, vals = keys[order], vals[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        keys, vals = keys[starts], np.maximum.reduceat(vals, starts)
-        return cls(n=n, row_offsets=np.searchsorted(keys, np.arange(n + 1) * n), col_indices=keys % n, values=vals)
-
     @property
     def nnz(self) -> int:
         return int(self.col_indices.size)
@@ -132,7 +117,17 @@ class SparseAdjacency(_Csr):
         if np.any(e[:, 0] == e[:, 1]):
             raise IndexOutOfRange("self-loops are not allowed")
         u, v = e.T
-        return cls.from_coo(n, np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w]))
+        # rows holds every source, then every target, so one range check covers both ends in that order
+        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+        if np.any((rows < 0) | (rows >= n)):
+            raise IndexOutOfRange(f"node index {rows[(rows < 0) | (rows >= n)][0]} out of range for {n} nodes")
+        keys = rows * n + cols
+        # equal keys reduce by max, so their order shows only in a zero or NaN weight, which is rejected anyway
+        order = np.argsort(keys)
+        keys, vals = keys[order], np.concatenate([w, w])[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        keys, vals = keys[starts], np.maximum.reduceat(vals, starts)
+        return cls(n=n, row_offsets=np.searchsorted(keys, np.arange(n + 1) * n), col_indices=keys % n, values=vals)
 
     def normalized(self) -> "NormalizedAdjacency":
         if self._normalized is None:
@@ -396,10 +391,6 @@ def save_dataset(net: MultiViewNetwork, directory) -> list:
     which load_dataset would read as part of this dataset.
     """
     require_readable_names(net.node_names)
-    for labs in net.labels or ():
-        for lab in map(str, labs):
-            if lab.split() != [lab]:
-                raise ConfigError(f"label {lab!r} must be nonempty and hold no whitespace")
     texts = {"nodes.txt": "\n".join(net.node_names) + "\n"}
     for i, view in enumerate(net.views):
         mask = view.rows < view.col_indices
@@ -411,7 +402,10 @@ def save_dataset(net: MultiViewNetwork, directory) -> list:
     if net.labels is not None:
         lines = []
         for name, labs in zip(net.node_names, net.labels):
-            for lab in sorted(labs):
+            # each distinct text once, in text order, so mixed types sort and a reloaded dataset writes the same bytes
+            for lab in sorted(set(map(str, labs))):
+                if lab.split() != [lab]:
+                    raise ConfigError(f"label {lab!r} must be nonempty and hold no whitespace")
                 lines.append(f"{name} {lab}")
         texts["labels.txt"] = "\n".join(lines) + "\n"
     directory = Path(directory)
@@ -426,22 +420,15 @@ def save_dataset(net: MultiViewNetwork, directory) -> list:
 
 
 def _view_paths(directory: Path) -> list:
-    """The view_<i>.txt files of a dataset directory in view order; indices must run 0..k-1."""
-    by_index = {}
-    for path in sorted(directory.glob("view_*.txt")):
-        match = re.fullmatch(r"view_([0-9]+)\.txt", path.name)
-        if match is None:
-            raise FileError(f"{path}: view files must be named view_<int>.txt")
-        i = int(match.group(1))
-        if i in by_index:
-            raise FileError(f"{path}: view {i} is already given by {by_index[i].name}")
-        by_index[i] = path
-    if not by_index:
+    """The k view_*.txt files of a dataset directory in view order; they must be view_0.txt .. view_<k-1>.txt."""
+    found = {p.name for p in directory.glob("view_*.txt")}
+    if not found:
         raise FileError(f"{directory}: no view_<i>.txt files")
-    last = max(by_index)
-    if last >= len(by_index):
-        raise FileError(f"{by_index[last]}: view indices must run 0..{len(by_index) - 1} without gaps")
-    return [by_index[i] for i in range(len(by_index))]
+    names = [f"view_{i}.txt" for i in range(len(found))]
+    stray = sorted(found - set(names))
+    if stray:
+        raise FileError(f"{directory / stray[0]}: view files must be named view_0.txt .. view_{len(found) - 1}.txt")
+    return [directory / name for name in names]
 
 
 def load_dataset(directory) -> MultiViewNetwork:

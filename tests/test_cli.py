@@ -450,6 +450,20 @@ class TestEvalKeys:
         assert capsys.readouterr().err == "ConfigError: --target-view applies to --task linkpred only\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "task, message",
+        [
+            (["--task", "bogus"], "--task must be classification or linkpred, got 'bogus'"),
+            (["--target-view", "1"], "--target-view applies to --task linkpred only"),
+        ],
+        ids=["unknown-task", "classification-target-view"],
+    )
+    def test_options_checked_before_any_file_is_read(self, tmp_path, capsys, task, message):
+        missing = tmp_path / "missing"
+        code = run("eval", "--embeddings", str(missing / "emb.txt"), "--data", str(missing), *task)
+        assert code == 1
+        assert capsys.readouterr().err == f"ConfigError: {message}\n"
+
 
 class TestEmbeddingsFormat:
     def test_round_trip_exact(self, tmp_path):
@@ -537,6 +551,16 @@ class TestEmbeddingsFormat:
         path = tmp_path / "emb.txt"
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             save_embeddings(path, names, rows, 1, 1)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("field", ["n_views", "block_dim"])
+    @pytest.mark.parametrize("value", [-1, 1.5, True], ids=["negative", "float", "bool"])
+    def test_header_the_reader_rejects_is_not_written(self, tmp_path, field, value):
+        # each would write a header such as "2 2 -1 2" that load_embeddings refuses
+        path = tmp_path / "emb.txt"
+        sizes = {"n_views": 2, "block_dim": 2, field: value}
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer of at least 0, got {value!r}$"):
+            save_embeddings(path, ["a", "b"], np.zeros((2, 2)), sizes["n_views"], sizes["block_dim"])
         assert not path.exists()
 
 

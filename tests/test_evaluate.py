@@ -759,6 +759,14 @@ class TestLinkPredict:
         assert link_predict(*task_cosines(y, task), spec) == link_predict(*task_cosines(y, task), spec)
         assert link_predict(*task_cosines(y, task), spec) == task_link_predict(y, task, spec)
 
+    def test_unstratified_split_ignores_the_labels(self):
+        # the reference draws with make_split(n, spec) and no labels when the spec is not stratified
+        task, y = TestRankScoringMatchesFit._case(6)
+        for seed in range(3):
+            plain, strat = SplitSpec(0.5, seed=seed), SplitSpec(0.5, seed=seed, stratified=True)
+            assert link_predict(*task_cosines(y, task), plain) == task_link_predict(y, task, plain)
+            assert link_predict(*task_cosines(y, task), plain) != link_predict(*task_cosines(y, task), strat)
+
 
 def _fit_link_predict(embeddings, task, split):
     """Link prediction scored by a logistic fit on the cosine feature: the reference for the rank scoring."""

@@ -420,6 +420,35 @@ class TestDatasetRoundTrip:
         with pytest.raises(FileError, match=re.escape(stray)):
             load_dataset(tmp_path)
 
+    def test_zero_padded_view_file_rejected(self, tmp_path):
+        # view_01.txt would be view 1 by its number, but save_dataset never writes that name
+        v = SparseAdjacency.from_edges(3, [(0, 1), (1, 2)])
+        save_dataset(MultiViewNetwork(3, [v]), tmp_path)
+        (tmp_path / "view_01.txt").write_text("0 1\n")
+        with pytest.raises(FileError, match=f"^{re.escape(str(tmp_path / 'view_01.txt'))}: view files must be named"):
+            load_dataset(tmp_path)
+
+    def test_single_view_file_loads(self, tmp_path):
+        v = SparseAdjacency.from_edges(3, [(0, 1), (1, 2)])
+        save_dataset(MultiViewNetwork(3, [v]), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nodes.txt", "view_0.txt"]
+        (back,) = load_dataset(tmp_path).views
+        assert np.array_equal(back.to_dense(), v.to_dense())
+
+    def test_mixed_type_labels_are_written_in_text_order(self, tmp_path):
+        # 1 and "a" do not compare, and "1" and 1 write the same text once
+        v = SparseAdjacency.from_edges(2, [(0, 1)])
+        save_dataset(MultiViewNetwork(2, [v], labels=[{1, "a"}, {"1", 1}]), tmp_path)
+        assert (tmp_path / "labels.txt").read_text() == "0 1\n0 a\n1 1\n"
+
+    def test_int_labels_rewrite_the_same_bytes_after_a_reload(self, tmp_path):
+        # sorted as ints, {9, 10} would write 9 before 10, and reloaded as text 10 before 9
+        v = SparseAdjacency.from_edges(2, [(0, 1)])
+        save_dataset(MultiViewNetwork(2, [v], labels=[{9, 10}, {10}]), tmp_path / "a")
+        save_dataset(load_dataset(tmp_path / "a"), tmp_path / "b")
+        assert (tmp_path / "a" / "labels.txt").read_text() == "0 10\n0 9\n1 10\n"
+        assert (tmp_path / "b" / "labels.txt").read_bytes() == (tmp_path / "a" / "labels.txt").read_bytes()
+
     @pytest.mark.parametrize(
         "views, labels, stale",
         [(2, True, "view_2.txt"), (3, False, "labels.txt"), (1, False, "labels.txt, view_1.txt, view_2.txt")],
