@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ParseError, RgaeError, require_int
-from .evaluate import _embedding_rows, _require_seeds, classification_report, link_prediction_report
+from .evaluate import SplitSpec, _embedding_rows, _require_seeds, classification_report, link_prediction_report
 from .graph import (
     MultiViewNetwork,
     jaccard_consistency,
@@ -322,15 +322,21 @@ def _aligned_embeddings(net: MultiViewNetwork, path):
 
 def cmd_eval(args) -> int:
     cfg = _resolve(args, EVAL_KEYS)
+    ratio = cfg["train_ratio"]
+    # every option rule runs before a file is read; a train ratio is checked by the split's own rule
     if cfg["task"] not in ("classification", "linkpred"):
         raise ConfigError(f"--task must be classification or linkpred, got {cfg['task']!r}")
     if cfg["task"] == "classification" and cfg["target_view"] is not None:
         raise ConfigError("--target-view applies to --task linkpred only")
+    if cfg["task"] == "linkpred":
+        _require(cfg, "target_view")
+    _require_seeds(cfg["seeds"])
+    if ratio is not None:
+        SplitSpec(ratio)
     emb_path = Path(_require(cfg, "embeddings"))
     data_dir = Path(_require(cfg, "data"))
     net = load_dataset(data_dir)
     y = _aligned_embeddings(net, emb_path)
-    ratio = cfg["train_ratio"]
     if cfg["task"] == "classification":
         if net.labels is None:
             raise ConfigError(f"{data_dir}: dataset has no labels.txt")
@@ -338,7 +344,7 @@ def cmd_eval(args) -> int:
         rows = classification_report(y, net.labels, seeds=cfg["seeds"], **ratio_kw)
     else:
         ratio_kw = {} if ratio is None else {"ratio": ratio}
-        rows = link_prediction_report(net, y, _require(cfg, "target_view"), seeds=cfg["seeds"], **ratio_kw)
+        rows = link_prediction_report(net, y, cfg["target_view"], seeds=cfg["seeds"], **ratio_kw)
     header = "task train_ratio seed metric value".split()
     cells = [(t, f"{r:g}", str(s), m, f"{v:.10g}") for t, r, s, m, v in rows]
     _write_table(args, cfg, header, cells, [emb_path, data_dir])
@@ -361,15 +367,18 @@ def cmd_sweep(args) -> int:
     data_dir = Path(_require(cfg, "data"))
     out_path = Path(_require(cfg, "out"))
     _require_seeds(cfg["seeds"])
+    SplitSpec(cfg["train_ratio"])
     for grid in GRID_KEYS:
         if not cfg[grid]:
             raise ConfigError(f"{_flag(grid)} needs at least one value")
+    points = list(product(*(cfg[grid] for grid in GRID_KEYS)))
+    configs = [_train_config({**cfg, **dict(zip(GRID_KEYS.values(), point))}) for point in points]
     net = load_dataset(data_dir)
     if net.labels is None or not any(net.labels):
         raise ConfigError(f"{data_dir}: sweeps evaluate classification and need a labels.txt that labels a node")
     rows = []
-    for point in product(*(cfg[grid] for grid in GRID_KEYS)):
-        params, embeds, _ = train(net, _train_config({**cfg, **dict(zip(GRID_KEYS.values(), point))}))
+    for point, tc in zip(points, configs):
+        params, embeds, _ = train(net, tc)
         report = classification_report(
             embeds.final, net.labels, ratios=(cfg["train_ratio"],), seeds=cfg["seeds"]
         )

@@ -455,8 +455,12 @@ class TestEvalKeys:
         [
             (["--task", "bogus"], "--task must be classification or linkpred, got 'bogus'"),
             (["--target-view", "1"], "--target-view applies to --task linkpred only"),
+            (["--task", "linkpred"], "--target-view is required"),
+            (["--seeds", ""], "need at least one split seed"),
+            (["--train-ratio", "1.5"], "train_ratio must be in (0, 1), got 1.5"),
         ],
-        ids=["unknown-task", "classification-target-view"],
+        ids=["unknown-task", "classification-target-view", "linkpred-without-target-view", "empty-seeds",
+             "train-ratio-above-1"],
     )
     def test_options_checked_before_any_file_is_read(self, tmp_path, capsys, task, message):
         missing = tmp_path / "missing"
@@ -774,6 +778,23 @@ class TestErrorReporting:
                    "--seeds", "")
         assert code == 1
         assert capsys.readouterr().err.startswith("ConfigError:")
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["--train-ratio", "1.5"], "ConfigError: train_ratio must be in (0, 1), got 1.5\n"),
+            (["--gammas", "5,1"], "InvalidGamma: gamma must be finite, positive and different from 1, got 1.0\n"),
+        ],
+        ids=["train-ratio-above-1", "later-gamma-of-1"],
+    )
+    def test_sweep_options_checked_before_training(self, dataset, tmp_path, capsys, monkeypatch, grid, message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("sweep trained before checking its options")
+
+        monkeypatch.setattr("rgae.cli.train", no_training)
+        code = run("sweep", "--data", str(dataset), "--out", str(tmp_path / "sweep.tsv"), *grid)
+        assert code == 1
+        assert capsys.readouterr().err == message
 
     def test_non_finite_tol(self, dataset, tmp_path, capsys):
         code = run("train", "--data", str(dataset), "--out", str(tmp_path / "o"), "--tol", "nan")
